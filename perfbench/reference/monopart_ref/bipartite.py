@@ -1,0 +1,732 @@
+"""2-coloured complete bipartite hosts: classification and partitions.
+
+Colourings of bnn hosts fall into four classes: monochromatic, split
+(each colour induces two vertex-disjoint complete bipartite blocks),
+V-coloured (each colour spans a single complete bipartite graph), or
+everything else -- and the last case is exactly the colourings containing
+a *good* 4-cycle, one whose two colour runs meet at vertices in distinct
+partition classes.
+
+Non-split colourings admit a spanning cycle that is monochromatic or
+bicoloured, which is then exchanged into a partition into one
+monochromatic path and one monochromatic cycle of distinct colours.
+Split colourings are detected and served by explicit three-piece
+fallbacks.  All constructions are verified before being returned.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .certificates import Piece
+from .colourings import BLUE, RED, Colour, PairColouring, SplitStructure, other_colour
+
+__all__ = [
+    "VColStructure",
+    "Classification",
+    "SplitDetected",
+    "BalancedC4Present",
+    "classify_bipartite",
+    "find_good_c4",
+    "find_balanced_c4",
+    "near_mono_spanning_path",
+    "extend_good_cycle",
+    "SpanningCycle",
+    "spanning_bicoloured_or_mono_cycle",
+    "partition_path_cycle",
+    "partition_path_cycle_coloured",
+    "two_paths",
+    "split_three_paths",
+    "split_three_cycles",
+    "split_all_cycles",
+    "convert_paths_to_cycle",
+    "v_two_cycles",
+]
+
+
+@dataclass(frozen=True)
+class VColStructure:
+    """Witness of a V-colouring: every vertex of `bichro_class` is red to
+    red_arm and blue to blue_arm; the opposite class is monochromatic."""
+
+    bichro_class: int
+    red_arm: tuple[int, ...]
+    blue_arm: tuple[int, ...]
+
+    def verify(self, col: PairColouring) -> bool:
+        if col.kind != "bnn" or col.palette != 2:
+            return False
+        if not self.red_arm or not self.blue_arm:
+            return False
+        own = list(col.class_vertices(self.bichro_class))
+        opp = list(col.class_vertices(1 - self.bichro_class))
+        if sorted(self.red_arm + self.blue_arm) != opp:
+            return False
+        for u in own:
+            for w in self.red_arm:
+                if col.colour_bit(u, w) != RED:
+                    return False
+            for w in self.blue_arm:
+                if col.colour_bit(u, w) != BLUE:
+                    return False
+        return True
+
+
+@dataclass(frozen=True)
+class Classification:
+    kind: str  # "mono" | "split" | "vcol" | "other"
+    colour: Colour | None = None
+    split: SplitStructure | None = None
+    vcol: VColStructure | None = None
+    good_c4: tuple[int, int, int, int] | None = None
+
+
+@dataclass(frozen=True)
+class SplitDetected:
+    """Verdict: the colouring is split; no path+cycle partition exists."""
+
+    structure: SplitStructure
+
+
+class BalancedC4Present(ValueError):
+    """Raised when a balanced-C4-free precondition fails; carries a witness."""
+
+    def __init__(self, witness):
+        super().__init__(f"balanced C4 present: {witness}")
+        self.witness = witness
+
+
+def _require_bnn2(col: PairColouring):
+    if col.kind != "bnn" or col.palette != 2:
+        raise ValueError("operation needs a 2-coloured bnn host")
+
+
+def classify_bipartite(col: PairColouring) -> Classification:
+    """Mono / Split / VCol verdict with verified structure, or Other with a
+    good C4 witness.
+
+    One bichromatic vertex determines candidate parts from its red and blue
+    neighbourhoods; any vertex of its class that disagrees with those parts
+    yields a good C4 directly.
+    """
+    _require_bnn2(col)
+    n = col.n
+    cbit = col.colour_bit
+
+    pivot = None
+    for u in range(2 * n):
+        opp = col.class_vertices(1 - col.side(u))
+        cols = {cbit(u, w) for w in opp}
+        if len(cols) == 2:
+            pivot = u
+            break
+    if pivot is None:
+        return Classification("mono", colour=Colour(cbit(0, n)))
+
+    side = col.side(pivot)
+    opp = list(col.class_vertices(1 - side))
+    xr = [w for w in opp if cbit(pivot, w) == RED]
+    xb = [w for w in opp if cbit(pivot, w) == BLUE]
+
+    like_pivot: list[int] = []
+    anti_pivot: list[int] = []
+    for u in col.class_vertices(side):
+        fr = {cbit(u, w) for w in xr}
+        if len(fr) == 2:
+            x = next(w for w in xr if cbit(u, w) == RED)
+            x2 = next(w for w in xr if cbit(u, w) == BLUE)
+            return Classification("other", good_c4=(pivot, x, u, x2))
+        fb = {cbit(u, w) for w in xb}
+        if len(fb) == 2:
+            x = next(w for w in xb if cbit(u, w) == RED)
+            x2 = next(w for w in xb if cbit(u, w) == BLUE)
+            return Classification("other", good_c4=(pivot, x, u, x2))
+        fr, fb = fr.pop(), fb.pop()
+        if fr == fb:
+            # u is monochromatic towards the whole opposite class
+            return Classification("other", good_c4=(pivot, xr[0], u, xb[0]))
+        (like_pivot if fr == RED else anti_pivot).append(u)
+
+    if not anti_pivot:
+        vcol = VColStructure(side, tuple(xr), tuple(xb))
+        assert vcol.verify(col)
+        return Classification("vcol", vcol=vcol)
+
+    if side == 0:
+        structure = SplitStructure(
+            a1=tuple(like_pivot), a2=tuple(anti_pivot), b1=tuple(xr), b2=tuple(xb)
+        )
+    else:
+        structure = SplitStructure(
+            a1=tuple(xr), a2=tuple(xb), b1=tuple(like_pivot), b2=tuple(anti_pivot)
+        )
+    assert structure.verify(col)
+    return Classification("split", split=structure)
+
+
+def find_good_c4(col: PairColouring):
+    """Lexicographically first good C4 by full scan, or None.
+
+    A 4-cycle is good exactly when one colour appears on precisely one of
+    its four edges (two runs of odd length).
+    """
+    _require_bnn2(col)
+    n = col.n
+    cbit = col.colour_bit
+    for a in range(n):
+        for b in range(n, 2 * n):
+            for a2 in range(a + 1, n):
+                for b2 in range(b + 1, 2 * n):
+                    reds = (
+                        (cbit(a, b) == 0)
+                        + (cbit(a2, b) == 0)
+                        + (cbit(a, b2) == 0)
+                        + (cbit(a2, b2) == 0)
+                    )
+                    if reds in (1, 3):
+                        return (a, b, a2, b2)
+    return None
+
+
+def find_balanced_c4(col: PairColouring, subset0, subset1):
+    """First C4 inside the subset with exactly two edges of each colour."""
+    _require_bnn2(col)
+    if len(subset0) != len(subset1):
+        raise ValueError("subset classes must have equal sizes")
+    s0 = sorted(subset0)
+    s1 = sorted(subset1)
+    cbit = col.colour_bit
+    for i, a in enumerate(s0):
+        for a2 in s0[i + 1 :]:
+            for j, b in enumerate(s1):
+                for b2 in s1[j + 1 :]:
+                    reds = (
+                        (cbit(a, b) == 0)
+                        + (cbit(a2, b) == 0)
+                        + (cbit(a, b2) == 0)
+                        + (cbit(a2, b2) == 0)
+                    )
+                    if reds == 2:
+                        return (a, b, a2, b2)
+    return None
+
+
+def near_mono_spanning_path(col: PairColouring, subset0, subset1):
+    """Spanning path of a balanced-C4-free induced subgraph.
+
+    With no balanced C4 some colour appears on at most one induced edge;
+    the zig-zag spanning path avoids that edge and is monochromatic in the
+    majority colour.  For a single pair the lone edge itself is returned
+    with its own colour.
+    """
+    _require_bnn2(col)
+    s0 = sorted(subset0)
+    s1 = sorted(subset1)
+    m = len(s0)
+    if m != len(s1) or m < 1:
+        raise ValueError("need equal non-empty class subsets")
+    cbit = col.colour_bit
+    red_edges = [(a, b) for a in s0 for b in s1 if cbit(a, b) == RED]
+    n_red = len(red_edges)
+    n_blue = m * m - n_red
+    if min(n_red, n_blue) > 1:
+        witness = find_balanced_c4(col, s0, s1)
+        raise BalancedC4Present(witness)
+
+    if m == 1:
+        return [s0[0], s1[0]], Colour(cbit(s0[0], s1[0]))
+
+    majority = RED if n_red >= n_blue else BLUE
+    if min(n_red, n_blue) == 1:
+        if majority == RED:
+            x, y = next((a, b) for a in s0 for b in s1 if cbit(a, b) == BLUE)
+        else:
+            x, y = red_edges[0]
+        s0 = [x] + [a for a in s0 if a != x]
+        s1 = [b for b in s1 if b != y] + [y]
+    path: list[int] = []
+    for a, b in zip(s0, s1):
+        path.append(a)
+        path.append(b)
+    return path, Colour(majority)
+
+
+# ---------------------------------------------------------------------------
+# cycle machinery
+
+
+def _cycle_colours(col: PairColouring, cyc) -> list[int]:
+    k = len(cyc)
+    cbit = col.colour_bit
+    return [cbit(cyc[i], cyc[(i + 1) % k]) for i in range(k)]
+
+
+def cycle_profile(col: PairColouring, cyc):
+    """(kind, turning vertices) of a cycle: 'mono', 'bicoloured' or 'poly'.
+
+    Turning vertices are where the two colour runs meet (bicoloured only).
+    Cycles on at most two vertices count as mono.
+    """
+    k = len(cyc)
+    if k <= 2:
+        return "mono", ()
+    cols = _cycle_colours(col, cyc)
+    turns = tuple(cyc[(i + 1) % k] for i in range(k) if cols[i] != cols[(i + 1) % k])
+    if not turns:
+        return "mono", ()
+    if len(turns) == 2:
+        return "bicoloured", turns
+    return "poly", turns
+
+
+def is_good_cycle(col: PairColouring, cyc) -> bool:
+    kind, turns = cycle_profile(col, cyc)
+    return kind == "bicoloured" and col.side(turns[0]) != col.side(turns[1])
+
+
+def _frames(col: PairColouring, cyc, red: int):
+    """All run-normalized presentations of a bicoloured cycle.
+
+    Each frame lists the vertices starting at a turning point whose first
+    edge carries colour `red`, so edges form a `red` run followed by the
+    other colour's run; yields (sequence, ell) with v_ell the other
+    turning point (1-based).
+    """
+    k = len(cyc)
+    for d in (list(cyc), list(reversed(cyc))):
+        cols = _cycle_colours(col, d)
+        for i in range(k):
+            if cols[i] != cols[(i + 1) % k]:
+                p = (i + 1) % k
+                if cols[p] == red:
+                    seq = d[p:] + d[:p]
+                    run1 = 1
+                    scol = _cycle_colours(col, seq)
+                    while run1 < k and scol[run1] == red:
+                        run1 += 1
+                    yield seq, run1 + 1
+
+
+def _normalise(col: PairColouring, cyc, red: int):
+    """First frame of the cycle with the `red`-run leading."""
+    for seq, ell in _frames(col, cyc, red):
+        return seq, ell
+    raise ValueError("cycle is not bicoloured in the requested colours")
+
+
+class ExtensionError(RuntimeError):
+    pass
+
+
+def _checked_extension(col, cand, old_len, allowed):
+    if len(set(cand)) != len(cand):
+        raise ExtensionError(f"repeated vertex in {cand}")
+    if not set(cand) <= allowed:
+        raise ExtensionError("extension left the allowed vertex set")
+    if len(cand) <= old_len:
+        raise ExtensionError("extension did not grow the cycle")
+    if not is_good_cycle(col, cand):
+        raise ExtensionError(f"extension is not a good cycle: {cand}")
+    return list(cand)
+
+
+def extend_good_cycle(col: PairColouring, cycle, quad):
+    """Strictly longer good cycle from a good cycle and a disjoint balanced
+    C4, using only their vertices.
+
+    The cycle and quad are brought into a working frame (choice of leading
+    turning point, colour-role swap and quad labelling) in which the probe
+    edges of the case tree are defined; each branch ends in an explicit
+    re-routing that is verified before being returned.
+    """
+    _require_bnn2(col)
+    if not is_good_cycle(col, cycle):
+        raise ValueError("input cycle is not good")
+    cyc = list(cycle)
+    quad = list(quad)
+    if set(cyc) & set(quad):
+        raise ValueError("cycle and quad are not disjoint")
+    q0 = sorted(u for u in quad if col.side(u) == 0)
+    q1 = sorted(u for u in quad if col.side(u) == 1)
+    if len(q0) != 2 or len(q1) != 2:
+        raise ValueError("quad is not a C4 vertex set")
+    cbit = col.colour_bit
+    reds = sum(1 for a in q0 for b in q1 if cbit(a, b) == RED)
+    if reds != 2:
+        raise ValueError("quad is not balanced")
+    allowed = set(cyc) | set(quad)
+    k = len(cyc)
+
+    frame = None
+    for eff_red in (RED, BLUE):
+        for seq, ell in _frames(col, cyc, eff_red):
+            own, opp = (q0, q1) if col.side(seq[0]) == 0 else (q1, q0)
+            for x1, y1 in ((own[0], own[1]), (own[1], own[0])):
+                for x2, y2 in ((opp[0], opp[1]), (opp[1], opp[0])):
+                    if (
+                        cbit(x1, x2) == eff_red
+                        and cbit(y1, x2) != eff_red
+                        and ((cbit(x1, y2) == eff_red) != (cbit(y1, y2) == eff_red))
+                        and cbit(seq[0], x2) == eff_red
+                    ):
+                        frame = (eff_red, seq, ell, x1, y1, x2, y2)
+                        break
+                if frame:
+                    break
+            if frame:
+                break
+        if frame:
+            break
+    if frame is None:
+        raise ExtensionError("no admissible working frame")
+    eff_red, seq, ell, x1, y1, x2, y2 = frame
+
+    def R(u, v):
+        return cbit(u, v) == eff_red
+
+    def v(i):
+        return seq[i - 1]
+
+    def done(cand):
+        return _checked_extension(col, cand, k, allowed)
+
+    # probe the quad's red corner against the cycle ends
+    if not R(x1, v(k)):
+        return done([v(1), x2, x1] + seq[:0:-1])
+    if R(x1, v(2)):
+        return done([v(1), x2, x1] + seq[1:])
+
+    if R(y1, y2):  # the quad's second red edge sits at y1y2
+        if R(v(1), y2):
+            if not R(y1, v(k)):
+                return done([v(1), y2, y1] + seq[:0:-1])
+            if ell == k:
+                return done(seq + [x1, y2])
+            if R(y2, v(k - 1)):
+                return done(seq[: k - 1] + [y2, y1, v(k), x1, x2])
+            return done(seq[: k - 1] + [y2, x1, x2])
+        if R(y1, v(ell)):
+            if not R(y2, seq[ell % k]):
+                return done(seq[:ell] + [y1, y2] + seq[ell:])
+            return done(seq[:ell] + [y1, y2] + seq[ell:] + [x1, x2])
+        if R(x2, v(ell - 1)):
+            return done(seq[: ell - 1] + [x2, y1] + seq[ell - 1 :])
+        return done([v(1), y2, x1] + seq[1 : ell - 1] + [x2, y1] + seq[ell - 1 :])
+
+    # here the quad's second red edge sits at x1y2
+    if not R(y1, v(ell)):
+        if R(y2, v(ell - 1)):
+            return done(seq[: ell - 1] + [y2, y1] + seq[ell - 1 :])
+        return done(seq[: ell - 1] + [y2, y1] + seq[ell - 1 :] + [x1, x2])
+    if ell == k:
+        return done(seq + [y1, x2])
+    if not R(y2, seq[ell]):
+        return done(seq[:ell] + [y1, y2] + seq[ell:] + [x1, x2])
+    if R(y1, v(k)):
+        return done([v(1), x2, x1, y2] + seq[ell:] + [y1] + seq[1:ell][::-1])
+    if R(y2, v(ell - 1)):
+        return done(seq[: ell - 1] + [y2] + seq[ell:] + [x1, x2])
+    if ell == 2:
+        # the generic re-routings below need a red run of length >= 3
+        if not R(x2, v(3)):
+            return done([y1, v(2), v(1), x2] + seq[2:])
+        return done(seq[2:] + [y1, y2, x1, x2])
+    if not R(x1, v(ell)):
+        return done([v(2), x1] + seq[ell - 1 :] + [y1, y2] + seq[2 : ell - 1][::-1])
+    return done(seq[:ell] + [x1, y2] + seq[ell:] + [y1, x2])
+
+
+@dataclass(frozen=True)
+class SpanningCycle:
+    """Spanning cycle that is monochromatic or bicoloured."""
+
+    vertices: tuple[int, ...]
+    kind: str  # "mono" | "bicoloured"
+    colour: Colour | None = None  # mono cycles only
+    turns: tuple[int, int] | None = None
+    good: bool | None = None
+
+
+def _interleave(left, right) -> list[int]:
+    out: list[int] = []
+    for a, b in zip(left, right):
+        out.append(a)
+        out.append(b)
+    return out
+
+
+def _wrap_spanning(col: PairColouring, cyc) -> SpanningCycle:
+    if sorted(cyc) != list(range(2 * col.n)):
+        raise ValueError("cycle is not spanning")
+    kind, turns = cycle_profile(col, cyc)
+    if kind == "mono":
+        colour = Colour(col.colour_bit(cyc[0], cyc[1])) if len(cyc) >= 2 else None
+        return SpanningCycle(tuple(cyc), "mono", colour=colour)
+    if kind != "bicoloured":
+        raise ValueError("cycle has more than two colour runs")
+    good = col.side(turns[0]) != col.side(turns[1])
+    return SpanningCycle(tuple(cyc), "bicoloured", turns=tuple(turns), good=good)
+
+
+def spanning_bicoloured_or_mono_cycle(col: PairColouring):
+    """Spanning bicoloured or monochromatic cycle, or SplitDetected.
+
+    Monochromatic and V-colourings take direct constructions.  Otherwise a
+    good 4-cycle is grown while the complement holds a balanced C4; the
+    near-monochromatic remainder's spanning path is then attached at a
+    turning point, re-routing through a cycle with strictly more
+    off-colour edges whenever both attachment edges refuse.
+    """
+    _require_bnn2(col)
+    n = col.n
+    verdict = classify_bipartite(col)
+    if verdict.kind == "mono":
+        cyc = _interleave(range(n), range(n, 2 * n))
+        return _wrap_spanning(col, cyc)
+    if verdict.kind == "split":
+        return SplitDetected(verdict.split)
+    if verdict.kind == "vcol":
+        v = verdict.vcol
+        own = list(col.class_vertices(v.bichro_class))
+        p = len(v.red_arm)
+        cyc = _interleave(own[:p], v.red_arm) + _interleave(own[p:], v.blue_arm)
+        return _wrap_spanning(col, cyc)
+
+    cyc = list(find_good_c4(col))
+    cap = 4 * (2 * n) ** 2 + 8
+    path = None
+    for _ in range(cap):
+        on = set(cyc)
+        rest0 = [u for u in range(n) if u not in on]
+        rest1 = [u for u in range(n, 2 * n) if u not in on]
+        if not rest0 and not rest1:
+            return _wrap_spanning(col, cyc)
+        quad = find_balanced_c4(col, rest0, rest1)
+        if quad is None:
+            path, pcol = near_mono_spanning_path(col, rest0, rest1)
+            break
+        cyc = extend_good_cycle(col, cyc, quad)
+    else:
+        raise RuntimeError("cycle growth failed to terminate within its cap")
+
+    cbit = col.colour_bit
+    for _ in range(cap):
+        assert is_good_cycle(col, cyc)
+        seq, ell = _normalise(col, cyc, pcol)
+        if col.side(path[0]) != col.side(seq[0]):
+            path = path[::-1]
+        x1, xh = path[0], path[-1]
+        if cbit(seq[ell - 1], x1) == pcol:
+            return _wrap_spanning(col, seq[:ell] + path + seq[ell:])
+        if cbit(seq[0], xh) == pcol:
+            return _wrap_spanning(col, seq + path)
+        # both attachment edges refuse: trade the leading run for the path
+        new_cyc = [seq[0]] + path[::-1] + seq[ell - 1 :]
+        new_path = seq[1 : ell - 1]
+        before = sum(1 for c in _cycle_colours(col, cyc) if c != pcol)
+        after = sum(1 for c in _cycle_colours(col, new_cyc) if c != pcol)
+        if after <= before:
+            raise RuntimeError("attachment re-routing did not progress")
+        if not new_path:
+            return _wrap_spanning(col, new_cyc)
+        cyc, path = new_cyc, new_path
+    raise RuntimeError("attachment failed to terminate within its cap")
+
+
+# ---------------------------------------------------------------------------
+# partitions
+
+
+def _pieces_result(path, path_colour, cycle, cycle_colour):
+    return (
+        Piece("path", path_colour, tuple(path)),
+        Piece("cycle", cycle_colour, tuple(cycle)),
+    )
+
+
+def partition_path_cycle(col: PairColouring):
+    """Partition into a monochromatic path and a monochromatic cycle of
+    distinct colours, or SplitDetected.
+
+    A spanning bicoloured cycle is exchanged towards more red edges until
+    either its turning points sit in distinct classes (split along the
+    chord between them) or the chord past the turning point closes the
+    off-run into a cycle.
+    """
+    res = spanning_bicoloured_or_mono_cycle(col)
+    if isinstance(res, SplitDetected):
+        return res
+    if res.kind == "mono":
+        c = res.colour if res.colour is not None else RED
+        return _pieces_result((), other_colour(c), res.vertices, c)
+
+    cyc = list(res.vertices)
+    cap = 4 * (2 * col.n) ** 2 + 8
+    cbit = col.colour_bit
+    for _ in range(cap):
+        seq, ell = _normalise(col, cyc, RED)
+        if col.side(seq[0]) != col.side(seq[ell - 1]):
+            if cbit(seq[0], seq[ell - 1]) == RED:
+                return _pieces_result(seq[ell:], BLUE, seq[:ell], RED)
+            return _pieces_result(seq[1 : ell - 1], RED, [seq[0]] + seq[ell - 1 :], BLUE)
+        if cbit(seq[0], seq[ell]) == RED:
+            new_cyc = seq[:ell] + seq[ell:][::-1]
+            before = sum(1 for c in _cycle_colours(col, seq) if c == RED)
+            after = sum(1 for c in _cycle_colours(col, new_cyc) if c == RED)
+            if after <= before:
+                raise RuntimeError("red-exchange did not progress")
+            cyc = new_cyc
+            continue
+        return _pieces_result(seq[1:ell], RED, [seq[0]] + seq[ell:], BLUE)
+    raise RuntimeError("path+cycle exchange failed to terminate within its cap")
+
+
+def partition_path_cycle_coloured(col: PairColouring, cycle):
+    """Partition into
+    a red path and a blue cycle, given a spanning bicoloured cycle whose
+    turning points share a class."""
+    _require_bnn2(col)
+    cyc = list(cycle)
+    if sorted(cyc) != list(range(2 * col.n)):
+        raise ValueError("cycle is not spanning")
+    kind, turns = cycle_profile(col, cyc)
+    if kind != "bicoloured":
+        raise ValueError("cycle is not bicoloured")
+    if col.side(turns[0]) != col.side(turns[1]):
+        raise ValueError("cycle must not be good")
+
+    cbit = col.colour_bit
+    cap = 4 * (2 * col.n) ** 2 + 8
+    for _ in range(cap):
+        seq, ell = _normalise(col, cyc, RED)
+        k = len(seq)
+        assert col.side(seq[0]) == col.side(seq[ell - 1])
+        if cbit(seq[0], seq[ell]) == BLUE:
+            return _pieces_result(seq[1:ell], RED, [seq[0]] + seq[ell:], BLUE)
+        if cbit(seq[ell - 1], seq[k - 1]) == BLUE:
+            return _pieces_result(seq[: ell - 1], RED, [seq[ell - 1]] + seq[ell:][::-1], BLUE)
+        new_cyc = seq[:ell] + seq[ell:][::-1]
+        before = sum(1 for c in _cycle_colours(col, seq) if c == RED)
+        after = sum(1 for c in _cycle_colours(col, new_cyc) if c == RED)
+        if after <= before:
+            raise RuntimeError("red-exchange did not progress")
+        cyc = new_cyc
+    raise RuntimeError("coloured exchange failed to terminate within its cap")
+
+
+def two_paths(col: PairColouring):
+    """Partition into two monochromatic paths of distinct colours (open the
+    cycle of the path+cycle partition), or SplitDetected."""
+    res = partition_path_cycle(col)
+    if isinstance(res, SplitDetected):
+        return res
+    path_piece, cycle_piece = res
+    return (
+        path_piece,
+        Piece("path", cycle_piece.colour, cycle_piece.vertices),
+    )
+
+
+# ---------------------------------------------------------------------------
+# split-colouring fallbacks
+
+
+def _split_blocks(structure: SplitStructure, col: PairColouring):
+    if not structure.verify(col):
+        raise ValueError("split structure fails verification against the colouring")
+    return (
+        sorted(structure.a1),
+        sorted(structure.a2),
+        sorted(structure.b1),
+        sorted(structure.b2),
+    )
+
+
+def _block_leftovers(a1, a2, b1, b2):
+    t1 = min(len(a1), len(b1))
+    t2 = min(len(a2), len(b2))
+    rem0 = a1[t1:] + a2[t2:]
+    rem1 = b1[t1:] + b2[t2:]
+    assert len(rem0) == len(rem1)
+    return t1, t2, rem0, rem1
+
+
+def split_three_paths(col: PairColouring, structure: SplitStructure):
+    """At most three monochromatic paths partitioning a split colouring:
+    red zig-zags through both red blocks, blue zig-zag through the
+    leftovers (which always land in one blue block)."""
+    a1, a2, b1, b2 = _split_blocks(structure, col)
+    t1, t2, rem0, rem1 = _block_leftovers(a1, a2, b1, b2)
+    pieces = []
+    if t1:
+        pieces.append(Piece("path", RED, tuple(_interleave(a1[:t1], b1[:t1]))))
+    if t2:
+        pieces.append(Piece("path", RED, tuple(_interleave(a2[:t2], b2[:t2]))))
+    if rem0:
+        pieces.append(Piece("path", BLUE, tuple(_interleave(rem0, rem1))))
+    return tuple(pieces)
+
+
+def split_three_cycles(col: PairColouring, structure: SplitStructure):
+    """One monochromatic path plus at most two monochromatic cycles."""
+    a1, a2, b1, b2 = _split_blocks(structure, col)
+    t1, t2, rem0, rem1 = _block_leftovers(a1, a2, b1, b2)
+    pieces = []
+    if rem0:
+        pieces.append(Piece("path", BLUE, tuple(_interleave(rem0, rem1))))
+    if t1:
+        pieces.append(Piece("cycle", RED, tuple(_interleave(a1[:t1], b1[:t1]))))
+    if t2:
+        pieces.append(Piece("cycle", RED, tuple(_interleave(a2[:t2], b2[:t2]))))
+    return tuple(pieces)
+
+
+def split_all_cycles(col: PairColouring, structure: SplitStructure):
+    """At most three monochromatic cycles partitioning a split colouring."""
+    a1, a2, b1, b2 = _split_blocks(structure, col)
+    t1, t2, rem0, rem1 = _block_leftovers(a1, a2, b1, b2)
+    pieces = []
+    if t1:
+        pieces.append(Piece("cycle", RED, tuple(_interleave(a1[:t1], b1[:t1]))))
+    if t2:
+        pieces.append(Piece("cycle", RED, tuple(_interleave(a2[:t2], b2[:t2]))))
+    if rem0:
+        pieces.append(Piece("cycle", BLUE, tuple(_interleave(rem0, rem1))))
+    return tuple(pieces)
+
+
+def convert_paths_to_cycle(col: PairColouring, p1, p2):
+    """Join two disjoint monochromatic spanning paths of distinct colours
+    into a spanning cycle that is bicoloured or monochromatic."""
+    _require_bnn2(col)
+    p1, p2 = list(p1), list(p2)
+    if sorted(p1 + p2) != list(range(2 * col.n)):
+        raise ValueError("paths do not partition the vertex set")
+    if len(p1) < len(p2):
+        p1, p2 = p2, p1
+    if not p2:
+        return _wrap_spanning(col, p1)
+    if len(p2) == 1:
+        return _wrap_spanning(col, p1 + p2)
+    for q1 in (p1, p1[::-1]):
+        for q2 in (p2, p2[::-1]):
+            if col.side(q1[0]) != col.side(q2[0]) and col.side(q1[-1]) != col.side(q2[-1]):
+                return _wrap_spanning(col, q1 + q2[::-1])
+    raise ValueError("no endpoint pairing joins the paths across classes")
+
+
+def v_two_cycles(col: PairColouring):
+    """Two monochromatic vertex-disjoint cycles of distinct colours covering
+    a V-coloured host (degenerate cycles allowed)."""
+    verdict = classify_bipartite(col)
+    if verdict.kind != "vcol":
+        raise ValueError("colouring is not a V-colouring")
+    v = verdict.vcol
+    own = list(col.class_vertices(v.bichro_class))
+    p = len(v.red_arm)
+    red_cycle = _interleave(own[:p], v.red_arm)
+    blue_cycle = _interleave(own[p:], v.blue_arm)
+    return (
+        Piece("cycle", RED, tuple(red_cycle)),
+        Piece("cycle", BLUE, tuple(blue_cycle)),
+    )

@@ -1,0 +1,306 @@
+"""Command-line surface: gen | solve | verify | enumerate | bench.
+
+Exit codes: 0 success, 1 usage or I/O error, 2 split colouring detected,
+3 certificate violation (or enumeration failures).
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+
+from .bipartite import (
+    SplitDetected,
+    partition_path_cycle,
+    partition_path_cycle_coloured,
+    spanning_bicoloured_or_mono_cycle,
+    split_three_paths,
+    two_paths,
+)
+from .certificates import PartitionCertificate, Piece, check_certificate
+from .colourings import (
+    HyperSplitSizes,
+    PairColouring,
+    TransversalColouring,
+    TripleColouring,
+    parse_colouring,
+    serialize_colouring,
+)
+from .generators import (
+    gen_random,
+    gen_recoloured_split,
+    gen_split_bipartite,
+    gen_three_colour_split,
+    gen_v_colouring,
+)
+from .multipartite import (
+    DEFAULT_COVER_CAP,
+    ExceedsCap,
+    check_side_consistency,
+    min_cover_exact,
+    random_mono_tight_path,
+    verify_counting,
+)
+from .oracles import SUITES, enumerate_all
+from .threecolour import partition3_bipartite, partition3_complete
+from .tightpaths import spanning_bicoloured_path, split_into_two_mono
+
+EXIT_OK = 0
+EXIT_USAGE = 1
+EXIT_SPLIT = 2
+EXIT_VIOLATION = 3
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.replace("/", ",").split(",") if t != "")
+
+
+def _cmd_gen(args) -> int:
+    kind = args.kind
+    if args.split is not None:
+        if kind == "bnn":
+            a1, b1 = _ints(args.split)
+            col, _ = gen_split_bipartite(args.n, a1, b1)
+        elif kind == "rxn":
+            sizes = HyperSplitSizes(args.r, args.n, _ints(args.split))
+            col = TransversalColouring(args.r, args.n, rule=sizes)
+        else:
+            print("--split needs kind bnn or rxn", file=sys.stderr)
+            return EXIT_USAGE
+    elif args.v_cut is not None:
+        col = gen_v_colouring(args.n, args.v_cut)
+    elif args.recolour is not None:
+        a1, b1 = _ints(args.recolour_base)
+        edge = _ints(args.recolour)
+        col = gen_recoloured_split(args.n, a1, b1, (edge[0], edge[1]))
+    elif args.three_split is not None:
+        left, right = args.three_split.split("/")
+        col = gen_three_colour_split(_ints(left), _ints(right))
+    else:
+        col = gen_random(kind, args.n, args.palette, args.seed, r=args.r)
+    text = serialize_colouring(col)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
+
+
+def _write_cert(cert: PartitionCertificate, out: str | None) -> None:
+    text = cert.to_text() + "\n"
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _solve_h3(col: TripleColouring, args) -> int:
+    path = spanning_bicoloured_path(col)
+    p1, c1, p2, c2 = split_into_two_mono(col, path)
+    cert = PartitionCertificate.for_colouring(
+        col, [Piece("path", c1, p1), Piece("path", c2, p2)]
+    )
+    res = check_certificate(col, cert)
+    if not res.ok:
+        print(f"internal verification failed: {res.reason}", file=sys.stderr)
+        return EXIT_VIOLATION
+    _write_cert(cert, args.out)
+    return EXIT_OK
+
+
+def _solve_bnn2(col: PairColouring, args) -> int:
+    if args.force_red_path:
+        res = spanning_bicoloured_or_mono_cycle(col)
+        if isinstance(res, SplitDetected):
+            print(f"split colouring: {res.structure}", file=sys.stderr)
+            return EXIT_SPLIT
+        if res.kind != "bicoloured" or res.good:
+            print("no not-good spanning bicoloured cycle available", file=sys.stderr)
+            return EXIT_USAGE
+        pieces = partition_path_cycle_coloured(col, list(res.vertices))
+    elif args.two_paths:
+        pieces = two_paths(col)
+    else:
+        pieces = partition_path_cycle(col)
+    if isinstance(pieces, SplitDetected):
+        print(f"split colouring: {pieces.structure}", file=sys.stderr)
+        fallback = split_three_paths(col, pieces.structure)
+        cert = PartitionCertificate.for_colouring(col, fallback)
+        if check_certificate(col, cert).ok and args.out:
+            _write_cert(cert, args.out)
+        return EXIT_SPLIT
+    cert = PartitionCertificate.for_colouring(col, pieces)
+    res = check_certificate(col, cert)
+    if not res.ok:
+        print(f"internal verification failed: {res.reason}", file=sys.stderr)
+        return EXIT_VIOLATION
+    _write_cert(cert, args.out)
+    return EXIT_OK
+
+
+def _solve_rxn(col: TransversalColouring, args) -> int:
+    import random
+
+    r, n = col.r, col.n
+    lines = []
+    if col.rule is not None:
+        report = verify_counting(r, n)
+        lines.append(
+            f"counting: hypotheses_met={report.hypotheses_met} all_hold={report.all_hold}"
+        )
+        for iq in report.inequalities:
+            lines.append(f"  {iq.label}: {iq.lhs} vs {iq.rhs} holds={iq.holds} slack={iq.slack}")
+        rng = random.Random(0)
+        samples = min(args.samples, 10000)
+        consistent = 0
+        for _ in range(samples):
+            path, _colour = random_mono_tight_path(col.rule, rng)
+            if check_side_consistency(col.rule, path):
+                consistent += 1
+        lines.append(f"side-consistency: {consistent}/{samples} sampled paths consistent")
+    if r * n <= DEFAULT_COVER_CAP:
+        try:
+            k, witness = min_cover_exact(col)
+            lines.append(f"min-cover: {k} pieces")
+            for seq, colour in witness:
+                lines.append(f"  {colour.letter} path {list(seq)}")
+        except ExceedsCap:
+            lines.append("min-cover: exceeds search cap")
+    else:
+        lines.append("min-cover: exceeds search cap")
+    print("\n".join(lines))
+    return EXIT_OK
+
+
+def _cmd_solve(args) -> int:
+    try:
+        with open(args.colouring) as fh:
+            col = parse_colouring(fh.read())
+    except (OSError, ValueError) as exc:
+        print(f"cannot read colouring: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if isinstance(col, TripleColouring):
+        return _solve_h3(col, args)
+    if isinstance(col, TransversalColouring):
+        return _solve_rxn(col, args)
+    if col.palette == 2:
+        if col.kind == "kn":
+            print("2-coloured complete hosts have no solver surface", file=sys.stderr)
+            return EXIT_USAGE
+        return _solve_bnn2(col, args)
+    cert = partition3_complete(col) if col.kind == "kn" else partition3_bipartite(col)
+    _write_cert(cert, args.out)
+    return EXIT_OK
+
+
+def _cmd_verify(args) -> int:
+    try:
+        with open(args.colouring) as fh:
+            col = parse_colouring(fh.read())
+        with open(args.certificate) as fh:
+            cert = PartitionCertificate.from_text(fh.read())
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"cannot read inputs: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    res = check_certificate(col, cert)
+    if res.ok:
+        print("ok")
+        return EXIT_OK
+    print(f"violation: {res.reason} piece={res.piece_index} detail={res.detail}")
+    return EXIT_VIOLATION
+
+
+def _cmd_enumerate(args) -> int:
+    try:
+        report = enumerate_all(args.suite, args.n, jobs=args.jobs)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
+    print(report.summary())
+    for idx, reason in report.failures[:20]:
+        print(f"  instance {idx}: {reason}")
+    return EXIT_OK if report.ok else EXIT_VIOLATION
+
+
+def _cmd_bench(args) -> int:
+    t_total = 0.0
+    for i in range(args.count):
+        col = gen_random(args.kind, args.n, args.palette, seed=args.seed + i, r=args.r)
+        t0 = time.perf_counter()
+        if isinstance(col, TripleColouring):
+            path = spanning_bicoloured_path(col)
+            split_into_two_mono(col, path)
+        elif isinstance(col, PairColouring) and col.palette == 2 and col.kind == "bnn":
+            partition_path_cycle(col)
+        elif isinstance(col, PairColouring) and col.palette == 3:
+            if col.kind == "kn":
+                partition3_complete(col)
+            else:
+                partition3_bipartite(col)
+        else:
+            print("bench covers h3, bnn (palette 2) and palette-3 hosts", file=sys.stderr)
+            return EXIT_USAGE
+        t_total += time.perf_counter() - t0
+    rate = args.count / t_total if t_total else float("inf")
+    print(f"{args.count} solves in {t_total:.3f}s ({rate:.1f}/s)")
+    return EXIT_OK
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="monopart")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    g = sub.add_parser("gen", help="write a colouring file")
+    g.add_argument("--kind", required=True, choices=["h3", "kn", "bnn", "rxn"])
+    g.add_argument("--n", type=int, required=True)
+    g.add_argument("--r", type=int, default=None, help="uniformity for rxn")
+    g.add_argument("--palette", type=int, default=2, choices=[2, 3])
+    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--split", help="a1,b1 (bnn) or s_1,...,s_r (rxn)")
+    g.add_argument("--v-cut", type=int, dest="v_cut")
+    g.add_argument("--recolour", help="a,b red edge to flip blue")
+    g.add_argument("--recolour-base", default="1,1", help="a1,b1 of the base split")
+    g.add_argument("--three-split", help="l1,l2,l3/m1,m2,m3 block sizes")
+    g.add_argument("--out")
+    g.set_defaults(fn=_cmd_gen)
+
+    s = sub.add_parser("solve", help="partition a colouring, write a certificate")
+    s.add_argument("colouring")
+    s.add_argument("--out")
+    s.add_argument("--two-paths", action="store_true")
+    s.add_argument("--force-red-path", action="store_true")
+    s.add_argument("--samples", type=int, default=1000, help="rxn property samples")
+    s.set_defaults(fn=_cmd_solve)
+
+    v = sub.add_parser("verify", help="check a certificate against a colouring")
+    v.add_argument("colouring")
+    v.add_argument("certificate")
+    v.set_defaults(fn=_cmd_verify)
+
+    e = sub.add_parser("enumerate", help="run an exhaustive suite")
+    e.add_argument("--suite", required=True, choices=sorted(SUITES))
+    e.add_argument("--n", type=int, required=True)
+    e.add_argument("--jobs", type=int, default=1)
+    e.set_defaults(fn=_cmd_enumerate)
+
+    b = sub.add_parser("bench", help="time solves over a seeded corpus")
+    b.add_argument("--kind", required=True, choices=["h3", "bnn", "kn"])
+    b.add_argument("--n", type=int, required=True)
+    b.add_argument("--r", type=int, default=None)
+    b.add_argument("--palette", type=int, default=2, choices=[2, 3])
+    b.add_argument("--count", type=int, default=10)
+    b.add_argument("--seed", type=int, default=0)
+    b.set_defaults(fn=_cmd_bench)
+    return ap
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return args.fn(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,543 @@
+"""Colouring families over complete, bipartite and multipartite hosts.
+
+Hosts and canonical edge orders:
+
+* ``h3``  -- complete 3-uniform hypergraph on n vertices; one colour per
+  unordered triple, triples ordered colexicographically.
+* ``kn``  -- complete graph on n vertices; unordered pairs, colex order.
+* ``bnn`` -- complete bipartite graph with n vertices per class; pairs
+  (a, b) with a in class 0 and b in class 1, row-major order a*n + b.
+* ``rxn`` -- complete balanced r-partite r-uniform hypergraph; transversal
+  edges (one vertex per class) in mixed-radix order with class 0 most
+  significant.
+
+Vertices are dense integers.  For ``bnn`` the global ids are 0..n-1
+(class 0) and n..2n-1 (class 1); for ``rxn`` class i occupies
+[i*n, (i+1)*n).
+
+File format: a header line ``<kind> <n> [r] [palette]`` followed by one
+body line.  For materialized colourings the body is a string over
+``{0,1}`` (two colours) or ``{0,1,2}`` (three colours) in canonical edge
+order, with 0=red, 1=blue, 2=green.  Rule-backed ``rxn`` colourings use a
+body line ``split s_1 s_2 ... s_r`` giving the sizes of the distinguished
+class halves.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import IntEnum
+
+__all__ = [
+    "Colour",
+    "RED",
+    "BLUE",
+    "GREEN",
+    "triple_index",
+    "pair_index",
+    "bipartite_index",
+    "transversal_index",
+    "TripleColouring",
+    "PairColouring",
+    "HyperSplitSizes",
+    "TransversalColouring",
+    "SplitStructure",
+    "parse_colouring",
+    "serialize_colouring",
+]
+
+
+class Colour(IntEnum):
+    """Edge colour; canonical order RED < BLUE < GREEN."""
+
+    RED = 0
+    BLUE = 1
+    GREEN = 2
+
+    @property
+    def letter(self) -> str:
+        return self.name.lower()
+
+
+RED = Colour.RED
+BLUE = Colour.BLUE
+GREEN = Colour.GREEN
+
+_COLOUR_NAMES = {c.name.lower(): c for c in Colour}
+
+
+def other_colour(c: int) -> Colour:
+    """The other colour in a two-colour context."""
+    if c not in (0, 1):
+        raise ValueError(f"not a 2-palette colour: {c}")
+    return Colour(1 - int(c))
+
+
+def colour_from_name(name: str) -> Colour:
+    try:
+        return _COLOUR_NAMES[name.lower()]
+    except KeyError:
+        raise ValueError(f"unknown colour {name!r}") from None
+
+
+# ---------------------------------------------------------------------------
+# canonical edge indexing
+
+
+def triple_index(a: int, b: int, c: int) -> int:
+    """Colex rank of the unordered triple {a, b, c} (independent of n)."""
+    if a > b:
+        a, b = b, a
+    if b > c:
+        b, c = c, b
+        if a > b:
+            a, b = b, a
+    if a == b or b == c:
+        raise ValueError(f"triple has repeated vertices: {a},{b},{c}")
+    return c * (c - 1) * (c - 2) // 6 + b * (b - 1) // 2 + a
+
+
+def pair_index(a: int, b: int) -> int:
+    """Colex rank of the unordered pair {a, b}."""
+    if a > b:
+        a, b = b, a
+    if a == b:
+        raise ValueError(f"pair has repeated vertex: {a}")
+    return b * (b - 1) // 2 + a
+
+
+def bipartite_index(n: int, a: int, b: int) -> int:
+    """Row-major rank of the pair (a in class 0, b in class 1), local ids."""
+    if not (0 <= a < n and 0 <= b < n):
+        raise ValueError(f"bipartite pair out of range for n={n}: ({a},{b})")
+    return a * n + b
+
+
+def transversal_index(n: int, r: int, locals_: tuple[int, ...]) -> int:
+    """Mixed-radix rank of a transversal edge given local ids per class."""
+    if len(locals_) != r:
+        raise ValueError(f"expected {r} vertices, got {len(locals_)}")
+    idx = 0
+    for v in locals_:
+        if not 0 <= v < n:
+            raise ValueError(f"local id {v} out of range for n={n}")
+        idx = idx * n + v
+    return idx
+
+
+def _n_triples(n: int) -> int:
+    return n * (n - 1) * (n - 2) // 6
+
+
+def _n_pairs(n: int) -> int:
+    return n * (n - 1) // 2
+
+
+# ---------------------------------------------------------------------------
+# colourings
+
+
+class TripleColouring:
+    """2-colouring of all triples of [n], bit-packed in colex order."""
+
+    __slots__ = ("n", "bits")
+
+    kind = "h3"
+    palette = 2
+
+    def __init__(self, n: int, bits: bytes):
+        if n < 3:
+            raise ValueError("triple colouring needs n >= 3 for any edge to exist")
+        m = _n_triples(n)
+        if len(bits) != (m + 7) // 8:
+            raise ValueError(f"expected {(m + 7) // 8} bytes for n={n}, got {len(bits)}")
+        self.n = n
+        self.bits = bytes(bits)
+
+    @property
+    def n_edges(self) -> int:
+        return _n_triples(self.n)
+
+    @property
+    def n_vertices(self) -> int:
+        return self.n
+
+    @classmethod
+    def from_digits(cls, n: int, digits) -> "TripleColouring":
+        """Build from an iterable of 0/1 colour values in colex order."""
+        m = _n_triples(n)
+        buf = bytearray((m + 7) // 8)
+        for i, d in enumerate(digits):
+            if d not in (0, 1):
+                raise ValueError(f"colour {d} outside 2-palette")
+            if d:
+                buf[i >> 3] |= 1 << (i & 7)
+        return cls(n, bytes(buf))
+
+    @classmethod
+    def from_int(cls, n: int, value: int) -> "TripleColouring":
+        """Decode colouring index `value`: bit i is the colour of triple i."""
+        m = _n_triples(n)
+        if not 0 <= value < (1 << m):
+            raise ValueError("colouring index out of range")
+        return cls(n, value.to_bytes((m + 7) // 8, "little"))
+
+    @classmethod
+    def constant(cls, n: int, colour: int) -> "TripleColouring":
+        m = _n_triples(n)
+        fill = 0xFF if colour == 1 else 0x00
+        if colour not in (0, 1):
+            raise ValueError("2-colour context rejects green")
+        buf = bytearray([fill]) * ((m + 7) // 8)
+        if colour == 1 and m % 8:
+            buf[-1] = (1 << (m % 8)) - 1
+        return cls(n, bytes(buf))
+
+    def colour_bit(self, a: int, b: int, c: int) -> int:
+        i = triple_index(a, b, c)
+        return (self.bits[i >> 3] >> (i & 7)) & 1
+
+    def colour(self, a: int, b: int, c: int) -> Colour:
+        if not (0 <= a < self.n and 0 <= b < self.n and 0 <= c < self.n):
+            raise ValueError("vertex id out of range")
+        return Colour(self.colour_bit(a, b, c))
+
+    def digits(self):
+        bits = self.bits
+        for i in range(self.n_edges):
+            yield (bits[i >> 3] >> (i & 7)) & 1
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TripleColouring)
+            and self.n == other.n
+            and self.bits == other.bits
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.bits))
+
+    def __repr__(self):
+        return f"TripleColouring(n={self.n})"
+
+
+class PairColouring:
+    """Colouring of a complete (kn) or complete bipartite (bnn) graph.
+
+    Entries are one byte per edge in canonical order.  For bipartite hosts
+    vertex ids are global: class 0 is 0..n-1, class 1 is n..2n-1.
+    """
+
+    __slots__ = ("kind", "n", "palette", "entries")
+
+    def __init__(self, kind: str, n: int, palette: int, entries: bytes):
+        if kind not in ("kn", "bnn"):
+            raise ValueError(f"unknown pair host {kind!r}")
+        if palette not in (2, 3):
+            raise ValueError(f"palette must be 2 or 3, got {palette}")
+        if n < 1:
+            raise ValueError("n must be positive")
+        m = _n_pairs(n) if kind == "kn" else n * n
+        if len(entries) != m:
+            raise ValueError(f"expected {m} entries, got {len(entries)}")
+        if any(e >= palette for e in entries):
+            raise ValueError("entry outside palette")
+        self.kind = kind
+        self.n = n
+        self.palette = palette
+        self.entries = bytes(entries)
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.entries)
+
+    @property
+    def n_vertices(self) -> int:
+        return self.n if self.kind == "kn" else 2 * self.n
+
+    # -- vertex helpers (bipartite) ------------------------------------
+    def side(self, u: int) -> int:
+        """Partition class of global vertex id u (bnn only)."""
+        return 0 if u < self.n else 1
+
+    def class_vertices(self, side: int) -> range:
+        n = self.n
+        return range(0, n) if side == 0 else range(n, 2 * n)
+
+    # -- colour lookups ------------------------------------------------
+    def edge_ordinal(self, u: int, v: int) -> int:
+        n = self.n
+        if self.kind == "kn":
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError("vertex id out of range")
+            return pair_index(u, v)
+        if u > v:
+            u, v = v, u
+        if not (0 <= u < n and n <= v < 2 * n):
+            raise ValueError(f"not a bipartite edge: ({u},{v})")
+        return u * n + (v - n)
+
+    def colour_bit(self, u: int, v: int) -> int:
+        return self.entries[self.edge_ordinal(u, v)]
+
+    def colour(self, u: int, v: int) -> Colour:
+        return Colour(self.colour_bit(u, v))
+
+    # -- constructors ---------------------------------------------------
+    @classmethod
+    def from_function(cls, kind: str, n: int, palette: int, fn) -> "PairColouring":
+        """fn(u, v) -> colour value, called on global ids in canonical order."""
+        if kind == "kn":
+            edges = [(u, v) for v in range(n) for u in range(v)]
+        else:
+            edges = [(a, n + b) for a in range(n) for b in range(n)]
+        return cls(kind, n, palette, bytes(int(fn(u, v)) for u, v in edges))
+
+    @classmethod
+    def from_int(cls, kind: str, n: int, value: int) -> "PairColouring":
+        """Decode a 2-palette colouring index: bit i colours edge i."""
+        m = _n_pairs(n) if kind == "kn" else n * n
+        if not 0 <= value < (1 << m):
+            raise ValueError("colouring index out of range")
+        return cls(kind, n, 2, bytes((value >> i) & 1 for i in range(m)))
+
+    @classmethod
+    def constant(cls, kind: str, n: int, palette: int, colour: int) -> "PairColouring":
+        m = _n_pairs(n) if kind == "kn" else n * n
+        return cls(kind, n, palette, bytes([colour]) * m)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, PairColouring)
+            and (self.kind, self.n, self.palette) == (other.kind, other.n, other.palette)
+            and self.entries == other.entries
+        )
+
+    def __hash__(self):
+        return hash((self.kind, self.n, self.palette, self.entries))
+
+    def __repr__(self):
+        return f"PairColouring({self.kind}, n={self.n}, palette={self.palette})"
+
+
+@dataclass(frozen=True)
+class HyperSplitSizes:
+    """Sizes of the distinguished halves V_i^1 in a rule-backed split.
+
+    Vertex v in class i belongs to the first half iff its local id is
+    below s[i]; both halves of every class must be non-empty.
+    """
+
+    r: int
+    n: int
+    s: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.r < 1:
+            raise ValueError("r must be >= 1")
+        if len(self.s) != self.r:
+            raise ValueError(f"expected {self.r} sizes, got {len(self.s)}")
+        for si in self.s:
+            if not 1 <= si <= self.n - 1:
+                raise ValueError(f"part size {si} leaves an empty half for n={self.n}")
+
+
+MATERIALIZE_CAP = 1 << 24
+
+
+class TransversalColouring:
+    """2-colouring of the transversal edges of the r-partite host.
+
+    Backed either by an explicit table of n**r entries (mixed-radix order)
+    or by a split rule that answers queries with no storage.
+    """
+
+    __slots__ = ("r", "n", "rule", "entries")
+
+    kind = "rxn"
+    palette = 2
+
+    def __init__(self, r: int, n: int, *, rule: HyperSplitSizes | None = None,
+                 entries: bytes | None = None):
+        if (rule is None) == (entries is None):
+            raise ValueError("exactly one of rule/entries must be given")
+        if rule is not None and (rule.r, rule.n) != (r, n):
+            raise ValueError("rule shape mismatch")
+        if entries is not None:
+            if n ** r > MATERIALIZE_CAP:
+                raise ValueError(f"n**r exceeds materialization cap {MATERIALIZE_CAP}")
+            if len(entries) != n ** r:
+                raise ValueError(f"expected {n ** r} entries")
+            if any(e > 1 for e in entries):
+                raise ValueError("entry outside 2-palette")
+        self.r = r
+        self.n = n
+        self.rule = rule
+        self.entries = bytes(entries) if entries is not None else None
+
+    @property
+    def n_vertices(self) -> int:
+        return self.r * self.n
+
+    @property
+    def n_edges(self) -> int:
+        return self.n ** self.r
+
+    def vertex_class(self, u: int) -> int:
+        return u // self.n
+
+    def locals_of(self, edge: tuple[int, ...]) -> tuple[int, ...]:
+        """Local ids per class of a transversal edge given as global ids."""
+        if len(edge) != self.r:
+            raise ValueError(f"edge must have {self.r} vertices")
+        slots: list[int] = [-1] * self.r
+        for u in edge:
+            cls_ = u // self.n
+            if not 0 <= cls_ < self.r or slots[cls_] >= 0:
+                raise ValueError(f"not a transversal edge: {edge}")
+            slots[cls_] = u % self.n
+        return tuple(slots)
+
+    def colour_bit(self, edge: tuple[int, ...]) -> int:
+        locs = self.locals_of(edge)
+        if self.rule is not None:
+            inside = sum(1 for i, v in enumerate(locs) if v < self.rule.s[i])
+            return 0 if inside % 2 == 0 else 1
+        return self.entries[transversal_index(self.n, self.r, locs)]
+
+    def colour(self, edge: tuple[int, ...]) -> Colour:
+        return Colour(self.colour_bit(edge))
+
+    def materialize(self) -> "TransversalColouring":
+        if self.entries is not None:
+            return self
+        n, r = self.n, self.r
+        if n ** r > MATERIALIZE_CAP:
+            raise ValueError("rule-backed colouring too large to materialize")
+        out = bytearray(n ** r)
+        locs = [0] * r
+        for idx in range(n ** r):
+            t = idx
+            for i in range(r - 1, -1, -1):
+                locs[i] = t % n
+                t //= n
+            inside = sum(1 for i in range(r) if locs[i] < self.rule.s[i])
+            out[idx] = 0 if inside % 2 == 0 else 1
+        return TransversalColouring(r, n, entries=bytes(out))
+
+    def __repr__(self):
+        backing = "rule" if self.rule is not None else "materialized"
+        return f"TransversalColouring(r={self.r}, n={self.n}, {backing})"
+
+
+@dataclass(frozen=True)
+class SplitStructure:
+    """Witness that a 2-coloured bnn host is split-coloured.
+
+    a1/a2 partition class 0 and b1/b2 partition class 1 (global ids,
+    sorted); red edges are exactly (a1 x b1) u (a2 x b2).
+    """
+
+    a1: tuple[int, ...]
+    a2: tuple[int, ...]
+    b1: tuple[int, ...]
+    b2: tuple[int, ...]
+
+    def __post_init__(self):
+        if not (self.a1 and self.a2 and self.b1 and self.b2):
+            raise ValueError("all four split parts must be non-empty")
+
+    def verify(self, col: PairColouring) -> bool:
+        if col.kind != "bnn" or col.palette != 2:
+            return False
+        n = col.n
+        if sorted(self.a1 + self.a2) != list(range(n)):
+            return False
+        if sorted(self.b1 + self.b2) != list(range(n, 2 * n)):
+            return False
+        in_a1 = set(self.a1)
+        in_b1 = set(self.b1)
+        for a in range(n):
+            for b in range(n, 2 * n):
+                want_red = (a in in_a1) == (b in in_b1)
+                if (col.colour_bit(a, b) == 0) != want_red:
+                    return False
+        return True
+
+
+# ---------------------------------------------------------------------------
+# text serialization
+
+_KIND_ALIASES = {"b2": "bnn", "b3": "bnn"}
+
+
+def serialize_colouring(col) -> str:
+    """Canonical two-line text form; parse(serialize(c)) == c bit-exactly."""
+    if isinstance(col, TripleColouring):
+        body = "".join(str(d) for d in col.digits())
+        return f"h3 {col.n}\n{body}\n"
+    if isinstance(col, PairColouring):
+        body = "".join(str(e) for e in col.entries)
+        head = f"{col.kind} {col.n}"
+        if col.palette != 2:
+            head += f" {col.palette}"
+        return f"{head}\n{body}\n"
+    if isinstance(col, TransversalColouring):
+        head = f"rxn {col.n} {col.r}"
+        if col.rule is not None:
+            body = "split " + " ".join(str(si) for si in col.rule.s)
+        else:
+            body = "".join(str(e) for e in col.entries)
+        return f"{head}\n{body}\n"
+    raise TypeError(f"not a colouring: {col!r}")
+
+
+def parse_colouring(text: str):
+    """Parse the two-line format; raises ValueError on malformed input."""
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise ValueError("expected a header line and a body line")
+    head = lines[0].split()
+    body = "".join(ln.strip() for ln in lines[1:])
+    kind = _KIND_ALIASES.get(head[0], head[0])
+    if kind not in ("h3", "kn", "bnn", "rxn"):
+        raise ValueError(f"unknown host kind {head[0]!r}")
+    try:
+        n = int(head[1])
+    except (IndexError, ValueError):
+        raise ValueError("header missing vertex count") from None
+
+    if kind == "h3":
+        digits = _parse_digits(body, 2)
+        if len(digits) != _n_triples(n):
+            raise ValueError(f"body length {len(digits)} != {_n_triples(n)} triples")
+        return TripleColouring.from_digits(n, digits)
+
+    if kind == "rxn":
+        try:
+            r = int(head[2])
+        except (IndexError, ValueError):
+            raise ValueError("rxn header needs uniformity r") from None
+        if body.startswith("split"):
+            sizes = tuple(int(t) for t in body.split()[1:])
+            return TransversalColouring(r, n, rule=HyperSplitSizes(r, n, sizes))
+        digits = _parse_digits(body, 2)
+        if len(digits) != n ** r:
+            raise ValueError(f"body length {len(digits)} != {n ** r} edges")
+        return TransversalColouring(r, n, entries=bytes(digits))
+
+    palette = int(head[2]) if len(head) > 2 else 2
+    digits = _parse_digits(body, palette)
+    m = _n_pairs(n) if kind == "kn" else n * n
+    if len(digits) != m:
+        raise ValueError(f"body length {len(digits)} != {m} edges")
+    return PairColouring(kind, n, palette, bytes(digits))
+
+
+def _parse_digits(body: str, palette: int) -> list[int]:
+    out = []
+    for ch in body:
+        if not ch.isdigit() or int(ch) >= palette:
+            raise ValueError(f"character {ch!r} outside palette {palette}")
+        out.append(int(ch))
+    return out

@@ -1,0 +1,185 @@
+"""Deterministic colouring generators.
+
+Random colourings use the splitmix64 finalizer so that any implementation
+can reproduce a corpus from (shape, seed) alone: the colour of the edge
+with canonical ordinal i is
+
+    z = (seed + (i+1) * 0x9E3779B97F4A7C15) mod 2**64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9  mod 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB  mod 2**64
+    z =  z ^ (z >> 31)
+    colour = z mod palette
+
+Structured generators place distinguished parts on the lowest-index
+vertices, so outputs are canonical and reproducible.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .colourings import (
+    BLUE,
+    GREEN,
+    RED,
+    Colour,
+    HyperSplitSizes,
+    PairColouring,
+    SplitStructure,
+    TransversalColouring,
+    TripleColouring,
+    _n_pairs,
+    _n_triples,
+)
+
+__all__ = [
+    "splitmix64_stream",
+    "gen_random",
+    "gen_split_bipartite",
+    "gen_v_colouring",
+    "gen_recoloured_split",
+    "gen_three_colour_split",
+]
+
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK = (1 << 64) - 1
+
+
+def splitmix64(seed: int, i: int) -> int:
+    """The i-th 64-bit word of the splitmix64 stream started at seed."""
+    z = (seed + (i + 1) * _GAMMA) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
+
+
+def splitmix64_stream(seed: int, count: int, palette: int) -> bytes:
+    """Colours of edges 0..count-1, vectorized in chunks."""
+    out = bytearray(count)
+    chunk = 1 << 22
+    seed64 = np.uint64(seed & _MASK)
+    gamma = np.uint64(_GAMMA)
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
+        i = np.arange(start + 1, stop + 1, dtype=np.uint64)
+        z = seed64 + i * gamma
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        if palette == 2:
+            vals = (z & np.uint64(1)).astype(np.uint8)
+        else:
+            vals = (z % np.uint64(palette)).astype(np.uint8)
+        out[start:stop] = vals.tobytes()
+    return bytes(out)
+
+
+def gen_random(kind: str, n: int, palette: int = 2, seed: int = 0, r: int | None = None):
+    """Seeded random colouring of the given host."""
+    if kind == "h3":
+        if palette != 2:
+            raise ValueError("h3 hosts are 2-coloured")
+        m = _n_triples(n)
+        vals = np.frombuffer(splitmix64_stream(seed, m, 2), dtype=np.uint8)
+        packed = np.packbits(vals, bitorder="little").tobytes()
+        return TripleColouring(n, packed[: (m + 7) // 8])
+    if kind in ("kn", "bnn"):
+        m = _n_pairs(n) if kind == "kn" else n * n
+        return PairColouring(kind, n, palette, splitmix64_stream(seed, m, palette))
+    if kind == "rxn":
+        if r is None:
+            raise ValueError("rxn host needs uniformity r")
+        if palette != 2:
+            raise ValueError("rxn hosts are 2-coloured")
+        return TransversalColouring(r, n, entries=splitmix64_stream(seed, n**r, 2))
+    raise ValueError(f"unknown host kind {kind!r}")
+
+
+def gen_split_bipartite(n: int, a1: int, b1: int) -> tuple[PairColouring, SplitStructure]:
+    """Split colouring of bnn: edge (a, b) red iff the number of its
+    endpoints inside the distinguished halves is even.
+
+    The halves are the a1 lowest class-0 and b1 lowest class-1 vertices.
+    """
+    if not (1 <= a1 <= n - 1 and 1 <= b1 <= n - 1):
+        raise ValueError("split parts must leave both halves non-empty")
+    entries = bytearray(n * n)
+    for a in range(n):
+        base = a * n
+        ina = a < a1
+        for b in range(n):
+            entries[base + b] = 0 if ina == (b < b1) else 1
+    col = PairColouring("bnn", n, 2, bytes(entries))
+    structure = SplitStructure(
+        a1=tuple(range(a1)),
+        a2=tuple(range(a1, n)),
+        b1=tuple(range(n, n + b1)),
+        b2=tuple(range(n + b1, 2 * n)),
+    )
+    assert structure.verify(col)
+    return col, structure
+
+
+def gen_v_colouring(n: int, cut: int) -> PairColouring:
+    """Each colour spans a complete bipartite graph: class-1 vertices below
+    the cut are red to all of class 0, the rest blue."""
+    if not 1 <= cut <= n - 1:
+        raise ValueError("cut out of range")
+    entries = bytearray(n * n)
+    for a in range(n):
+        base = a * n
+        for b in range(n):
+            entries[base + b] = 0 if b < cut else 1
+    return PairColouring("bnn", n, 2, bytes(entries))
+
+
+def gen_recoloured_split(n: int, a1: int, b1: int, which: tuple[int, int]) -> PairColouring:
+    """Split colouring with one red edge recoloured blue.
+
+    `which` is the edge as (class-0 local id, class-1 local id); it must be
+    red in the base split.
+    """
+    base, _ = gen_split_bipartite(n, a1, b1)
+    a, b = which
+    if not (0 <= a < n and 0 <= b < n):
+        raise ValueError("recoloured edge out of range")
+    ordinal = a * n + b
+    if base.entries[ordinal] != 0:
+        raise ValueError(f"edge ({a},{b}) is not red in the base split")
+    entries = bytearray(base.entries)
+    entries[ordinal] = 1
+    return PairColouring("bnn", n, 2, bytes(entries))
+
+
+def gen_three_colour_split(
+    class0_blocks: tuple[int, int, int], class1_blocks: tuple[int, int, int]
+) -> PairColouring:
+    """Blow-up of a proper 3-edge-colouring of the 3x3 complete bipartite
+    pattern: edges between class-0 block i and class-1 block j are coloured
+    (i + j) mod 3, so every colour spans three vertex-disjoint complete
+    bipartite blocks."""
+    if len(class0_blocks) != 3 or len(class1_blocks) != 3:
+        raise ValueError("need three block sizes per side")
+    if any(s < 1 for s in class0_blocks + class1_blocks):
+        raise ValueError("zero block")
+    n = sum(class0_blocks)
+    if sum(class1_blocks) != n:
+        raise ValueError("sides must sum to the same n")
+
+    def block_of(sizes, v):
+        if v < sizes[0]:
+            return 0
+        if v < sizes[0] + sizes[1]:
+            return 1
+        return 2
+
+    entries = bytearray(n * n)
+    for a in range(n):
+        i = block_of(class0_blocks, a)
+        base = a * n
+        for b in range(n):
+            j = block_of(class1_blocks, b)
+            entries[base + b] = (i + j) % 3
+    return PairColouring("bnn", n, 3, bytes(entries))

@@ -1,0 +1,534 @@
+"""Partitions of 3-coloured complete and complete bipartite hosts.
+
+The pipelines merge two of the three colours, carve off a path in the
+remaining colour together with balanced all-merged complete bipartite
+blocks, then re-split the merged colours inside each block and hand the
+block to the 2-colour path+cycle engine (or to the split fallbacks).
+Resulting certificates have at most two paths and one cycle, or one path
+and three cycles, on complete hosts; on bipartite hosts at most three
+paths and two cycles, or two paths and four cycles.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .bipartite import (
+    SplitDetected,
+    classify_bipartite,
+    partition_path_cycle,
+    split_all_cycles,
+    split_three_cycles,
+    v_two_cycles,
+    _interleave,
+)
+from .certificates import PartitionCertificate, Piece, check_certificate
+from .colourings import BLUE, GREEN, RED, Colour, PairColouring
+
+__all__ = [
+    "BalancedBipBlock",
+    "path_and_balanced_block",
+    "path_and_two_balanced_blocks",
+    "partition3_complete",
+    "partition3_bipartite",
+]
+
+SEARCH_GREEDY_THRESHOLD = 64
+
+
+@dataclass(frozen=True)
+class BalancedBipBlock:
+    """Two equal-size vertex sets whose cross edges avoid the carved colour."""
+
+    side1: tuple[int, ...]
+    side2: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.side1) != len(self.side2):
+            raise ValueError("block sides must have equal sizes")
+
+    def __bool__(self):
+        return bool(self.side1)
+
+
+# ---------------------------------------------------------------------------
+# remainder feasibility
+
+
+def _red_components(vertices, is_red):
+    """Connected components of the carved-colour graph, canonically sorted."""
+    vertices = sorted(vertices)
+    seen = set()
+    comps = []
+    for v in vertices:
+        if v in seen:
+            continue
+        comp = [v]
+        seen.add(v)
+        queue = [v]
+        while queue:
+            u = queue.pop()
+            for w in vertices:
+                if w not in seen and is_red(u, w):
+                    seen.add(w)
+                    comp.append(w)
+                    queue.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _half_split(vertices, is_red):
+    """Equal halves of `vertices` with no carved-colour edge between them,
+    or None.  Components must not straddle the halves."""
+    vertices = sorted(vertices)
+    if len(vertices) % 2:
+        return None
+    target = len(vertices) // 2
+    comps = _red_components(vertices, is_red)
+    sizes = [len(c) for c in comps]
+    # suffix-achievable sums for greedy lexicographic reconstruction
+    achievable = [set() for _ in range(len(sizes) + 1)]
+    achievable[len(sizes)].add(0)
+    for i in range(len(sizes) - 1, -1, -1):
+        for s in achievable[i + 1]:
+            achievable[i].add(s)
+            achievable[i].add(s + sizes[i])
+    if target not in achievable[0]:
+        return None
+    x: list[int] = []
+    y: list[int] = []
+    need = target
+    for i, comp in enumerate(comps):
+        if need - sizes[i] >= 0 and (need - sizes[i]) in achievable[i + 1]:
+            x.extend(comp)
+            need -= sizes[i]
+        else:
+            y.extend(comp)
+    return sorted(x), sorted(y)
+
+
+def _bip_components(r0, r1, is_red):
+    """Carved-colour components across the class split; isolated vertices
+    are returned separately."""
+    seen = set()
+    comps = []
+    for v in sorted(r0) + sorted(r1):
+        if v in seen:
+            continue
+        comp0, comp1 = [], []
+        queue = [v]
+        seen.add(v)
+        touched = False
+        while queue:
+            u = queue.pop()
+            (comp0 if u in r0 else comp1).append(u)
+            others = r1 if u in r0 else r0
+            for w in others:
+                if w not in seen and is_red(u, w):
+                    touched = True
+                    seen.add(w)
+                    queue.append(w)
+        if touched:
+            comps.append((sorted(comp0), sorted(comp1)))
+    iso0 = sorted(set(r0) - {u for c0, _ in comps for u in c0})
+    iso1 = sorted(set(r1) - {u for _, c1 in comps for u in c1})
+    return comps, iso0, iso1
+
+
+def _two_block_split(r0, r1, is_red):
+    """Blocks (A1,A2), (B1,B2) with A1,B1 from class 0 and A2,B2 from class
+    1, equal block sides, no carved-colour edge inside either block, and
+    |A| <= |B|; None when impossible.
+
+    Every carved-colour component must put its class-0 vertices in one
+    block and its class-1 vertices in the other.
+    """
+    r0, r1 = sorted(r0), sorted(r1)
+    if len(r0) != len(r1):
+        return None
+    comps, iso0, iso1 = _bip_components(r0, r1, is_red)
+    f0, f1 = len(iso0), len(iso1)
+    # DP over components; state (diff, a1) = (|A1| - |A2| counting only
+    # component vertices, |A1| from components), with parent pointers
+    layers: list[dict] = [{(0, 0): None}]
+    for c0, c1 in comps:
+        prev = layers[-1]
+        nxt: dict = {}
+        for (d, s) in prev:
+            ka = (d + len(c0), s + len(c0))
+            kb = (d - len(c1), s)
+            if ka not in nxt:
+                nxt[ka] = ((d, s), True)
+            if kb not in nxt:
+                nxt[kb] = ((d, s), False)
+        layers.append(nxt)
+    best = None
+    for (d, s) in layers[-1]:
+        if -f0 <= d <= f1:
+            a0 = max(0, -d)
+            cand = (s + a0, d, s)
+            if best is None or cand < best:
+                best = cand
+    if best is None:
+        return None
+    _, d, s = best
+    choose: list[bool] = []
+    cur = (d, s)
+    for i in range(len(comps), 0, -1):
+        parent, took_a = layers[i][cur]
+        choose.append(took_a)
+        cur = parent
+    choose.reverse()
+    a1, a2, b1, b2 = [], [], [], []
+    for (c0, c1), took_a in zip(comps, choose):
+        if took_a:
+            a1.extend(c0)
+            b2.extend(c1)
+        else:
+            b1.extend(c0)
+            a2.extend(c1)
+    a0 = max(0, -d)
+    a1_extra = d + a0
+    a1.extend(iso0[:a0])
+    b1.extend(iso0[a0:])
+    a2.extend(iso1[:a1_extra])
+    b2.extend(iso1[a1_extra:])
+    a1, a2, b1, b2 = sorted(a1), sorted(a2), sorted(b1), sorted(b2)
+    assert len(a1) == len(a2) and len(b1) == len(b2)
+    if len(a1) > len(b1):
+        a1, a2, b1, b2 = b1, b2, a1, a2
+    return (a1, a2), (b1, b2)
+
+
+# ---------------------------------------------------------------------------
+# carved-path searches
+
+
+def _search_path(candidates_start, neighbours, feasible, greedy: bool):
+    """DFS over carved-colour paths, shortest-first, canonical order.
+
+    `feasible(used, seq)` returns the block payload when the remainder
+    splits; the first hit wins.  States are memoized on (last vertex,
+    covered set).
+    """
+    hit = feasible(frozenset(), ())
+    if hit is not None:
+        return (), hit
+    dead: set = set()
+
+    def dfs(seq, used):
+        for w in (neighbours(seq[-1]) if seq else candidates_start):
+            if w in used:
+                continue
+            nused = used | {w}
+            key = (w, nused)
+            if key in dead:
+                continue
+            nseq = seq + (w,)
+            payload = feasible(nused, nseq)
+            if payload is not None:
+                return nseq, payload
+            out = dfs(nseq, nused)
+            if out is not None:
+                return out
+            dead.add(key)
+        return None
+
+    if greedy:
+        # single descent that keeps the lexicographically first extension
+        seq: tuple = ()
+        used: frozenset = frozenset()
+        while True:
+            options = [w for w in (neighbours(seq[-1]) if seq else candidates_start) if w not in used]
+            if not options:
+                break
+            seq = seq + (options[0],)
+            used = used | {options[0]}
+            payload = feasible(used, seq)
+            if payload is not None:
+                return seq, payload
+    return dfs((), frozenset())
+
+
+def path_and_balanced_block(col: PairColouring, carved: Colour = RED):
+    """Partition of a complete host into a path in the carved colour and a
+    balanced block with no carved edge across it.
+
+    Existence is guaranteed; realized by canonical-order backtracking with
+    a greedy first descent above the size threshold.
+    """
+    if col.kind != "kn":
+        raise ValueError("needs a complete host")
+    n = col.n
+    cbit = col.colour_bit
+    carved = int(carved)
+
+    def is_red(u, v):
+        return cbit(u, v) == carved
+
+    def feasible(used, seq):
+        rest = [v for v in range(n) if v not in used]
+        return _half_split(rest, is_red)
+
+    def neighbours(u):
+        return [w for w in range(n) if w != u and cbit(u, w) == carved]
+
+    out = _search_path(range(n), neighbours, feasible, greedy=n > SEARCH_GREEDY_THRESHOLD)
+    if out is None:
+        out = _search_path(range(n), neighbours, feasible, greedy=False)
+    if out is None:
+        raise RuntimeError("carved-path search failed; host is not complete?")
+    seq, (x, y) = out
+    return list(seq), BalancedBipBlock(tuple(x), tuple(y))
+
+
+def path_and_two_balanced_blocks(col: PairColouring, carved: Colour = RED):
+    """Partition of a bipartite host into a carved-colour path and two
+    balanced blocks, each block pairing opposite classes with no carved
+    edge inside, the first block no larger than the second."""
+    if col.kind != "bnn":
+        raise ValueError("needs a bipartite host")
+    n = col.n
+    cbit = col.colour_bit
+    carved = int(carved)
+    all_v = range(2 * n)
+
+    def is_red(u, v):
+        return cbit(u, v) == carved
+
+    def feasible(used, seq):
+        if len(seq) % 2:
+            return None
+        r0 = [v for v in range(n) if v not in used]
+        r1 = [v for v in range(n, 2 * n) if v not in used]
+        return _two_block_split(r0, r1, is_red)
+
+    def neighbours(u):
+        return [w for w in col.class_vertices(1 - col.side(u)) if cbit(u, w) == carved]
+
+    out = _search_path(all_v, neighbours, feasible, greedy=n > SEARCH_GREEDY_THRESHOLD)
+    if out is None:
+        out = _search_path(all_v, neighbours, feasible, greedy=False)
+    if out is None:
+        raise RuntimeError("carved-path search failed; host is not complete bipartite?")
+    seq, ((a1, a2), (b1, b2)) = out
+    return (
+        list(seq),
+        BalancedBipBlock(tuple(a1), tuple(a2)),
+        BalancedBipBlock(tuple(b1), tuple(b2)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# merged-palette plumbing
+
+_LOCAL_TO_REAL = {RED: BLUE, BLUE: GREEN}
+_REAL_TO_LOCAL = {BLUE: 0, GREEN: 1}
+
+
+def _induced_block(col: PairColouring, left, right) -> PairColouring:
+    """2-coloured view of the block's cross edges, blue as local red and
+    green as local blue."""
+    left, right = sorted(left), sorted(right)
+    m = len(left)
+    entries = bytearray(m * m)
+    for i, u in enumerate(left):
+        for j, w in enumerate(right):
+            c = col.colour_bit(u, w)
+            if c not in (BLUE, GREEN):
+                raise ValueError("block contains a carved-colour edge")
+            entries[i * m + j] = _REAL_TO_LOCAL[Colour(c)]
+    return PairColouring("bnn", m, 2, bytes(entries))
+
+
+def _lift_piece(piece: Piece, left, right) -> Piece:
+    left, right = sorted(left), sorted(right)
+    m = len(left)
+    verts = tuple(left[v] if v < m else right[v - m] for v in piece.vertices)
+    return Piece(piece.kind, _LOCAL_TO_REAL[piece.colour], verts)
+
+
+def _block_pieces(col: PairColouring, left, right, pure_cycles: bool) -> list[Piece]:
+    """Partition pieces for one merged block: path+cycle when the local
+    2-colouring is not split, otherwise the all-cycles split fallback."""
+    if not left:
+        return []
+    local = _induced_block(col, left, right)
+    res = partition_path_cycle(local)
+    if isinstance(res, SplitDetected):
+        fallback = split_all_cycles if pure_cycles else split_three_cycles
+        pieces = fallback(local, res.structure)
+    else:
+        pieces = res
+    return [_lift_piece(p, left, right) for p in pieces if p.vertices]
+
+
+def _shape_ok(cert: PartitionCertificate, limits) -> bool:
+    np_, nc = cert.nonempty_shape()
+    return any(np_ <= lp and nc <= lc for lp, lc in limits)
+
+
+def partition3_complete(col: PairColouring) -> PartitionCertificate:
+    """Partition of a 3-coloured complete host into at most two
+    monochromatic paths and one cycle, or one path and three cycles."""
+    if col.kind != "kn" or col.palette != 3:
+        raise ValueError("needs a 3-coloured complete host")
+    seq, block = path_and_balanced_block(col, RED)
+    pieces: list[Piece] = []
+    if seq:
+        pieces.append(Piece("path", RED, tuple(seq)))
+    pieces.extend(_block_pieces(col, block.side1, block.side2, pure_cycles=True))
+    cert = PartitionCertificate.for_colouring(col, pieces)
+    res = check_certificate(col, cert)
+    if not res.ok:
+        raise RuntimeError(f"certificate failed verification: {res}")
+    if not _shape_ok(cert, [(2, 1), (1, 3)]):
+        raise RuntimeError(f"unexpected piece shape {cert.nonempty_shape()}")
+    return cert
+
+
+def _wipe_path_into(col: PairColouring, part0, part1, anchor, colour, ending: bool):
+    """Zig-zag in the anchor's colour quadrant consuming equal counts from
+    both quadrant sides and wiping the smaller one; `ending` paths end at
+    the anchor, otherwise they start at it.
+
+    part0/part1 are the block's class-0/class-1 parts; the anchor lies in
+    part0 for ending paths and in part1 for starting ones.
+    """
+    cbit = col.colour_bit
+    if ending:
+        q1 = [z for z in part1 if cbit(anchor, z) == colour]
+        q0 = [x for x in part0 if cbit(x, q1[0]) == colour]
+        t = min(len(q0), len(q1))
+        xs = [x for x in q0 if x != anchor][: t - 1] + [anchor]
+        zs = q1[:t]
+        out = []
+        for z, x in zip(zs, xs):
+            out.extend((z, x))
+        return out, set(xs), set(zs)
+    q0 = [x for x in part0 if cbit(x, anchor) == colour]
+    q1 = [z for z in part1 if cbit(q0[0], z) == colour]
+    t = min(len(q0), len(q1))
+    zs = [anchor] + [z for z in q1 if z != anchor][: t - 1]
+    xs = q0[:t]
+    out = []
+    for z, x in zip(zs, xs):
+        out.extend((z, x))
+    return out, set(xs), set(zs)
+
+
+def _remainder_cycles(col: PairColouring, left, right) -> list[Piece]:
+    """Cover a merged-colour remainder block by at most two cycles; the
+    construction leaves it V-coloured or monochromatic."""
+    if not left:
+        return []
+    local = _induced_block(col, left, right)
+    verdict = classify_bipartite(local)
+    if verdict.kind == "mono":
+        cyc = _interleave(range(local.n), range(local.n, 2 * local.n))
+        piece = Piece("cycle", verdict.colour, tuple(cyc))
+        return [_lift_piece(piece, left, right)]
+    if verdict.kind == "vcol":
+        return [_lift_piece(p, left, right) for p in v_two_cycles(local) if p.vertices]
+    raise RuntimeError(f"remainder block is not V-coloured or mono: {verdict.kind}")
+
+
+def partition3_bipartite(col: PairColouring) -> PartitionCertificate:
+    """Partition of a 3-coloured bipartite host into at most three
+    monochromatic paths and two cycles, or two paths and four cycles."""
+    if col.kind != "bnn" or col.palette != 3:
+        raise ValueError("needs a 3-coloured bipartite host")
+    n = col.n
+    cbit = col.colour_bit
+    seq, block_a, block_b = path_and_two_balanced_blocks(col, RED)
+    pieces: list[Piece] = []
+    if seq:
+        pieces.append(Piece("path", RED, tuple(seq)))
+
+    verdict_a = classify_bipartite(_induced_block(col, block_a.side1, block_a.side2)) if block_a else None
+    verdict_b = classify_bipartite(_induced_block(col, block_b.side1, block_b.side2)) if block_b else None
+
+    both_split = (
+        verdict_a is not None
+        and verdict_b is not None
+        and verdict_a.kind == "split"
+        and verdict_b.kind == "split"
+    )
+    if not both_split:
+        pieces.extend(_block_pieces(col, block_a.side1, block_a.side2, pure_cycles=True))
+        pieces.extend(_block_pieces(col, block_b.side1, block_b.side2, pure_cycles=True))
+        return _finish3(col, pieces)
+
+    cross = _find_non_carved_cross(col, block_a, block_b)
+    if cross is not None:
+        u, w, c, p_block, q_block = cross
+        path_p, used_p0, used_p1 = _wipe_path_into(
+            col, p_block.side1, p_block.side2, u, c, ending=True
+        )
+        path_q, used_q0, used_q1 = _wipe_path_into(
+            col, q_block.side1, q_block.side2, w, c, ending=False
+        )
+        pieces.append(Piece("path", Colour(c), tuple(path_p + path_q)))
+        pieces.extend(
+            _remainder_cycles(
+                col,
+                [x for x in p_block.side1 if x not in used_p0],
+                [z for z in p_block.side2 if z not in used_p1],
+            )
+        )
+        pieces.extend(
+            _remainder_cycles(
+                col,
+                [x for x in q_block.side1 if x not in used_q0],
+                [z for z in q_block.side2 if z not in used_q1],
+            )
+        )
+        return _finish3(col, pieces)
+
+    # every cross edge carries the carved colour: two carved cycles take all
+    # of the small block and matching parts of the big one
+    a = len(block_a.side1)
+    c1 = _interleave(sorted(block_a.side1), sorted(block_b.side2)[:a])
+    c2 = _interleave(sorted(block_b.side1)[:a], sorted(block_a.side2))
+    if a == 0:
+        raise AssertionError("both-split branch requires non-empty blocks")
+    pieces.append(Piece("cycle", RED, tuple(c1)))
+    pieces.append(Piece("cycle", RED, tuple(c2)))
+    rem0 = sorted(block_b.side1)[a:]
+    rem1 = sorted(block_b.side2)[a:]
+    if rem0:
+        local = _induced_block(col, rem0, rem1)
+        res = partition_path_cycle(local)
+        if isinstance(res, SplitDetected):
+            rem_pieces = split_three_cycles(local, res.structure)
+        else:
+            rem_pieces = res
+        pieces.extend(_lift_piece(p, rem0, rem1) for p in rem_pieces if p.vertices)
+    return _finish3(col, pieces)
+
+
+def _find_non_carved_cross(col: PairColouring, block_a, block_b):
+    """First non-carved edge between one block's class-0 side and the other
+    block's class-1 side, with the blocks oriented to it."""
+    cbit = col.colour_bit
+    for u in sorted(block_a.side1):
+        for w in sorted(block_b.side2):
+            c = cbit(u, w)
+            if c != RED:
+                return u, w, c, block_a, block_b
+    for u in sorted(block_b.side1):
+        for w in sorted(block_a.side2):
+            c = cbit(u, w)
+            if c != RED:
+                return u, w, c, block_b, block_a
+    return None
+
+
+def _finish3(col: PairColouring, pieces) -> PartitionCertificate:
+    cert = PartitionCertificate.for_colouring(col, [p for p in pieces if p.vertices])
+    res = check_certificate(col, cert)
+    if not res.ok:
+        raise RuntimeError(f"certificate failed verification: {res}")
+    if not _shape_ok(cert, [(3, 2), (2, 4)]):
+        raise RuntimeError(f"unexpected piece shape {cert.nonempty_shape()}")
+    return cert
