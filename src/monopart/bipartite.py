@@ -37,8 +37,6 @@ __all__ = [
     "partition_path_cycle_coloured",
     "two_paths",
     "split_three_paths",
-    "split_three_cycles",
-    "split_all_cycles",
     "convert_paths_to_cycle",
     "v_two_cycles",
 ]
@@ -244,11 +242,7 @@ def near_mono_spanning_path(col: PairColouring, subset0, subset1):
             x, y = red_edges[0]
         s0 = [x] + [a for a in s0 if a != x]
         s1 = [b for b in s1 if b != y] + [y]
-    path: list[int] = []
-    for a, b in zip(s0, s1):
-        path.append(a)
-        path.append(b)
-    return path, Colour(majority)
+    return _interleave(s0, s1), Colour(majority)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +253,28 @@ def _cycle_colours(col: PairColouring, cyc) -> list[int]:
     k = len(cyc)
     cbit = col.colour_bit
     return [cbit(cyc[i], cyc[(i + 1) % k]) for i in range(k)]
+
+
+def _cap(col: PairColouring) -> int:
+    """Iteration cap of the growth, attach and exchange loops."""
+    n = col.n
+    return 4 * (2 * n) ** 2 + 8
+
+
+def _check_progress(col: PairColouring, old, new, colour, step: str) -> None:
+    """Raise unless cycle `new` has more edges of `colour` than `old`."""
+    before = sum(1 for c in _cycle_colours(col, old) if c == colour)
+    after = sum(1 for c in _cycle_colours(col, new) if c == colour)
+    if after <= before:
+        raise RuntimeError(f"{step} did not progress")
+
+
+def _red_exchange(col: PairColouring, seq, ell) -> list[int]:
+    """Reverse the run after v_ell of a red-led frame; the result must
+    carry more red edges."""
+    new_cyc = seq[:ell] + seq[ell:][::-1]
+    _check_progress(col, seq, new_cyc, RED, "red-exchange")
+    return new_cyc
 
 
 def cycle_profile(col: PairColouring, cyc):
@@ -443,7 +459,6 @@ class SpanningCycle:
     vertices: tuple[int, ...]
     kind: str  # "mono" | "bicoloured"
     colour: Colour | None = None  # mono cycles only
-    turns: tuple[int, int] | None = None
     good: bool | None = None
 
 
@@ -465,7 +480,7 @@ def _wrap_spanning(col: PairColouring, cyc) -> SpanningCycle:
     if kind != "bicoloured":
         raise ValueError("cycle has more than two colour runs")
     good = col.side(turns[0]) != col.side(turns[1])
-    return SpanningCycle(tuple(cyc), "bicoloured", turns=tuple(turns), good=good)
+    return SpanningCycle(tuple(cyc), "bicoloured", good=good)
 
 
 def spanning_bicoloured_or_mono_cycle(col: PairColouring):
@@ -493,7 +508,7 @@ def spanning_bicoloured_or_mono_cycle(col: PairColouring):
         return _wrap_spanning(col, cyc)
 
     cyc = list(find_good_c4(col))
-    cap = 4 * (2 * n) ** 2 + 8
+    cap = _cap(col)
     path = None
     for _ in range(cap):
         on = set(cyc)
@@ -523,10 +538,7 @@ def spanning_bicoloured_or_mono_cycle(col: PairColouring):
         # both attachment edges refuse: trade the leading run for the path
         new_cyc = [seq[0]] + path[::-1] + seq[ell - 1 :]
         new_path = seq[1 : ell - 1]
-        before = sum(1 for c in _cycle_colours(col, cyc) if c != pcol)
-        after = sum(1 for c in _cycle_colours(col, new_cyc) if c != pcol)
-        if after <= before:
-            raise RuntimeError("attachment re-routing did not progress")
+        _check_progress(col, cyc, new_cyc, other_colour(pcol), "attachment re-routing")
         if not new_path:
             return _wrap_spanning(col, new_cyc)
         cyc, path = new_cyc, new_path
@@ -561,23 +573,16 @@ def partition_path_cycle(col: PairColouring):
         return _pieces_result((), other_colour(c), res.vertices, c)
 
     cyc = list(res.vertices)
-    cap = 4 * (2 * col.n) ** 2 + 8
     cbit = col.colour_bit
-    for _ in range(cap):
+    for _ in range(_cap(col)):
         seq, ell = _normalise(col, cyc, RED)
         if col.side(seq[0]) != col.side(seq[ell - 1]):
             if cbit(seq[0], seq[ell - 1]) == RED:
                 return _pieces_result(seq[ell:], BLUE, seq[:ell], RED)
             return _pieces_result(seq[1 : ell - 1], RED, [seq[0]] + seq[ell - 1 :], BLUE)
-        if cbit(seq[0], seq[ell]) == RED:
-            new_cyc = seq[:ell] + seq[ell:][::-1]
-            before = sum(1 for c in _cycle_colours(col, seq) if c == RED)
-            after = sum(1 for c in _cycle_colours(col, new_cyc) if c == RED)
-            if after <= before:
-                raise RuntimeError("red-exchange did not progress")
-            cyc = new_cyc
-            continue
-        return _pieces_result(seq[1:ell], RED, [seq[0]] + seq[ell:], BLUE)
+        if cbit(seq[0], seq[ell]) != RED:
+            return _pieces_result(seq[1:ell], RED, [seq[0]] + seq[ell:], BLUE)
+        cyc = _red_exchange(col, seq, ell)
     raise RuntimeError("path+cycle exchange failed to terminate within its cap")
 
 
@@ -596,21 +601,14 @@ def partition_path_cycle_coloured(col: PairColouring, cycle):
         raise ValueError("cycle must not be good")
 
     cbit = col.colour_bit
-    cap = 4 * (2 * col.n) ** 2 + 8
-    for _ in range(cap):
+    for _ in range(_cap(col)):
         seq, ell = _normalise(col, cyc, RED)
-        k = len(seq)
         assert col.side(seq[0]) == col.side(seq[ell - 1])
         if cbit(seq[0], seq[ell]) == BLUE:
             return _pieces_result(seq[1:ell], RED, [seq[0]] + seq[ell:], BLUE)
-        if cbit(seq[ell - 1], seq[k - 1]) == BLUE:
+        if cbit(seq[ell - 1], seq[-1]) == BLUE:
             return _pieces_result(seq[: ell - 1], RED, [seq[ell - 1]] + seq[ell:][::-1], BLUE)
-        new_cyc = seq[:ell] + seq[ell:][::-1]
-        before = sum(1 for c in _cycle_colours(col, seq) if c == RED)
-        after = sum(1 for c in _cycle_colours(col, new_cyc) if c == RED)
-        if after <= before:
-            raise RuntimeError("red-exchange did not progress")
-        cyc = new_cyc
+        cyc = _red_exchange(col, seq, ell)
     raise RuntimeError("coloured exchange failed to terminate within its cap")
 
 
@@ -631,32 +629,18 @@ def two_paths(col: PairColouring):
 # split-colouring fallbacks
 
 
-def _split_blocks(structure: SplitStructure, col: PairColouring):
+def split_three_paths(col: PairColouring, structure: SplitStructure):
+    """At most three monochromatic paths partitioning a split colouring:
+    red zig-zags through both red blocks, blue zig-zag through the
+    leftovers (which always land in one blue block)."""
     if not structure.verify(col):
         raise ValueError("split structure fails verification against the colouring")
-    return (
-        sorted(structure.a1),
-        sorted(structure.a2),
-        sorted(structure.b1),
-        sorted(structure.b2),
-    )
-
-
-def _block_leftovers(a1, a2, b1, b2):
+    a1, a2, b1, b2 = (sorted(p) for p in (structure.a1, structure.a2, structure.b1, structure.b2))
     t1 = min(len(a1), len(b1))
     t2 = min(len(a2), len(b2))
     rem0 = a1[t1:] + a2[t2:]
     rem1 = b1[t1:] + b2[t2:]
     assert len(rem0) == len(rem1)
-    return t1, t2, rem0, rem1
-
-
-def split_three_paths(col: PairColouring, structure: SplitStructure):
-    """At most three monochromatic paths partitioning a split colouring:
-    red zig-zags through both red blocks, blue zig-zag through the
-    leftovers (which always land in one blue block)."""
-    a1, a2, b1, b2 = _split_blocks(structure, col)
-    t1, t2, rem0, rem1 = _block_leftovers(a1, a2, b1, b2)
     pieces = []
     if t1:
         pieces.append(Piece("path", RED, tuple(_interleave(a1[:t1], b1[:t1]))))
@@ -664,34 +648,6 @@ def split_three_paths(col: PairColouring, structure: SplitStructure):
         pieces.append(Piece("path", RED, tuple(_interleave(a2[:t2], b2[:t2]))))
     if rem0:
         pieces.append(Piece("path", BLUE, tuple(_interleave(rem0, rem1))))
-    return tuple(pieces)
-
-
-def split_three_cycles(col: PairColouring, structure: SplitStructure):
-    """One monochromatic path plus at most two monochromatic cycles."""
-    a1, a2, b1, b2 = _split_blocks(structure, col)
-    t1, t2, rem0, rem1 = _block_leftovers(a1, a2, b1, b2)
-    pieces = []
-    if rem0:
-        pieces.append(Piece("path", BLUE, tuple(_interleave(rem0, rem1))))
-    if t1:
-        pieces.append(Piece("cycle", RED, tuple(_interleave(a1[:t1], b1[:t1]))))
-    if t2:
-        pieces.append(Piece("cycle", RED, tuple(_interleave(a2[:t2], b2[:t2]))))
-    return tuple(pieces)
-
-
-def split_all_cycles(col: PairColouring, structure: SplitStructure):
-    """At most three monochromatic cycles partitioning a split colouring."""
-    a1, a2, b1, b2 = _split_blocks(structure, col)
-    t1, t2, rem0, rem1 = _block_leftovers(a1, a2, b1, b2)
-    pieces = []
-    if t1:
-        pieces.append(Piece("cycle", RED, tuple(_interleave(a1[:t1], b1[:t1]))))
-    if t2:
-        pieces.append(Piece("cycle", RED, tuple(_interleave(a2[:t2], b2[:t2]))))
-    if rem0:
-        pieces.append(Piece("cycle", BLUE, tuple(_interleave(rem0, rem1))))
     return tuple(pieces)
 
 

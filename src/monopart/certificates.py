@@ -46,7 +46,16 @@ class Piece:
 
     @classmethod
     def from_obj(cls, obj) -> "Piece":
-        return cls(obj["kind"], colour_from_name(obj["colour"]), tuple(obj["vertices"]))
+        """Piece from its JSON object; raises ValueError on any malformed
+        field (bools are not accepted as vertices)."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"piece is not an object: {obj!r}")
+        colour, vertices = obj.get("colour"), obj.get("vertices")
+        if not isinstance(colour, str):
+            raise ValueError(f"unknown colour {colour!r}")
+        if not isinstance(vertices, list) or any(type(v) is not int for v in vertices):
+            raise ValueError(f"piece vertices are not a list of ints: {vertices!r}")
+        return cls(obj.get("kind"), colour_from_name(colour), tuple(vertices))
 
 
 def _host_ref(col) -> dict:
@@ -73,8 +82,15 @@ class PartitionCertificate:
 
     @classmethod
     def from_text(cls, text: str) -> "PartitionCertificate":
+        """Parse the JSON form; raises ValueError on malformed input."""
         obj = json.loads(text)
-        return cls(dict(obj["host"]), tuple(Piece.from_obj(p) for p in obj["pieces"]))
+        if not (
+            isinstance(obj, dict)
+            and isinstance(obj.get("host"), dict)
+            and isinstance(obj.get("pieces"), list)
+        ):
+            raise ValueError("certificate is not an object with a host object and a pieces list")
+        return cls(obj["host"], tuple(Piece.from_obj(p) for p in obj["pieces"]))
 
     def nonempty_shape(self) -> tuple[int, int]:
         """(number of non-empty paths, number of non-empty cycles)."""
@@ -108,12 +124,7 @@ def check_certificate(col, cert: PartitionCertificate) -> CheckResult:
     if cert.host != host:
         return _bad("host-mismatch", detail=(cert.host, host))
 
-    if isinstance(col, TripleColouring):
-        n_vertices = col.n
-    elif isinstance(col, PairColouring):
-        n_vertices = col.n_vertices
-    else:
-        n_vertices = col.n_vertices
+    n_vertices = col.n_vertices
 
     seen: set[int] = set()
     for idx, piece in enumerate(cert.pieces):

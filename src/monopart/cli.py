@@ -1,7 +1,8 @@
 """Command-line surface: gen | solve | verify | enumerate | bench.
 
-Exit codes: 0 success, 1 usage or I/O error, 2 split colouring detected,
-3 certificate violation (or enumeration failures).
+Exit codes: 0 success, 1 usage or I/O error (or no solver for the host),
+2 split colouring detected, 3 certificate violation or solver failure (or
+enumeration failures).
 """
 
 from __future__ import annotations
@@ -10,20 +11,10 @@ import argparse
 import sys
 import time
 
-from .bipartite import (
-    SplitDetected,
-    partition_path_cycle,
-    partition_path_cycle_coloured,
-    spanning_bicoloured_or_mono_cycle,
-    split_three_paths,
-    two_paths,
-)
-from .certificates import PartitionCertificate, Piece, check_certificate
+from .certificates import PartitionCertificate, check_certificate
 from .colourings import (
     HyperSplitSizes,
-    PairColouring,
     TransversalColouring,
-    TripleColouring,
     parse_colouring,
     serialize_colouring,
 )
@@ -43,8 +34,7 @@ from .multipartite import (
     verify_counting,
 )
 from .oracles import SUITES, enumerate_all
-from .threecolour import partition3_bipartite, partition3_complete
-from .tightpaths import spanning_bicoloured_path, split_into_two_mono
+from .solve import solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,48 +87,13 @@ def _write_cert(cert: PartitionCertificate, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _solve_h3(col: TripleColouring, args) -> int:
-    path = spanning_bicoloured_path(col)
-    p1, c1, p2, c2 = split_into_two_mono(col, path)
-    cert = PartitionCertificate.for_colouring(
-        col, [Piece("path", c1, p1), Piece("path", c2, p2)]
-    )
-    res = check_certificate(col, cert)
-    if not res.ok:
-        print(f"internal verification failed: {res.reason}", file=sys.stderr)
+def _solver_error(exc: Exception) -> int:
+    """Report a `solve` error on one stderr line; its exit code."""
+    if isinstance(exc, RuntimeError):
+        print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    _write_cert(cert, args.out)
-    return EXIT_OK
-
-
-def _solve_bnn2(col: PairColouring, args) -> int:
-    if args.force_red_path:
-        res = spanning_bicoloured_or_mono_cycle(col)
-        if isinstance(res, SplitDetected):
-            print(f"split colouring: {res.structure}", file=sys.stderr)
-            return EXIT_SPLIT
-        if res.kind != "bicoloured" or res.good:
-            print("no not-good spanning bicoloured cycle available", file=sys.stderr)
-            return EXIT_USAGE
-        pieces = partition_path_cycle_coloured(col, list(res.vertices))
-    elif args.two_paths:
-        pieces = two_paths(col)
-    else:
-        pieces = partition_path_cycle(col)
-    if isinstance(pieces, SplitDetected):
-        print(f"split colouring: {pieces.structure}", file=sys.stderr)
-        fallback = split_three_paths(col, pieces.structure)
-        cert = PartitionCertificate.for_colouring(col, fallback)
-        if check_certificate(col, cert).ok and args.out:
-            _write_cert(cert, args.out)
-        return EXIT_SPLIT
-    cert = PartitionCertificate.for_colouring(col, pieces)
-    res = check_certificate(col, cert)
-    if not res.ok:
-        print(f"internal verification failed: {res.reason}", file=sys.stderr)
-        return EXIT_VIOLATION
-    _write_cert(cert, args.out)
-    return EXIT_OK
+    print(str(exc), file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _solve_rxn(col: TransversalColouring, args) -> int:
@@ -182,16 +137,18 @@ def _cmd_solve(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read colouring: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if isinstance(col, TripleColouring):
-        return _solve_h3(col, args)
     if isinstance(col, TransversalColouring):
         return _solve_rxn(col, args)
-    if col.palette == 2:
-        if col.kind == "kn":
-            print("2-coloured complete hosts have no solver surface", file=sys.stderr)
-            return EXIT_USAGE
-        return _solve_bnn2(col, args)
-    cert = partition3_complete(col) if col.kind == "kn" else partition3_bipartite(col)
+    variant = "red-path" if args.force_red_path else "two-paths" if args.two_paths else "path-cycle"
+    try:
+        cert, split = solve(col, variant)
+    except (ValueError, RuntimeError) as exc:
+        return _solver_error(exc)
+    if split is not None:
+        print(f"split colouring: {split}", file=sys.stderr)
+        if args.out:
+            _write_cert(cert, args.out)
+        return EXIT_SPLIT
     _write_cert(cert, args.out)
     return EXIT_OK
 
@@ -202,7 +159,7 @@ def _cmd_verify(args) -> int:
             col = parse_colouring(fh.read())
         with open(args.certificate) as fh:
             cert = PartitionCertificate.from_text(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot read inputs: {exc}", file=sys.stderr)
         return EXIT_USAGE
     res = check_certificate(col, cert)
@@ -230,19 +187,10 @@ def _cmd_bench(args) -> int:
     for i in range(args.count):
         col = gen_random(args.kind, args.n, args.palette, seed=args.seed + i, r=args.r)
         t0 = time.perf_counter()
-        if isinstance(col, TripleColouring):
-            path = spanning_bicoloured_path(col)
-            split_into_two_mono(col, path)
-        elif isinstance(col, PairColouring) and col.palette == 2 and col.kind == "bnn":
-            partition_path_cycle(col)
-        elif isinstance(col, PairColouring) and col.palette == 3:
-            if col.kind == "kn":
-                partition3_complete(col)
-            else:
-                partition3_bipartite(col)
-        else:
-            print("bench covers h3, bnn (palette 2) and palette-3 hosts", file=sys.stderr)
-            return EXIT_USAGE
+        try:
+            solve(col)
+        except (ValueError, RuntimeError) as exc:
+            return _solver_error(exc)
         t_total += time.perf_counter() - t0
     rate = args.count / t_total if t_total else float("inf")
     print(f"{args.count} solves in {t_total:.3f}s ({rate:.1f}/s)")

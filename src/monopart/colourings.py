@@ -197,11 +197,6 @@ class TripleColouring:
         i = triple_index(a, b, c)
         return (self.bits[i >> 3] >> (i & 7)) & 1
 
-    def colour(self, a: int, b: int, c: int) -> Colour:
-        if not (0 <= a < self.n and 0 <= b < self.n and 0 <= c < self.n):
-            raise ValueError("vertex id out of range")
-        return Colour(self.colour_bit(a, b, c))
-
     def digits(self):
         bits = self.bits
         for i in range(self.n_edges):
@@ -341,6 +336,13 @@ class HyperSplitSizes:
             if not 1 <= si <= self.n - 1:
                 raise ValueError(f"part size {si} leaves an empty half for n={self.n}")
 
+    def colour_bit(self, edge) -> int:
+        """Colour of a transversal edge given as global ids, unchecked: red
+        (0) iff an even number of its vertices lie in the distinguished
+        halves."""
+        n, s = self.n, self.s
+        return sum(1 for u in edge if u % n < s[u // n]) & 1
+
 
 MATERIALIZE_CAP = 1 << 24
 
@@ -401,12 +403,8 @@ class TransversalColouring:
     def colour_bit(self, edge: tuple[int, ...]) -> int:
         locs = self.locals_of(edge)
         if self.rule is not None:
-            inside = sum(1 for i, v in enumerate(locs) if v < self.rule.s[i])
-            return 0 if inside % 2 == 0 else 1
+            return self.rule.colour_bit(edge)
         return self.entries[transversal_index(self.n, self.r, locs)]
-
-    def colour(self, edge: tuple[int, ...]) -> Colour:
-        return Colour(self.colour_bit(edge))
 
     def materialize(self) -> "TransversalColouring":
         if self.entries is not None:
@@ -415,14 +413,13 @@ class TransversalColouring:
         if n ** r > MATERIALIZE_CAP:
             raise ValueError("rule-backed colouring too large to materialize")
         out = bytearray(n ** r)
-        locs = [0] * r
+        edge = [0] * r
         for idx in range(n ** r):
             t = idx
             for i in range(r - 1, -1, -1):
-                locs[i] = t % n
+                edge[i] = i * n + t % n
                 t //= n
-            inside = sum(1 for i in range(r) if locs[i] < self.rule.s[i])
-            out[idx] = 0 if inside % 2 == 0 else 1
+            out[idx] = self.rule.colour_bit(edge)
         return TransversalColouring(r, n, entries=bytes(out))
 
     def __repr__(self):

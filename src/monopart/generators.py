@@ -19,11 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from .colourings import (
-    BLUE,
-    GREEN,
-    RED,
-    Colour,
-    HyperSplitSizes,
     PairColouring,
     SplitStructure,
     TransversalColouring,

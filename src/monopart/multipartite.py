@@ -39,13 +39,10 @@ def edge_colour_split(sizes: HyperSplitSizes, edge_locals) -> Colour:
     even number of its vertices lie in the distinguished halves."""
     if len(edge_locals) != sizes.r:
         raise ValueError(f"edge must have {sizes.r} vertices, one per class")
-    inside = 0
-    for i, v in enumerate(edge_locals):
+    for v in edge_locals:
         if not 0 <= v < sizes.n:
             raise ValueError(f"local id {v} out of range")
-        if v < sizes.s[i]:
-            inside += 1
-    return Colour.RED if inside % 2 == 0 else Colour.BLUE
+    return Colour(sizes.colour_bit([i * sizes.n + v for i, v in enumerate(edge_locals)]))
 
 
 def validate_transversal_tight_path(r: int, n: int, seq) -> bool:
@@ -64,11 +61,6 @@ def validate_transversal_tight_path(r: int, n: int, seq) -> bool:
     return True
 
 
-def _window_colour(sizes: HyperSplitSizes, window) -> int:
-    inside = sum(1 for u in window if (u % sizes.n) < sizes.s[u // sizes.n])
-    return 0 if inside % 2 == 0 else 1
-
-
 def check_side_consistency(sizes: HyperSplitSizes, path) -> bool:
     """True iff the path avoids one half of every class.
 
@@ -80,7 +72,7 @@ def check_side_consistency(sizes: HyperSplitSizes, path) -> bool:
     r, n = sizes.r, sizes.n
     if not validate_transversal_tight_path(r, n, path):
         raise ValueError("not a transversal tight path")
-    colours = {_window_colour(sizes, path[i : i + r]) for i in range(len(path) - r + 1)}
+    colours = {sizes.colour_bit(path[i : i + r]) for i in range(len(path) - r + 1)}
     if len(colours) > 1:
         raise ValueError("path is not monochromatic")
     for i in range(r):
@@ -230,7 +222,7 @@ def random_mono_tight_path(sizes: HyperSplitSizes, rng, min_len: int | None = No
             v = cls_ * n + rng.randrange(n)
             path.append(v)
             used.add(v)
-        colour = _window_colour(sizes, path)
+        colour = sizes.colour_bit(path)
         target = rng.randint(min_len, max_len)
         stalled = False
         while len(path) < target and not stalled:
@@ -239,9 +231,9 @@ def random_mono_tight_path(sizes: HyperSplitSizes, rng, min_len: int | None = No
                 nxt_class * n + j
                 for j in range(n)
                 if nxt_class * n + j not in used
-                and _window_colour(sizes, path[-(r - 1) :] + [nxt_class * n + j]) == colour
+                and sizes.colour_bit(path[-(r - 1) :] + [nxt_class * n + j]) == colour
             ] if r > 1 else [
-                j for j in range(n) if j not in used and _window_colour(sizes, [j]) == colour
+                j for j in range(n) if j not in used and sizes.colour_bit([j]) == colour
             ]
             if not options:
                 stalled = True

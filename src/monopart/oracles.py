@@ -13,18 +13,10 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 
-from .bipartite import (
-    SplitDetected,
-    classify_bipartite,
-    find_balanced_c4,
-    find_good_c4,
-    is_good_cycle,
-    partition_path_cycle,
-    split_three_paths,
-)
-from .certificates import PartitionCertificate, Piece, check_certificate
-from .colourings import BLUE, RED, Colour, PairColouring, TripleColouring
-from .tightpaths import classify_tight_path, spanning_bicoloured_path, split_into_two_mono
+from .bipartite import classify_bipartite, find_balanced_c4, find_good_c4, is_good_cycle
+from .colourings import RED, Colour, PairColouring, TripleColouring
+from .solve import solve
+from .tightpaths import classify_tight_path
 
 __all__ = [
     "oracle_spanning_bipath_exists",
@@ -94,8 +86,6 @@ class ShapeSpec:
 
 
 def _vertex_ids(col) -> list[int]:
-    if isinstance(col, TripleColouring):
-        return list(range(col.n))
     return list(range(col.n_vertices))
 
 
@@ -291,29 +281,20 @@ class OracleReport:
 
 def _check_spanning_total(n: int, idx: int) -> str | None:
     col = TripleColouring.from_int(n, idx)
-    path = spanning_bicoloured_path(col)
-    if classify_tight_path(col, path.vertices).kind == "invalid":
-        return "solver path invalid"
-    p1, c1, p2, c2 = split_into_two_mono(col, path)
-    cert = PartitionCertificate.for_colouring(
-        col, [Piece("path", c1, p1), Piece("path", c2, p2)]
-    )
-    res = check_certificate(col, cert)
-    if not res.ok:
-        return f"certificate violation: {res.reason}"
-    if c1 == c2:
+    p1, p2 = solve(col)[0].pieces
+    if p1.colour == p2.colour:
         return "parts share a colour"
     if n >= 6:
         for part in (p1, p2):
-            if len(part) in (1, 2):
+            if len(part.vertices) in (1, 2):
                 return "non-empty part without an edge"
     return None
 
 
 def _check_spanning_oracle(n: int, idx: int) -> str | None:
     col = TripleColouring.from_int(n, idx)
-    path = spanning_bicoloured_path(col)
-    if classify_tight_path(col, path.vertices).kind == "invalid":
+    p1, p2 = solve(col)[0].pieces
+    if classify_tight_path(col, p1.vertices + p2.vertices).kind == "invalid":
         return "solver path invalid"
     exists, witness = oracle_spanning_bipath_exists(col)
     if not exists:
@@ -350,23 +331,16 @@ def _check_near_mono_equiv(n: int, idx: int) -> str | None:
 
 def _check_path_cycle(n: int, idx: int) -> str | None:
     col = PairColouring.from_int("bnn", n, idx)
-    res = partition_path_cycle(col)
-    if isinstance(res, SplitDetected):
+    cert, split = solve(col)
+    if split is not None:
         if classify_bipartite(col).kind != "split":
             return "split detected on a non-split colouring"
-        pieces = split_three_paths(col, res.structure)
-        if len(pieces) > 3:
+        if len(cert.pieces) > 3:
             return "split fallback used more than three pieces"
-        chk = check_certificate(col, PartitionCertificate.for_colouring(col, pieces))
-        if not chk.ok:
-            return f"split fallback violation: {chk.reason}"
         return None
-    path_p, cyc_p = res
+    path_p, cyc_p = cert.pieces
     if path_p.colour == cyc_p.colour:
         return "path and cycle share a colour"
-    chk = check_certificate(col, PartitionCertificate.for_colouring(col, [path_p, cyc_p]))
-    if not chk.ok:
-        return f"certificate violation: {chk.reason}"
     return None
 
 
@@ -394,7 +368,10 @@ def _run_chunk(args):
     _, fn = SUITES[suite]
     failures = []
     for idx in range(lo, hi):
-        reason = fn(n, idx)
+        try:
+            reason = fn(n, idx)
+        except Exception as exc:  # a raising check fails this colouring, not the run
+            reason = f"raised {type(exc).__name__}: {exc}"
         if reason is not None:
             failures.append((idx, reason))
     return hi - lo, failures

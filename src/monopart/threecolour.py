@@ -17,8 +17,7 @@ from .bipartite import (
     SplitDetected,
     classify_bipartite,
     partition_path_cycle,
-    split_all_cycles,
-    split_three_cycles,
+    split_three_paths,
     v_two_cycles,
     _interleave,
 )
@@ -34,6 +33,10 @@ __all__ = [
 ]
 
 SEARCH_GREEDY_THRESHOLD = 64
+
+# (paths, cycles) shapes the pipelines promise; a certificate fits one.
+COMPLETE_LIMITS = [(2, 1), (1, 3)]
+BIPARTITE_LIMITS = [(3, 2), (2, 4)]
 
 
 @dataclass(frozen=True)
@@ -275,8 +278,6 @@ def path_and_balanced_block(col: PairColouring, carved: Colour = RED):
 
     out = _search_path(range(n), neighbours, feasible, greedy=n > SEARCH_GREEDY_THRESHOLD)
     if out is None:
-        out = _search_path(range(n), neighbours, feasible, greedy=False)
-    if out is None:
         raise RuntimeError("carved-path search failed; host is not complete?")
     seq, (x, y) = out
     return list(seq), BalancedBipBlock(tuple(x), tuple(y))
@@ -307,8 +308,6 @@ def path_and_two_balanced_blocks(col: PairColouring, carved: Colour = RED):
         return [w for w in col.class_vertices(1 - col.side(u)) if cbit(u, w) == carved]
 
     out = _search_path(all_v, neighbours, feasible, greedy=n > SEARCH_GREEDY_THRESHOLD)
-    if out is None:
-        out = _search_path(all_v, neighbours, feasible, greedy=False)
     if out is None:
         raise RuntimeError("carved-path search failed; host is not complete bipartite?")
     seq, ((a1, a2), (b1, b2)) = out
@@ -348,24 +347,41 @@ def _lift_piece(piece: Piece, left, right) -> Piece:
     return Piece(piece.kind, _LOCAL_TO_REAL[piece.colour], verts)
 
 
-def _block_pieces(col: PairColouring, left, right, pure_cycles: bool) -> list[Piece]:
+def _split_cycles(local: PairColouring, structure, blue_path_first: bool = False) -> list[Piece]:
+    """The split fallback's paths with the red ones closed into cycles.  The
+    blue path is closed too, or kept as a path and put first when
+    `blue_path_first`; the vertex sequences are the paths' own."""
+    pieces = split_three_paths(local, structure)
+    red = [Piece("cycle", RED, p.vertices) for p in pieces if p.colour == RED]
+    blue = [p for p in pieces if p.colour == BLUE]
+    if blue_path_first:
+        return blue + red
+    return red + [Piece("cycle", BLUE, p.vertices) for p in blue]
+
+
+def _block_pieces(col: PairColouring, left, right, blue_path_first: bool = False) -> list[Piece]:
     """Partition pieces for one merged block: path+cycle when the local
-    2-colouring is not split, otherwise the all-cycles split fallback."""
+    2-colouring is not split, otherwise the split fallback as cycles."""
     if not left:
         return []
     local = _induced_block(col, left, right)
-    res = partition_path_cycle(local)
-    if isinstance(res, SplitDetected):
-        fallback = split_all_cycles if pure_cycles else split_three_cycles
-        pieces = fallback(local, res.structure)
-    else:
-        pieces = res
+    pieces = partition_path_cycle(local)
+    if isinstance(pieces, SplitDetected):
+        pieces = _split_cycles(local, pieces.structure, blue_path_first)
     return [_lift_piece(p, left, right) for p in pieces if p.vertices]
 
 
-def _shape_ok(cert: PartitionCertificate, limits) -> bool:
+def _finish(col: PairColouring, pieces, limits) -> PartitionCertificate:
+    """Certificate of the non-empty pieces, verified and within one of the
+    (paths, cycles) limits."""
+    cert = PartitionCertificate.for_colouring(col, [p for p in pieces if p.vertices])
+    res = check_certificate(col, cert)
+    if not res.ok:
+        raise RuntimeError(f"certificate failed verification: {res}")
     np_, nc = cert.nonempty_shape()
-    return any(np_ <= lp and nc <= lc for lp, lc in limits)
+    if not any(np_ <= lp and nc <= lc for lp, lc in limits):
+        raise RuntimeError(f"unexpected piece shape {(np_, nc)}")
+    return cert
 
 
 def partition3_complete(col: PairColouring) -> PartitionCertificate:
@@ -374,17 +390,9 @@ def partition3_complete(col: PairColouring) -> PartitionCertificate:
     if col.kind != "kn" or col.palette != 3:
         raise ValueError("needs a 3-coloured complete host")
     seq, block = path_and_balanced_block(col, RED)
-    pieces: list[Piece] = []
-    if seq:
-        pieces.append(Piece("path", RED, tuple(seq)))
-    pieces.extend(_block_pieces(col, block.side1, block.side2, pure_cycles=True))
-    cert = PartitionCertificate.for_colouring(col, pieces)
-    res = check_certificate(col, cert)
-    if not res.ok:
-        raise RuntimeError(f"certificate failed verification: {res}")
-    if not _shape_ok(cert, [(2, 1), (1, 3)]):
-        raise RuntimeError(f"unexpected piece shape {cert.nonempty_shape()}")
-    return cert
+    pieces = [Piece("path", RED, tuple(seq))]
+    pieces.extend(_block_pieces(col, block.side1, block.side2))
+    return _finish(col, pieces, COMPLETE_LIMITS)
 
 
 def _wipe_path_into(col: PairColouring, part0, part1, anchor, colour, ending: bool):
@@ -402,19 +410,13 @@ def _wipe_path_into(col: PairColouring, part0, part1, anchor, colour, ending: bo
         t = min(len(q0), len(q1))
         xs = [x for x in q0 if x != anchor][: t - 1] + [anchor]
         zs = q1[:t]
-        out = []
-        for z, x in zip(zs, xs):
-            out.extend((z, x))
-        return out, set(xs), set(zs)
-    q0 = [x for x in part0 if cbit(x, anchor) == colour]
-    q1 = [z for z in part1 if cbit(q0[0], z) == colour]
-    t = min(len(q0), len(q1))
-    zs = [anchor] + [z for z in q1 if z != anchor][: t - 1]
-    xs = q0[:t]
-    out = []
-    for z, x in zip(zs, xs):
-        out.extend((z, x))
-    return out, set(xs), set(zs)
+    else:
+        q0 = [x for x in part0 if cbit(x, anchor) == colour]
+        q1 = [z for z in part1 if cbit(q0[0], z) == colour]
+        t = min(len(q0), len(q1))
+        zs = [anchor] + [z for z in q1 if z != anchor][: t - 1]
+        xs = q0[:t]
+    return _interleave(zs, xs), set(xs), set(zs)
 
 
 def _remainder_cycles(col: PairColouring, left, right) -> list[Piece]:
@@ -438,12 +440,8 @@ def partition3_bipartite(col: PairColouring) -> PartitionCertificate:
     monochromatic paths and two cycles, or two paths and four cycles."""
     if col.kind != "bnn" or col.palette != 3:
         raise ValueError("needs a 3-coloured bipartite host")
-    n = col.n
-    cbit = col.colour_bit
     seq, block_a, block_b = path_and_two_balanced_blocks(col, RED)
-    pieces: list[Piece] = []
-    if seq:
-        pieces.append(Piece("path", RED, tuple(seq)))
+    pieces = [Piece("path", RED, tuple(seq))]
 
     verdict_a = classify_bipartite(_induced_block(col, block_a.side1, block_a.side2)) if block_a else None
     verdict_b = classify_bipartite(_induced_block(col, block_b.side1, block_b.side2)) if block_b else None
@@ -455,9 +453,9 @@ def partition3_bipartite(col: PairColouring) -> PartitionCertificate:
         and verdict_b.kind == "split"
     )
     if not both_split:
-        pieces.extend(_block_pieces(col, block_a.side1, block_a.side2, pure_cycles=True))
-        pieces.extend(_block_pieces(col, block_b.side1, block_b.side2, pure_cycles=True))
-        return _finish3(col, pieces)
+        pieces.extend(_block_pieces(col, block_a.side1, block_a.side2))
+        pieces.extend(_block_pieces(col, block_b.side1, block_b.side2))
+        return _finish(col, pieces, BIPARTITE_LIMITS)
 
     cross = _find_non_carved_cross(col, block_a, block_b)
     if cross is not None:
@@ -483,7 +481,7 @@ def partition3_bipartite(col: PairColouring) -> PartitionCertificate:
                 [z for z in q_block.side2 if z not in used_q1],
             )
         )
-        return _finish3(col, pieces)
+        return _finish(col, pieces, BIPARTITE_LIMITS)
 
     # every cross edge carries the carved colour: two carved cycles take all
     # of the small block and matching parts of the big one
@@ -496,15 +494,8 @@ def partition3_bipartite(col: PairColouring) -> PartitionCertificate:
     pieces.append(Piece("cycle", RED, tuple(c2)))
     rem0 = sorted(block_b.side1)[a:]
     rem1 = sorted(block_b.side2)[a:]
-    if rem0:
-        local = _induced_block(col, rem0, rem1)
-        res = partition_path_cycle(local)
-        if isinstance(res, SplitDetected):
-            rem_pieces = split_three_cycles(local, res.structure)
-        else:
-            rem_pieces = res
-        pieces.extend(_lift_piece(p, rem0, rem1) for p in rem_pieces if p.vertices)
-    return _finish3(col, pieces)
+    pieces.extend(_block_pieces(col, rem0, rem1, blue_path_first=True))
+    return _finish(col, pieces, BIPARTITE_LIMITS)
 
 
 def _find_non_carved_cross(col: PairColouring, block_a, block_b):
@@ -522,13 +513,3 @@ def _find_non_carved_cross(col: PairColouring, block_a, block_b):
             if c != RED:
                 return u, w, c, block_b, block_a
     return None
-
-
-def _finish3(col: PairColouring, pieces) -> PartitionCertificate:
-    cert = PartitionCertificate.for_colouring(col, [p for p in pieces if p.vertices])
-    res = check_certificate(col, cert)
-    if not res.ok:
-        raise RuntimeError(f"certificate failed verification: {res}")
-    if not _shape_ok(cert, [(3, 2), (2, 4)]):
-        raise RuntimeError(f"unexpected piece shape {cert.nonempty_shape()}")
-    return cert

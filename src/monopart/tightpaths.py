@@ -110,14 +110,6 @@ def _profile(col: TripleColouring, seq: list[int]) -> BicolouredTightPath:
     return BicolouredTightPath(tuple(seq), turn)
 
 
-def first_segment_colour(col: TripleColouring, path: BicolouredTightPath) -> Colour | None:
-    """Colour of the edges before the turning point (None if edgeless)."""
-    if len(path.vertices) < 3:
-        return None
-    s = path.vertices
-    return Colour(col.colour_bit(s[0], s[1], s[2]))
-
-
 def augment(col: TripleColouring, path: BicolouredTightPath, w: int) -> BicolouredTightPath:
     """Extend a bicoloured tight path by the uncovered vertex w.
 

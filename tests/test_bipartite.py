@@ -13,8 +13,6 @@ from monopart.bipartite import (
     partition_path_cycle,
     partition_path_cycle_coloured,
     spanning_bicoloured_or_mono_cycle,
-    split_all_cycles,
-    split_three_cycles,
     split_three_paths,
     two_paths,
     v_two_cycles,
@@ -27,6 +25,7 @@ from monopart.generators import (
     gen_split_bipartite,
     gen_v_colouring,
 )
+from monopart.threecolour import _split_cycles
 from tests.conftest import all_bnn_colourings
 
 
@@ -305,11 +304,12 @@ def test_split_fallbacks(n, a1, b1):
     paths = split_three_paths(col, structure)
     assert len(paths) <= 3 and all(p.kind == "path" for p in paths)
     verified(col, paths)
-    mixed = split_three_cycles(col, structure)
+    # the cycle fallbacks are the same vertex sequences relabelled
+    mixed = _split_cycles(col, structure, blue_path_first=True)
     assert sum(1 for p in mixed if p.kind == "path") <= 1
     assert sum(1 for p in mixed if p.kind == "cycle") <= 2
     verified(col, mixed)
-    cycles = split_all_cycles(col, structure)
+    cycles = _split_cycles(col, structure)
     assert len(cycles) <= 3 and all(p.kind == "cycle" for p in cycles)
     verified(col, cycles)
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from monopart.cli import main
 
 
@@ -35,11 +37,16 @@ def test_split_fallback_certificate(tmp_path, capsys):
     assert code == 0
 
 
-def test_verify_rejects_tampered_cert(tmp_path, capsys):
+def _solved_bnn(tmp_path):
     col = tmp_path / "c.bnn"
     cert = tmp_path / "cert.json"
     main(["gen", "--kind", "bnn", "--n", "3", "--seed", "2", "--out", str(col)])
     assert main(["solve", str(col), "--out", str(cert)]) == 0
+    return col, cert
+
+
+def test_verify_rejects_tampered_cert(tmp_path, capsys):
+    col, cert = _solved_bnn(tmp_path)
     obj = json.loads(cert.read_text())
     for piece in obj["pieces"]:
         if piece["vertices"]:
@@ -101,3 +108,58 @@ def test_bench_runs(capsys):
 def test_usage_error_on_missing_file(capsys):
     code, _, err = run(["solve", "/nonexistent/file"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("edit", [
+    lambda obj: obj["pieces"][0].__setitem__("vertices", ["0"]),
+    lambda obj: obj.__setitem__("pieces", 5),
+    lambda obj: [1, 2],
+    lambda obj: obj["pieces"][0].__setitem__("colour", 7),
+    lambda obj: obj["pieces"][0].__setitem__("vertices", [True]),
+], ids=["string-vertex", "pieces-not-list", "top-level-list", "colour-not-name", "bool-vertex"])
+def test_verify_rejects_malformed_certificate(tmp_path, capsys, edit):
+    col, cert = _solved_bnn(tmp_path)
+    obj = json.loads(cert.read_text())
+    edited = edit(obj)
+    cert.write_text(json.dumps(obj if edited is None else edited))
+    code, out, err = run(["verify", str(col), str(cert)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("cannot read inputs:") and err.count("\n") == 1
+
+
+def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
+    import monopart.bipartite as bp
+
+    col = tmp_path / "c.bnn"
+    main(["gen", "--kind", "bnn", "--n", "4", "--seed", "1", "--out", str(col)])
+
+    def fail(_col):
+        raise RuntimeError("cap exceeded")
+
+    monkeypatch.setattr(bp, "partition_path_cycle", fail)
+    code, out, err = run(["solve", str(col)], capsys)
+    assert code == 3 and out == ""
+    assert err == "solver failed: cap exceeded\n"
+
+
+def test_failed_split_fallback_check_exits_3(tmp_path, capsys, monkeypatch):
+    import monopart.bipartite as bp
+
+    col = tmp_path / "s.bnn"
+    cert = tmp_path / "fallback.json"
+    main(["gen", "--kind", "bnn", "--n", "4", "--split", "1,2", "--out", str(col)])
+    real = bp.split_three_paths
+    monkeypatch.setattr(bp, "split_three_paths", lambda c, s: real(c, s)[:-1])
+    code, _, err = run(["solve", str(col), "--out", str(cert)], capsys)
+    assert code == 3 and not cert.exists()
+    assert err.startswith("solver failed: internal verification failed: coverage")
+
+
+def test_force_red_path_writes_split_fallback(tmp_path, capsys):
+    col = tmp_path / "s.bnn"
+    cert = tmp_path / "fallback.json"
+    main(["gen", "--kind", "bnn", "--n", "4", "--split", "1,2", "--out", str(col)])
+    code, _, err = run(["solve", str(col), "--force-red-path", "--out", str(cert)], capsys)
+    assert code == 2 and "SplitStructure" in err
+    assert all(p["kind"] == "path" for p in json.loads(cert.read_text())["pieces"])
+    assert main(["verify", str(col), str(cert)]) == 0

@@ -94,3 +94,17 @@ def test_enumerate_unknown_suite():
 def test_report_summary_format():
     rep = enumerate_all("near-mono-equiv", 2)
     assert rep.summary() == "near-mono-equiv (bnn n=2): 16 checked, 0 failures"
+
+
+def test_raising_check_becomes_a_failure_row(monkeypatch):
+    from monopart import oracles
+
+    def check(n, idx):
+        if idx == 5:
+            raise RuntimeError("exchange cap")
+        return None
+
+    monkeypatch.setitem(oracles.SUITES, "path-cycle-partition", ("bnn", check))
+    rep = enumerate_all("path-cycle-partition", 2)
+    assert rep.instances_checked == 16
+    assert rep.failures == ((5, "raised RuntimeError: exchange cap"),)
