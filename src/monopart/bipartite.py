@@ -501,11 +501,8 @@ def spanning_bicoloured_or_mono_cycle(col: PairColouring):
     if verdict.kind == "split":
         return SplitDetected(verdict.split)
     if verdict.kind == "vcol":
-        v = verdict.vcol
-        own = list(col.class_vertices(v.bichro_class))
-        p = len(v.red_arm)
-        cyc = _interleave(own[:p], v.red_arm) + _interleave(own[p:], v.blue_arm)
-        return _wrap_spanning(col, cyc)
+        red, blue = _v_two_cycles(col, verdict.vcol)
+        return _wrap_spanning(col, list(red.vertices + blue.vertices))
 
     cyc = list(find_good_c4(col))
     cap = _cap(col)
@@ -677,12 +674,15 @@ def v_two_cycles(col: PairColouring):
     verdict = classify_bipartite(col)
     if verdict.kind != "vcol":
         raise ValueError("colouring is not a V-colouring")
-    v = verdict.vcol
+    return _v_two_cycles(col, verdict.vcol)
+
+
+def _v_two_cycles(col: PairColouring, v: VColStructure):
+    """The red and blue zig-zags of a V-colouring with structure `v`: the
+    bichromatic class in order, first against the red arm, then the blue."""
     own = list(col.class_vertices(v.bichro_class))
     p = len(v.red_arm)
-    red_cycle = _interleave(own[:p], v.red_arm)
-    blue_cycle = _interleave(own[p:], v.blue_arm)
     return (
-        Piece("cycle", RED, tuple(red_cycle)),
-        Piece("cycle", BLUE, tuple(blue_cycle)),
+        Piece("cycle", RED, tuple(_interleave(own[:p], v.red_arm))),
+        Piece("cycle", BLUE, tuple(_interleave(own[p:], v.blue_arm))),
     )

@@ -46,40 +46,39 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.replace("/", ",").split(",") if t != "")
 
 
-def _cmd_gen(args) -> int:
+def _gen_colouring(args):
+    """The colouring `gen` was asked for; ValueError on bad arguments."""
     kind = args.kind
     if args.split is not None:
         if kind == "bnn":
             a1, b1 = _ints(args.split)
-            col, _ = gen_split_bipartite(args.n, a1, b1)
-        elif kind == "rxn":
+            return gen_split_bipartite(args.n, a1, b1)[0]
+        if kind == "rxn":
             sizes = HyperSplitSizes(args.r, args.n, _ints(args.split))
-            col = TransversalColouring(args.r, args.n, rule=sizes)
-        else:
-            print("--split needs kind bnn or rxn", file=sys.stderr)
-            return EXIT_USAGE
-    elif args.v_cut is not None:
-        col = gen_v_colouring(args.n, args.v_cut)
-    elif args.recolour is not None:
+            return TransversalColouring(args.r, args.n, rule=sizes)
+        raise ValueError("--split needs kind bnn or rxn")
+    if args.v_cut is not None:
+        return gen_v_colouring(args.n, args.v_cut)
+    if args.recolour is not None:
         a1, b1 = _ints(args.recolour_base)
-        edge = _ints(args.recolour)
-        col = gen_recoloured_split(args.n, a1, b1, (edge[0], edge[1]))
-    elif args.three_split is not None:
+        a, b = _ints(args.recolour)
+        return gen_recoloured_split(args.n, a1, b1, (a, b))
+    if args.three_split is not None:
         left, right = args.three_split.split("/")
-        col = gen_three_colour_split(_ints(left), _ints(right))
-    else:
-        col = gen_random(kind, args.n, args.palette, args.seed, r=args.r)
-    text = serialize_colouring(col)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return gen_three_colour_split(_ints(left), _ints(right))
+    return gen_random(kind, args.n, args.palette, args.seed, r=args.r)
+
+
+def _cmd_gen(args) -> int:
+    try:
+        _write(serialize_colouring(_gen_colouring(args)), args.out)
+    except (OSError, ValueError) as exc:
+        print(f"cannot generate colouring: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 
-def _write_cert(cert: PartitionCertificate, out: str | None) -> None:
-    text = cert.to_text() + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -147,9 +146,9 @@ def _cmd_solve(args) -> int:
     if split is not None:
         print(f"split colouring: {split}", file=sys.stderr)
         if args.out:
-            _write_cert(cert, args.out)
+            _write(cert.to_text() + "\n", args.out)
         return EXIT_SPLIT
-    _write_cert(cert, args.out)
+    _write(cert.to_text() + "\n", args.out)
     return EXIT_OK
 
 

@@ -127,7 +127,7 @@ def verify_counting(r: int, n: int) -> CountingReport:
     return CountingReport(r, n, hypotheses_met, tuple(rows))
 
 
-def min_cover_exact(col: TransversalColouring, cap: int = DEFAULT_COVER_CAP):
+def min_cover_exact(col: TransversalColouring):
     """Exact minimum number of disjoint monochromatic tight paths covering
     all vertices, with a witness.
 
@@ -138,8 +138,8 @@ def min_cover_exact(col: TransversalColouring, cap: int = DEFAULT_COVER_CAP):
     """
     r, n = col.r, col.n
     total = r * n
-    if total > cap:
-        raise ExceedsCap(f"{total} vertices exceed the search cap {cap}")
+    if total > DEFAULT_COVER_CAP:
+        raise ExceedsCap(f"{total} vertices exceed the search cap {DEFAULT_COVER_CAP}")
     full = (1 << total) - 1
     classes = [u // n for u in range(total)]
 
@@ -201,18 +201,13 @@ def min_cover_exact(col: TransversalColouring, cap: int = DEFAULT_COVER_CAP):
     raise AssertionError("unreachable: singleton pieces always cover")
 
 
-def random_mono_tight_path(sizes: HyperSplitSizes, rng, min_len: int | None = None,
-                           max_len: int | None = None):
+def random_mono_tight_path(sizes: HyperSplitSizes, rng):
     """Random monochromatic tight path of the split rule, grown by rejection.
 
     Produces a path with at least one edge (length >= r) so the colour is
     determined; used by property sweeps.
     """
     r, n = sizes.r, sizes.n
-    if min_len is None:
-        min_len = r
-    if max_len is None:
-        max_len = r * n
     for _ in range(1000):
         order = list(range(r))
         rng.shuffle(order)
@@ -223,7 +218,7 @@ def random_mono_tight_path(sizes: HyperSplitSizes, rng, min_len: int | None = No
             path.append(v)
             used.add(v)
         colour = sizes.colour_bit(path)
-        target = rng.randint(min_len, max_len)
+        target = rng.randint(r, r * n)
         stalled = False
         while len(path) < target and not stalled:
             nxt_class = path[-r] // n
@@ -241,6 +236,6 @@ def random_mono_tight_path(sizes: HyperSplitSizes, rng, min_len: int | None = No
                 v = rng.choice(options)
                 path.append(v)
                 used.add(v)
-        if len(path) >= min_len:
+        if len(path) >= r:
             return path, Colour(colour)
     raise RuntimeError("failed to sample a monochromatic tight path")

@@ -33,13 +33,13 @@ PARTITION_VERTEX_LIMIT = 14
 ENUMERATION_GUARD = 1 << 32
 
 
-def oracle_spanning_bipath_exists(col: TripleColouring, limit: int = PERMUTATION_LIMIT):
+def oracle_spanning_bipath_exists(col: TripleColouring):
     """Scan vertex permutations (pruning above two colour runs, one
     representative per reversal class) for a spanning bicoloured tight
     path.  Returns (exists, witness)."""
     n = col.n
-    if n > limit:
-        raise ValueError(f"n={n} beyond the permutation oracle limit {limit}")
+    if n > PERMUTATION_LIMIT:
+        raise ValueError(f"n={n} beyond the permutation oracle limit {PERMUTATION_LIMIT}")
     cbit = col.colour_bit
 
     used = [False] * n
@@ -216,7 +216,7 @@ def oracle_partition_exists(col, shape: ShapeSpec):
     return witness is not None, witness
 
 
-def oracle_min_pieces(col, upper: int | None = None):
+def oracle_min_pieces(col):
     """Exact minimum number of monochromatic paths/cycles (degenerate forms
     allowed) partitioning the host's vertices."""
     vertices = _vertex_ids(col)
@@ -224,8 +224,6 @@ def oracle_min_pieces(col, upper: int | None = None):
     if total > PARTITION_VERTEX_LIMIT:
         raise ValueError("host too large for the partition oracle")
     full = (1 << total) - 1
-    if upper is None:
-        upper = total
 
     def feasible(k: int) -> bool:
         failed: set = set()
@@ -253,7 +251,7 @@ def oracle_min_pieces(col, upper: int | None = None):
 
         return dfs(0, k)
 
-    for k in range(1, upper + 1):
+    for k in range(1, total + 1):
         if feasible(k):
             return k
     raise AssertionError("unreachable: singletons always cover")

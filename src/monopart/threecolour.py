@@ -1,9 +1,9 @@
 """Partitions of 3-coloured complete and complete bipartite hosts.
 
-The pipelines merge two of the three colours, carve off a path in the
-remaining colour together with balanced all-merged complete bipartite
-blocks, then re-split the merged colours inside each block and hand the
-block to the 2-colour path+cycle engine (or to the split fallbacks).
+The pipelines merge blue and green, carve off a red path together with
+balanced all-merged complete bipartite blocks, then re-split the merged
+colours inside each block and hand the block to the 2-colour path+cycle
+engine once (or to the split fallbacks when it reports a split).
 Resulting certificates have at most two paths and one cycle, or one path
 and three cycles, on complete hosts; on bipartite hosts at most three
 paths and two cycles, or two paths and four cycles.
@@ -18,8 +18,8 @@ from .bipartite import (
     classify_bipartite,
     partition_path_cycle,
     split_three_paths,
-    v_two_cycles,
     _interleave,
+    _v_two_cycles,
 )
 from .certificates import PartitionCertificate, Piece, check_certificate
 from .colourings import BLUE, GREEN, RED, Colour, PairColouring
@@ -31,8 +31,6 @@ __all__ = [
     "partition3_complete",
     "partition3_bipartite",
 ]
-
-SEARCH_GREEDY_THRESHOLD = 64
 
 # (paths, cycles) shapes the pipelines promise; a certificate fits one.
 COMPLETE_LIMITS = [(2, 1), (1, 3)]
@@ -207,95 +205,83 @@ def _two_block_split(r0, r1, is_red):
 # carved-path searches
 
 
-def _search_path(candidates_start, neighbours, feasible, greedy: bool):
-    """DFS over carved-colour paths, shortest-first, canonical order.
+def _search_path(candidates_start, neighbours, feasible):
+    """Depth-first search over carved-colour paths, shortest-first, in
+    canonical order.
 
     `feasible(used, seq)` returns the block payload when the remainder
     splits; the first hit wins.  States are memoized on (last vertex,
-    covered set).
+    covered set).  The stack is explicit, so path length is not bounded by
+    the recursion limit.
     """
-    hit = feasible(frozenset(), ())
+    used: set = set()
+    seq: list = []
+    hit = feasible(used, seq)
     if hit is not None:
-        return (), hit
+        return [], hit
     dead: set = set()
-
-    def dfs(seq, used):
-        for w in (neighbours(seq[-1]) if seq else candidates_start):
+    stack = [iter(candidates_start)]
+    while stack:
+        for w in stack[-1]:
             if w in used:
                 continue
-            nused = used | {w}
-            key = (w, nused)
-            if key in dead:
+            used.add(w)
+            if (w, frozenset(used)) in dead:
+                used.discard(w)
                 continue
-            nseq = seq + (w,)
-            payload = feasible(nused, nseq)
-            if payload is not None:
-                return nseq, payload
-            out = dfs(nseq, nused)
-            if out is not None:
-                return out
-            dead.add(key)
-        return None
-
-    if greedy:
-        # single descent that keeps the lexicographically first extension
-        seq: tuple = ()
-        used: frozenset = frozenset()
-        while True:
-            options = [w for w in (neighbours(seq[-1]) if seq else candidates_start) if w not in used]
-            if not options:
-                break
-            seq = seq + (options[0],)
-            used = used | {options[0]}
+            seq.append(w)
             payload = feasible(used, seq)
             if payload is not None:
                 return seq, payload
-    return dfs((), frozenset())
+            stack.append(iter(neighbours(w)))
+            break
+        else:
+            stack.pop()
+            if seq:
+                dead.add((seq[-1], frozenset(used)))
+                used.discard(seq.pop())
+    return None
 
 
-def path_and_balanced_block(col: PairColouring, carved: Colour = RED):
-    """Partition of a complete host into a path in the carved colour and a
-    balanced block with no carved edge across it.
+def path_and_balanced_block(col: PairColouring):
+    """Partition of a complete host into a red path and a balanced block
+    with no red edge across it.
 
-    Existence is guaranteed; realized by canonical-order backtracking with
-    a greedy first descent above the size threshold.
+    Existence is guaranteed; realized by canonical-order backtracking.
     """
     if col.kind != "kn":
         raise ValueError("needs a complete host")
     n = col.n
     cbit = col.colour_bit
-    carved = int(carved)
 
     def is_red(u, v):
-        return cbit(u, v) == carved
+        return cbit(u, v) == RED
 
     def feasible(used, seq):
         rest = [v for v in range(n) if v not in used]
         return _half_split(rest, is_red)
 
     def neighbours(u):
-        return [w for w in range(n) if w != u and cbit(u, w) == carved]
+        return [w for w in range(n) if w != u and cbit(u, w) == RED]
 
-    out = _search_path(range(n), neighbours, feasible, greedy=n > SEARCH_GREEDY_THRESHOLD)
+    out = _search_path(range(n), neighbours, feasible)
     if out is None:
         raise RuntimeError("carved-path search failed; host is not complete?")
     seq, (x, y) = out
-    return list(seq), BalancedBipBlock(tuple(x), tuple(y))
+    return seq, BalancedBipBlock(tuple(x), tuple(y))
 
 
-def path_and_two_balanced_blocks(col: PairColouring, carved: Colour = RED):
-    """Partition of a bipartite host into a carved-colour path and two
-    balanced blocks, each block pairing opposite classes with no carved
-    edge inside, the first block no larger than the second."""
+def path_and_two_balanced_blocks(col: PairColouring):
+    """Partition of a bipartite host into a red path and two balanced
+    blocks, each block pairing opposite classes with no red edge inside,
+    the first block no larger than the second."""
     if col.kind != "bnn":
         raise ValueError("needs a bipartite host")
     n = col.n
     cbit = col.colour_bit
-    carved = int(carved)
-    all_v = range(2 * n)
 
     def is_red(u, v):
-        return cbit(u, v) == carved
+        return cbit(u, v) == RED
 
     def feasible(used, seq):
         if len(seq) % 2:
@@ -305,14 +291,14 @@ def path_and_two_balanced_blocks(col: PairColouring, carved: Colour = RED):
         return _two_block_split(r0, r1, is_red)
 
     def neighbours(u):
-        return [w for w in col.class_vertices(1 - col.side(u)) if cbit(u, w) == carved]
+        return [w for w in col.class_vertices(1 - col.side(u)) if cbit(u, w) == RED]
 
-    out = _search_path(all_v, neighbours, feasible, greedy=n > SEARCH_GREEDY_THRESHOLD)
+    out = _search_path(range(2 * n), neighbours, feasible)
     if out is None:
         raise RuntimeError("carved-path search failed; host is not complete bipartite?")
     seq, ((a1, a2), (b1, b2)) = out
     return (
-        list(seq),
+        seq,
         BalancedBipBlock(tuple(a1), tuple(a2)),
         BalancedBipBlock(tuple(b1), tuple(b2)),
     )
@@ -359,13 +345,21 @@ def _split_cycles(local: PairColouring, structure, blue_path_first: bool = False
     return red + [Piece("cycle", BLUE, p.vertices) for p in blue]
 
 
-def _block_pieces(col: PairColouring, left, right, blue_path_first: bool = False) -> list[Piece]:
-    """Partition pieces for one merged block: path+cycle when the local
-    2-colouring is not split, otherwise the split fallback as cycles."""
+def _solve_block(col: PairColouring, left, right):
+    """A merged block's local 2-colouring with its path+cycle partition, or
+    with SplitDetected when that colouring is split; None when empty."""
     if not left:
-        return []
+        return None
     local = _induced_block(col, left, right)
-    pieces = partition_path_cycle(local)
+    return local, partition_path_cycle(local)
+
+
+def _block_pieces(left, right, solved, blue_path_first: bool = False) -> list[Piece]:
+    """A solved block's pieces lifted to the host: path+cycle, or the split
+    fallback as cycles."""
+    if solved is None:
+        return []
+    local, pieces = solved
     if isinstance(pieces, SplitDetected):
         pieces = _split_cycles(local, pieces.structure, blue_path_first)
     return [_lift_piece(p, left, right) for p in pieces if p.vertices]
@@ -389,9 +383,10 @@ def partition3_complete(col: PairColouring) -> PartitionCertificate:
     monochromatic paths and one cycle, or one path and three cycles."""
     if col.kind != "kn" or col.palette != 3:
         raise ValueError("needs a 3-coloured complete host")
-    seq, block = path_and_balanced_block(col, RED)
+    seq, block = path_and_balanced_block(col)
     pieces = [Piece("path", RED, tuple(seq))]
-    pieces.extend(_block_pieces(col, block.side1, block.side2))
+    x, y = block.side1, block.side2
+    pieces.extend(_block_pieces(x, y, _solve_block(col, x, y)))
     return _finish(col, pieces, COMPLETE_LIMITS)
 
 
@@ -431,7 +426,8 @@ def _remainder_cycles(col: PairColouring, left, right) -> list[Piece]:
         piece = Piece("cycle", verdict.colour, tuple(cyc))
         return [_lift_piece(piece, left, right)]
     if verdict.kind == "vcol":
-        return [_lift_piece(p, left, right) for p in v_two_cycles(local) if p.vertices]
+        pieces = _v_two_cycles(local, verdict.vcol)
+        return [_lift_piece(p, left, right) for p in pieces if p.vertices]
     raise RuntimeError(f"remainder block is not V-coloured or mono: {verdict.kind}")
 
 
@@ -440,21 +436,14 @@ def partition3_bipartite(col: PairColouring) -> PartitionCertificate:
     monochromatic paths and two cycles, or two paths and four cycles."""
     if col.kind != "bnn" or col.palette != 3:
         raise ValueError("needs a 3-coloured bipartite host")
-    seq, block_a, block_b = path_and_two_balanced_blocks(col, RED)
+    seq, block_a, block_b = path_and_two_balanced_blocks(col)
     pieces = [Piece("path", RED, tuple(seq))]
 
-    verdict_a = classify_bipartite(_induced_block(col, block_a.side1, block_a.side2)) if block_a else None
-    verdict_b = classify_bipartite(_induced_block(col, block_b.side1, block_b.side2)) if block_b else None
-
-    both_split = (
-        verdict_a is not None
-        and verdict_b is not None
-        and verdict_a.kind == "split"
-        and verdict_b.kind == "split"
-    )
-    if not both_split:
-        pieces.extend(_block_pieces(col, block_a.side1, block_a.side2))
-        pieces.extend(_block_pieces(col, block_b.side1, block_b.side2))
+    sides = [(block_a.side1, block_a.side2), (block_b.side1, block_b.side2)]
+    solved = [_solve_block(col, x, y) for x, y in sides]
+    if not all(s is not None and isinstance(s[1], SplitDetected) for s in solved):
+        for (x, y), s in zip(sides, solved):
+            pieces.extend(_block_pieces(x, y, s))
         return _finish(col, pieces, BIPARTITE_LIMITS)
 
     cross = _find_non_carved_cross(col, block_a, block_b)
@@ -494,7 +483,7 @@ def partition3_bipartite(col: PairColouring) -> PartitionCertificate:
     pieces.append(Piece("cycle", RED, tuple(c2)))
     rem0 = sorted(block_b.side1)[a:]
     rem1 = sorted(block_b.side2)[a:]
-    pieces.extend(_block_pieces(col, rem0, rem1, blue_path_first=True))
+    pieces.extend(_block_pieces(rem0, rem1, _solve_block(col, rem0, rem1), blue_path_first=True))
     return _finish(col, pieces, BIPARTITE_LIMITS)
 
 
@@ -502,14 +491,10 @@ def _find_non_carved_cross(col: PairColouring, block_a, block_b):
     """First non-carved edge between one block's class-0 side and the other
     block's class-1 side, with the blocks oriented to it."""
     cbit = col.colour_bit
-    for u in sorted(block_a.side1):
-        for w in sorted(block_b.side2):
-            c = cbit(u, w)
-            if c != RED:
-                return u, w, c, block_a, block_b
-    for u in sorted(block_b.side1):
-        for w in sorted(block_a.side2):
-            c = cbit(u, w)
-            if c != RED:
-                return u, w, c, block_b, block_a
+    for p_block, q_block in ((block_a, block_b), (block_b, block_a)):
+        for u in sorted(p_block.side1):
+            for w in sorted(q_block.side2):
+                c = cbit(u, w)
+                if c != RED:
+                    return u, w, c, p_block, q_block
     return None

@@ -163,3 +163,23 @@ def test_force_red_path_writes_split_fallback(tmp_path, capsys):
     assert code == 2 and "SplitStructure" in err
     assert all(p["kind"] == "path" for p in json.loads(cert.read_text())["pieces"])
     assert main(["verify", str(col), str(cert)]) == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "rxn", "--n", "4"],
+    ["--kind", "h3", "--n", "2"],
+    ["--kind", "bnn", "--n", "0"],
+    ["--kind", "bnn", "--n", "4", "--split", "5,1"],
+    ["--kind", "bnn", "--n", "4", "--split", "1,2,3"],
+    ["--kind", "bnn", "--n", "4", "--split", "x"],
+    ["--kind", "kn", "--n", "4", "--split", "1,1"],
+    ["--kind", "bnn", "--n", "4", "--v-cut", "9"],
+    ["--kind", "bnn", "--n", "4", "--recolour", "1"],
+    ["--kind", "bnn", "--n", "4", "--out", "{missing}"],
+], ids=["rxn-without-r", "h3-too-small", "bnn-empty", "split-too-big", "split-three-parts",
+        "split-not-int", "split-on-kn", "v-cut-out-of-range", "recolour-one-end", "out-dir-missing"])
+def test_gen_rejects_bad_arguments(tmp_path, capsys, args):
+    args = [a.replace("{missing}", str(tmp_path / "missing" / "c.bnn")) for a in args]
+    code, out, err = run(["gen", *args], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("cannot generate colouring:") and err.count("\n") == 1

@@ -1,10 +1,14 @@
+import hashlib
 import itertools
 
 import pytest
 
+import monopart.bipartite as bp
+import monopart.threecolour as tc
 from monopart.colourings import BLUE, GREEN, RED, PairColouring
 from monopart.generators import gen_random, gen_three_colour_split
 from monopart.threecolour import (
+    _search_path,
     partition3_bipartite,
     partition3_complete,
     path_and_balanced_block,
@@ -132,3 +136,48 @@ def test_partition3_rejects_wrong_palette():
         partition3_complete(PairColouring.constant("kn", 4, 2, 0))
     with pytest.raises(ValueError):
         partition3_bipartite(PairColouring.constant("bnn", 4, 2, 0))
+
+
+def test_search_path_has_no_depth_limit():
+    # the only hit is the whole 5,000-vertex chain, far past the recursion limit
+    n = 5000
+
+    def neighbours(u):
+        return [w for w in (u - 1, u + 1) if 0 <= w < n]
+
+    def feasible(used, seq):
+        return "whole" if len(seq) == n else None
+
+    seq, payload = _search_path(range(n), neighbours, feasible)
+    assert seq == list(range(n)) and payload == "whole"
+
+
+@pytest.mark.parametrize("solve, kind, seed, digest", [
+    (partition3_complete, "kn", 0, "574f1f9e98294e351e9dc393257f1b329e0b4cfdc0defa711847468639b62f38"),
+    (partition3_complete, "kn", 1, "659fb3d518972adfd3cacee3a72729fdf16206835691e1a0a31891fd9b3c6922"),
+    (partition3_bipartite, "bnn", 0, "479e9374d6826f31ad95435f98f6517012658289a446c1249d8fa6a957f20597"),
+    (partition3_bipartite, "bnn", 1, "98fc34d1a797fce94818c4a60a21ba6b7a61676a3e3bf547caf751f592555998"),
+], ids=["kn-0", "kn-1", "bnn-0", "bnn-1"])
+def test_partition3_certificates_pinned_at_n128(solve, kind, seed, digest):
+    # hosts where the carved path needs backtracking past its first descent
+    # (all but bnn-1), at a size where the search once took a separate route
+    cert = solve(gen_random(kind, 128, 3, seed=seed))
+    assert hashlib.sha256(cert.to_text().encode()).hexdigest() == digest
+
+
+def test_partition3_bipartite_classifies_each_block_once(monkeypatch):
+    calls = []
+    real = bp.classify_bipartite
+
+    def counted(col):
+        calls.append(col)
+        return real(col)
+
+    monkeypatch.setattr(bp, "classify_bipartite", counted)
+    monkeypatch.setattr(tc, "classify_bipartite", counted)
+    for seed in range(20):
+        col = gen_random("bnn", 16, 3, seed=seed)
+        _seq, a, b = path_and_two_balanced_blocks(col)
+        calls.clear()
+        partition3_bipartite(col)
+        assert len(calls) == bool(a) + bool(b), seed
