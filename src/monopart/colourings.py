@@ -133,6 +133,14 @@ def _n_pairs(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def _pair_edges(kind: str, n: int):
+    """The edges of a kn or bnn host, as global-id pairs, in the order of
+    `PairColouring.entries`."""
+    if kind == "kn":
+        return ((u, v) for v in range(n) for u in range(v))
+    return ((a, n + b) for a in range(n) for b in range(n))
+
+
 # ---------------------------------------------------------------------------
 # colourings
 
@@ -282,11 +290,7 @@ class PairColouring:
     @classmethod
     def from_function(cls, kind: str, n: int, palette: int, fn) -> "PairColouring":
         """fn(u, v) -> colour value, called on global ids in canonical order."""
-        if kind == "kn":
-            edges = [(u, v) for v in range(n) for u in range(v)]
-        else:
-            edges = [(a, n + b) for a in range(n) for b in range(n)]
-        return cls(kind, n, palette, bytes(int(fn(u, v)) for u, v in edges))
+        return cls(kind, n, palette, bytes(int(fn(u, v)) for u, v in _pair_edges(kind, n)))
 
     @classmethod
     def from_int(cls, kind: str, n: int, value: int) -> "PairColouring":

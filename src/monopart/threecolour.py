@@ -22,7 +22,7 @@ from .bipartite import (
     _v_two_cycles,
 )
 from .certificates import PartitionCertificate, Piece, check_certificate
-from .colourings import BLUE, GREEN, RED, Colour, PairColouring
+from .colourings import BLUE, GREEN, RED, Colour, PairColouring, _pair_edges
 
 __all__ = [
     "BalancedBipBlock",
@@ -56,36 +56,44 @@ class BalancedBipBlock:
 # remainder feasibility
 
 
-def _red_components(vertices, is_red):
-    """Connected components of the carved-colour graph, canonically sorted."""
-    vertices = sorted(vertices)
-    seen = set()
+def _red_neighbours(col: PairColouring) -> list[set[int]]:
+    """Each vertex's red neighbours, read once from the edge colours."""
+    red: list[set[int]] = [set() for _ in range(col.n_vertices)]
+    for (u, v), c in zip(_pair_edges(col.kind, col.n), col.entries):
+        if c == RED:
+            red[u].add(v)
+            red[v].add(u)
+    return red
+
+
+def _red_components(vertices, red):
+    """Connected components of the carved-colour graph on `vertices`, with
+    `red` from _red_neighbours, canonically sorted."""
+    fresh = set(vertices)
     comps = []
-    for v in vertices:
-        if v in seen:
+    for v in sorted(vertices):
+        if v not in fresh:
             continue
+        fresh.discard(v)
         comp = [v]
-        seen.add(v)
         queue = [v]
         while queue:
-            u = queue.pop()
-            for w in vertices:
-                if w not in seen and is_red(u, w):
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
+            for w in red[queue.pop()] & fresh:
+                fresh.discard(w)
+                comp.append(w)
+                queue.append(w)
         comps.append(sorted(comp))
     return comps
 
 
-def _half_split(vertices, is_red):
+def _half_split(vertices, red):
     """Equal halves of `vertices` with no carved-colour edge between them,
     or None.  Components must not straddle the halves."""
     vertices = sorted(vertices)
     if len(vertices) % 2:
         return None
     target = len(vertices) // 2
-    comps = _red_components(vertices, is_red)
+    comps = _red_components(vertices, red)
     sizes = [len(c) for c in comps]
     # suffix-achievable sums for greedy lexicographic reconstruction
     achievable = [set() for _ in range(len(sizes) + 1)]
@@ -108,35 +116,20 @@ def _half_split(vertices, is_red):
     return sorted(x), sorted(y)
 
 
-def _bip_components(r0, r1, is_red):
+def _bip_components(r0, r1, red):
     """Carved-colour components across the class split; isolated vertices
     are returned separately."""
-    seen = set()
+    side0 = set(r0)
     comps = []
-    for v in sorted(r0) + sorted(r1):
-        if v in seen:
-            continue
-        comp0, comp1 = [], []
-        queue = [v]
-        seen.add(v)
-        touched = False
-        while queue:
-            u = queue.pop()
-            (comp0 if u in r0 else comp1).append(u)
-            others = r1 if u in r0 else r0
-            for w in others:
-                if w not in seen and is_red(u, w):
-                    touched = True
-                    seen.add(w)
-                    queue.append(w)
-        if touched:
-            comps.append((sorted(comp0), sorted(comp1)))
+    for c in _red_components(list(r0) + list(r1), red):
+        if len(c) > 1:
+            comps.append(([u for u in c if u in side0], [u for u in c if u not in side0]))
     iso0 = sorted(set(r0) - {u for c0, _ in comps for u in c0})
     iso1 = sorted(set(r1) - {u for _, c1 in comps for u in c1})
     return comps, iso0, iso1
 
 
-def _two_block_split(r0, r1, is_red):
+def _two_block_split(r0, r1, red):
     """Blocks (A1,A2), (B1,B2) with A1,B1 from class 0 and A2,B2 from class
     1, equal block sides, no carved-colour edge inside either block, and
     |A| <= |B|; None when impossible.
@@ -147,7 +140,7 @@ def _two_block_split(r0, r1, is_red):
     r0, r1 = sorted(r0), sorted(r1)
     if len(r0) != len(r1):
         return None
-    comps, iso0, iso1 = _bip_components(r0, r1, is_red)
+    comps, iso0, iso1 = _bip_components(r0, r1, red)
     f0, f1 = len(iso0), len(iso1)
     # DP over components; state (diff, a1) = (|A1| - |A2| counting only
     # component vertices, |A1| from components), with parent pointers
@@ -252,17 +245,14 @@ def path_and_balanced_block(col: PairColouring):
     if col.kind != "kn":
         raise ValueError("needs a complete host")
     n = col.n
-    cbit = col.colour_bit
-
-    def is_red(u, v):
-        return cbit(u, v) == RED
+    red = _red_neighbours(col)
 
     def feasible(used, seq):
         rest = [v for v in range(n) if v not in used]
-        return _half_split(rest, is_red)
+        return _half_split(rest, red)
 
     def neighbours(u):
-        return [w for w in range(n) if w != u and cbit(u, w) == RED]
+        return sorted(red[u])
 
     out = _search_path(range(n), neighbours, feasible)
     if out is None:
@@ -278,20 +268,17 @@ def path_and_two_balanced_blocks(col: PairColouring):
     if col.kind != "bnn":
         raise ValueError("needs a bipartite host")
     n = col.n
-    cbit = col.colour_bit
-
-    def is_red(u, v):
-        return cbit(u, v) == RED
+    red = _red_neighbours(col)
 
     def feasible(used, seq):
         if len(seq) % 2:
             return None
         r0 = [v for v in range(n) if v not in used]
         r1 = [v for v in range(n, 2 * n) if v not in used]
-        return _two_block_split(r0, r1, is_red)
+        return _two_block_split(r0, r1, red)
 
     def neighbours(u):
-        return [w for w in col.class_vertices(1 - col.side(u)) if cbit(u, w) == RED]
+        return sorted(red[u])
 
     out = _search_path(range(2 * n), neighbours, feasible)
     if out is None:

@@ -181,3 +181,12 @@ def test_partition3_bipartite_classifies_each_block_once(monkeypatch):
         calls.clear()
         partition3_bipartite(col)
         assert len(calls) == bool(a) + bool(b), seed
+
+
+@pytest.mark.parametrize("kind, n", [("kn", 9), ("bnn", 6)])
+def test_red_neighbours_match_colour_lookups(kind, n):
+    col = gen_random(kind, n, 3, seed=3)
+    red = tc._red_neighbours(col)
+    for u in range(col.n_vertices):
+        others = range(col.n_vertices) if kind == "kn" else col.class_vertices(1 - col.side(u))
+        assert red[u] == {w for w in others if w != u and col.colour_bit(u, w) == RED}, u
