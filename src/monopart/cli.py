@@ -143,12 +143,15 @@ def _cmd_solve(args) -> int:
         cert, split = solve(col, variant)
     except (ValueError, RuntimeError) as exc:
         return _solver_error(exc)
+    try:
+        if split is None or args.out:
+            _write(cert.to_text() + "\n", args.out)
+    except OSError as exc:
+        print(f"cannot write certificate: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if split is not None:
         print(f"split colouring: {split}", file=sys.stderr)
-        if args.out:
-            _write(cert.to_text() + "\n", args.out)
         return EXIT_SPLIT
-    _write(cert.to_text() + "\n", args.out)
     return EXIT_OK
 
 

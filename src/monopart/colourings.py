@@ -16,7 +16,7 @@ Vertices are dense integers.  For ``bnn`` the global ids are 0..n-1
 [i*n, (i+1)*n).
 
 File format: a header line ``<kind> <n> [r] [palette]`` followed by one
-body line.  For materialized colourings the body is a string over
+body line.  For materialized colourings the body is an ASCII string over
 ``{0,1}`` (two colours) or ``{0,1,2}`` (three colours) in canonical edge
 order, with 0=red, 1=blue, 2=green.  Rule-backed ``rxn`` colourings use a
 body line ``split s_1 s_2 ... s_r`` giving the sizes of the distinguished
@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+
+import numpy as np
 
 __all__ = [
     "Colour",
@@ -125,12 +127,19 @@ def transversal_index(n: int, r: int, locals_: tuple[int, ...]) -> int:
     return idx
 
 
-def _n_triples(n: int) -> int:
-    return n * (n - 1) * (n - 2) // 6
-
-
-def _n_pairs(n: int) -> int:
-    return n * (n - 1) // 2
+def _n_edges(kind: str, n: int, r: int | None = None) -> int:
+    """Edge count of a host: the length of its materialised body."""
+    if kind == "h3":
+        return n * (n - 1) * (n - 2) // 6
+    if kind == "kn":
+        return n * (n - 1) // 2
+    if kind == "bnn":
+        return n * n
+    if kind == "rxn":
+        if r is None or r < 1:
+            raise ValueError("rxn host needs uniformity r >= 1")
+        return n ** r
+    raise ValueError(f"unknown host kind {kind!r}")
 
 
 def _pair_edges(kind: str, n: int):
@@ -156,7 +165,7 @@ class TripleColouring:
     def __init__(self, n: int, bits: bytes):
         if n < 3:
             raise ValueError("triple colouring needs n >= 3 for any edge to exist")
-        m = _n_triples(n)
+        m = _n_edges("h3", n)
         if len(bits) != (m + 7) // 8:
             raise ValueError(f"expected {(m + 7) // 8} bytes for n={n}, got {len(bits)}")
         self.n = n
@@ -164,7 +173,7 @@ class TripleColouring:
 
     @property
     def n_edges(self) -> int:
-        return _n_triples(self.n)
+        return _n_edges("h3", self.n)
 
     @property
     def n_vertices(self) -> int:
@@ -172,43 +181,36 @@ class TripleColouring:
 
     @classmethod
     def from_digits(cls, n: int, digits) -> "TripleColouring":
-        """Build from an iterable of 0/1 colour values in colex order."""
-        m = _n_triples(n)
-        buf = bytearray((m + 7) // 8)
-        for i, d in enumerate(digits):
-            if d not in (0, 1):
-                raise ValueError(f"colour {d} outside 2-palette")
-            if d:
-                buf[i >> 3] |= 1 << (i & 7)
-        return cls(n, bytes(buf))
+        """Build from the 0/1 colour values of all triples in colex order."""
+        vals = np.asarray(digits)
+        m = _n_edges("h3", n)
+        if vals.shape != (m,):
+            raise ValueError(f"expected {m} digits for n={n}, got {vals.size}")
+        if m and (vals.min() < 0 or vals.max() > 1):
+            raise ValueError("colour outside 2-palette")
+        bits = np.packbits(vals.astype(np.uint8, copy=False), bitorder="little")
+        return cls(n, bits.tobytes())
 
     @classmethod
     def from_int(cls, n: int, value: int) -> "TripleColouring":
         """Decode colouring index `value`: bit i is the colour of triple i."""
-        m = _n_triples(n)
+        m = _n_edges("h3", n)
         if not 0 <= value < (1 << m):
             raise ValueError("colouring index out of range")
         return cls(n, value.to_bytes((m + 7) // 8, "little"))
 
     @classmethod
     def constant(cls, n: int, colour: int) -> "TripleColouring":
-        m = _n_triples(n)
-        fill = 0xFF if colour == 1 else 0x00
-        if colour not in (0, 1):
-            raise ValueError("2-colour context rejects green")
-        buf = bytearray([fill]) * ((m + 7) // 8)
-        if colour == 1 and m % 8:
-            buf[-1] = (1 << (m % 8)) - 1
-        return cls(n, bytes(buf))
+        return cls.from_digits(n, np.full(_n_edges("h3", n), colour))
 
     def colour_bit(self, a: int, b: int, c: int) -> int:
         i = triple_index(a, b, c)
         return (self.bits[i >> 3] >> (i & 7)) & 1
 
-    def digits(self):
-        bits = self.bits
-        for i in range(self.n_edges):
-            yield (bits[i >> 3] >> (i & 7)) & 1
+    def digits(self) -> np.ndarray:
+        """Colour values of all triples in colex order, one uint8 each."""
+        return np.unpackbits(np.frombuffer(self.bits, np.uint8), count=self.n_edges,
+                             bitorder="little")
 
     def __eq__(self, other):
         return (
@@ -240,10 +242,10 @@ class PairColouring:
             raise ValueError(f"palette must be 2 or 3, got {palette}")
         if n < 1:
             raise ValueError("n must be positive")
-        m = _n_pairs(n) if kind == "kn" else n * n
+        m = _n_edges(kind, n)
         if len(entries) != m:
             raise ValueError(f"expected {m} entries, got {len(entries)}")
-        if any(e >= palette for e in entries):
+        if max(entries, default=0) >= palette:
             raise ValueError("entry outside palette")
         self.kind = kind
         self.n = n
@@ -295,15 +297,14 @@ class PairColouring:
     @classmethod
     def from_int(cls, kind: str, n: int, value: int) -> "PairColouring":
         """Decode a 2-palette colouring index: bit i colours edge i."""
-        m = _n_pairs(n) if kind == "kn" else n * n
+        m = _n_edges(kind, n)
         if not 0 <= value < (1 << m):
             raise ValueError("colouring index out of range")
         return cls(kind, n, 2, bytes((value >> i) & 1 for i in range(m)))
 
     @classmethod
     def constant(cls, kind: str, n: int, palette: int, colour: int) -> "PairColouring":
-        m = _n_pairs(n) if kind == "kn" else n * n
-        return cls(kind, n, palette, bytes([colour]) * m)
+        return cls(kind, n, palette, bytes([colour]) * _n_edges(kind, n))
 
     def __eq__(self, other):
         return (
@@ -369,12 +370,15 @@ class TransversalColouring:
             raise ValueError("exactly one of rule/entries must be given")
         if rule is not None and (rule.r, rule.n) != (r, n):
             raise ValueError("rule shape mismatch")
+        if n < 1:
+            raise ValueError("n must be positive")
         if entries is not None:
-            if n ** r > MATERIALIZE_CAP:
+            m = _n_edges("rxn", n, r)
+            if m > MATERIALIZE_CAP:
                 raise ValueError(f"n**r exceeds materialization cap {MATERIALIZE_CAP}")
-            if len(entries) != n ** r:
-                raise ValueError(f"expected {n ** r} entries")
-            if any(e > 1 for e in entries):
+            if len(entries) != m:
+                raise ValueError(f"expected {m} entries")
+            if max(entries, default=0) > 1:
                 raise ValueError("entry outside 2-palette")
         self.r = r
         self.n = n
@@ -387,7 +391,7 @@ class TransversalColouring:
 
     @property
     def n_edges(self) -> int:
-        return self.n ** self.r
+        return _n_edges("rxn", self.n, self.r)
 
     def vertex_class(self, u: int) -> int:
         return u // self.n
@@ -413,12 +417,12 @@ class TransversalColouring:
     def materialize(self) -> "TransversalColouring":
         if self.entries is not None:
             return self
-        n, r = self.n, self.r
-        if n ** r > MATERIALIZE_CAP:
+        n, r, m = self.n, self.r, self.n_edges
+        if m > MATERIALIZE_CAP:
             raise ValueError("rule-backed colouring too large to materialize")
-        out = bytearray(n ** r)
+        out = bytearray(m)
         edge = [0] * r
-        for idx in range(n ** r):
+        for idx in range(m):
             t = idx
             for i in range(r - 1, -1, -1):
                 edge[i] = i * n + t % n
@@ -475,22 +479,19 @@ _KIND_ALIASES = {"b2": "bnn", "b3": "bnn"}
 def serialize_colouring(col) -> str:
     """Canonical two-line text form; parse(serialize(c)) == c bit-exactly."""
     if isinstance(col, TripleColouring):
-        body = "".join(str(d) for d in col.digits())
-        return f"h3 {col.n}\n{body}\n"
-    if isinstance(col, PairColouring):
-        body = "".join(str(e) for e in col.entries)
-        head = f"{col.kind} {col.n}"
+        head, values = f"h3 {col.n}", col.digits()
+    elif isinstance(col, PairColouring):
+        head, values = f"{col.kind} {col.n}", col.entries
         if col.palette != 2:
             head += f" {col.palette}"
-        return f"{head}\n{body}\n"
-    if isinstance(col, TransversalColouring):
-        head = f"rxn {col.n} {col.r}"
+    elif isinstance(col, TransversalColouring):
+        head, values = f"rxn {col.n} {col.r}", col.entries
         if col.rule is not None:
-            body = "split " + " ".join(str(si) for si in col.rule.s)
-        else:
-            body = "".join(str(e) for e in col.entries)
-        return f"{head}\n{body}\n"
-    raise TypeError(f"not a colouring: {col!r}")
+            return f"{head}\nsplit {' '.join(str(si) for si in col.rule.s)}\n"
+    else:
+        raise TypeError(f"not a colouring: {col!r}")
+    body = (np.frombuffer(values, np.uint8) + ord("0")).tobytes().decode("ascii")
+    return f"{head}\n{body}\n"
 
 
 def parse_colouring(text: str):
@@ -508,12 +509,8 @@ def parse_colouring(text: str):
     except (IndexError, ValueError):
         raise ValueError("header missing vertex count") from None
 
-    if kind == "h3":
-        digits = _parse_digits(body, 2)
-        if len(digits) != _n_triples(n):
-            raise ValueError(f"body length {len(digits)} != {_n_triples(n)} triples")
-        return TripleColouring.from_digits(n, digits)
-
+    r = None
+    palette = 2
     if kind == "rxn":
         try:
             r = int(head[2])
@@ -522,23 +519,24 @@ def parse_colouring(text: str):
         if body.startswith("split"):
             sizes = tuple(int(t) for t in body.split()[1:])
             return TransversalColouring(r, n, rule=HyperSplitSizes(r, n, sizes))
-        digits = _parse_digits(body, 2)
-        if len(digits) != n ** r:
-            raise ValueError(f"body length {len(digits)} != {n ** r} edges")
-        return TransversalColouring(r, n, entries=bytes(digits))
-
-    palette = int(head[2]) if len(head) > 2 else 2
-    digits = _parse_digits(body, palette)
-    m = _n_pairs(n) if kind == "kn" else n * n
-    if len(digits) != m:
-        raise ValueError(f"body length {len(digits)} != {m} edges")
-    return PairColouring(kind, n, palette, bytes(digits))
+    elif kind != "h3" and len(head) > 2:
+        palette = int(head[2])
+    values = _parse_digits(body, palette, _n_edges(kind, n, r))
+    if kind == "h3":
+        return TripleColouring.from_digits(n, values)
+    if kind == "rxn":
+        return TransversalColouring(r, n, entries=values.tobytes())
+    return PairColouring(kind, n, palette, values.tobytes())
 
 
-def _parse_digits(body: str, palette: int) -> list[int]:
-    out = []
-    for ch in body:
-        if not ch.isdigit() or int(ch) >= palette:
-            raise ValueError(f"character {ch!r} outside palette {palette}")
-        out.append(int(ch))
-    return out
+def _parse_digits(body: str, palette: int, m: int) -> np.ndarray:
+    """Colour values of a materialised body: `m` ASCII digits below
+    `palette`.  A non-ASCII character becomes one out-of-range byte, so byte
+    offsets are character offsets."""
+    values = np.frombuffer(body.encode("ascii", "replace"), np.uint8) - np.uint8(ord("0"))
+    if values.size and values.max() >= palette:
+        ch = body[int(np.argmax(values >= palette))]
+        raise ValueError(f"character {ch!r} outside palette {palette}")
+    if values.size != m:
+        raise ValueError(f"body length {values.size} != {m} edges")
+    return values

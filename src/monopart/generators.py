@@ -19,12 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from .colourings import (
+    MATERIALIZE_CAP,
     PairColouring,
     SplitStructure,
     TransversalColouring,
     TripleColouring,
-    _n_pairs,
-    _n_triples,
+    _n_edges,
 )
 
 __all__ = [
@@ -73,23 +73,17 @@ def splitmix64_stream(seed: int, count: int, palette: int) -> bytes:
 
 def gen_random(kind: str, n: int, palette: int = 2, seed: int = 0, r: int | None = None):
     """Seeded random colouring of the given host."""
+    m = _n_edges(kind, n, r)
+    if kind in ("h3", "rxn") and palette != 2:
+        raise ValueError(f"{kind} hosts are 2-coloured")
+    if kind == "rxn" and m > MATERIALIZE_CAP:
+        raise ValueError(f"n**r exceeds materialization cap {MATERIALIZE_CAP}")
+    values = splitmix64_stream(seed, m, palette)
     if kind == "h3":
-        if palette != 2:
-            raise ValueError("h3 hosts are 2-coloured")
-        m = _n_triples(n)
-        vals = np.frombuffer(splitmix64_stream(seed, m, 2), dtype=np.uint8)
-        packed = np.packbits(vals, bitorder="little").tobytes()
-        return TripleColouring(n, packed[: (m + 7) // 8])
-    if kind in ("kn", "bnn"):
-        m = _n_pairs(n) if kind == "kn" else n * n
-        return PairColouring(kind, n, palette, splitmix64_stream(seed, m, palette))
+        return TripleColouring.from_digits(n, np.frombuffer(values, np.uint8))
     if kind == "rxn":
-        if r is None:
-            raise ValueError("rxn host needs uniformity r")
-        if palette != 2:
-            raise ValueError("rxn hosts are 2-coloured")
-        return TransversalColouring(r, n, entries=splitmix64_stream(seed, n**r, 2))
-    raise ValueError(f"unknown host kind {kind!r}")
+        return TransversalColouring(r, n, entries=values)
+    return PairColouring(kind, n, palette, values)
 
 
 def gen_split_bipartite(n: int, a1: int, b1: int) -> tuple[PairColouring, SplitStructure]:

@@ -202,40 +202,37 @@ def min_cover_exact(col: TransversalColouring):
 
 
 def random_mono_tight_path(sizes: HyperSplitSizes, rng):
-    """Random monochromatic tight path of the split rule, grown by rejection.
+    """Random monochromatic tight path of the split rule.
 
-    Produces a path with at least one edge (length >= r) so the colour is
-    determined; used by property sweeps.
+    It starts with one vertex of each class in random order, so it has at
+    least one edge (length >= r) and its colour is determined; it then grows
+    towards a random target length until no vertex extends it.  Used by
+    property sweeps.
     """
     r, n = sizes.r, sizes.n
-    for _ in range(1000):
-        order = list(range(r))
-        rng.shuffle(order)
-        path = []
-        used = set()
-        for cls_ in order:
-            v = cls_ * n + rng.randrange(n)
-            path.append(v)
-            used.add(v)
-        colour = sizes.colour_bit(path)
-        target = rng.randint(r, r * n)
-        stalled = False
-        while len(path) < target and not stalled:
-            nxt_class = path[-r] // n
-            options = [
-                nxt_class * n + j
-                for j in range(n)
-                if nxt_class * n + j not in used
-                and sizes.colour_bit(path[-(r - 1) :] + [nxt_class * n + j]) == colour
-            ] if r > 1 else [
-                j for j in range(n) if j not in used and sizes.colour_bit([j]) == colour
-            ]
-            if not options:
-                stalled = True
-            else:
-                v = rng.choice(options)
-                path.append(v)
-                used.add(v)
-        if len(path) >= r:
-            return path, Colour(colour)
-    raise RuntimeError("failed to sample a monochromatic tight path")
+    order = list(range(r))
+    rng.shuffle(order)
+    path = []
+    used = set()
+    for cls_ in order:
+        v = cls_ * n + rng.randrange(n)
+        path.append(v)
+        used.add(v)
+    colour = sizes.colour_bit(path)
+    target = rng.randint(r, r * n)
+    while len(path) < target:
+        nxt_class = path[-r] // n
+        options = [
+            nxt_class * n + j
+            for j in range(n)
+            if nxt_class * n + j not in used
+            and sizes.colour_bit(path[-(r - 1) :] + [nxt_class * n + j]) == colour
+        ] if r > 1 else [
+            j for j in range(n) if j not in used and sizes.colour_bit([j]) == colour
+        ]
+        if not options:
+            break
+        v = rng.choice(options)
+        path.append(v)
+        used.add(v)
+    return path, Colour(colour)

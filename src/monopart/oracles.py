@@ -14,7 +14,7 @@ import multiprocessing
 from dataclasses import dataclass
 
 from .bipartite import classify_bipartite, find_balanced_c4, find_good_c4, is_good_cycle
-from .colourings import RED, Colour, PairColouring, TripleColouring
+from .colourings import RED, Colour, PairColouring, TripleColouring, _n_edges
 from .solve import solve
 from .tightpaths import classify_tight_path
 
@@ -351,16 +351,6 @@ SUITES = {
 }
 
 
-def _edge_count(kind: str, n: int) -> int:
-    if kind == "h3":
-        return n * (n - 1) * (n - 2) // 6
-    if kind == "kn":
-        return n * (n - 1) // 2
-    if kind == "bnn":
-        return n * n
-    raise ValueError(f"enumeration does not cover kind {kind!r}")
-
-
 def _run_chunk(args):
     suite, n, lo, hi = args
     _, fn = SUITES[suite]
@@ -381,7 +371,7 @@ def enumerate_all(suite: str, n: int, jobs: int = 1) -> OracleReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; known: {sorted(SUITES)}")
     kind, _ = SUITES[suite]
-    total = 1 << _edge_count(kind, n)
+    total = 1 << _n_edges(kind, n)
     if total > ENUMERATION_GUARD:
         raise ValueError(f"{total} colourings exceed the enumeration guard")
 

@@ -183,3 +183,18 @@ def test_gen_rejects_bad_arguments(tmp_path, capsys, args):
     code, out, err = run(["gen", *args], capsys)
     assert code == 1 and out == ""
     assert err.startswith("cannot generate colouring:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("gen_args, want", [
+    (["--seed", "2"], 0),
+    (["--split", "1,2"], 2),
+], ids=["solved", "split"])
+def test_solve_reports_unwritable_out(tmp_path, capsys, gen_args, want):
+    col = tmp_path / "c.bnn"
+    main(["gen", "--kind", "bnn", "--n", "4", *gen_args, "--out", str(col)])
+    assert main(["solve", str(col), "--out", str(tmp_path / "cert.json")]) == want
+    capsys.readouterr()
+    code, out, err = run(["solve", str(col), "--out", str(tmp_path / "missing" / "cert.json")],
+                         capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("cannot write certificate:") and err.count("\n") == 1

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -60,6 +62,10 @@ def test_parse_examples():
         "h3 5\n00110011001",  # length mismatch
         "kn 3\n012",  # palette-2 body with a 2
         "zz 4\n0000",  # unknown kind
+        "bnn 1\n\u0661",  # ARABIC-INDIC DIGIT ONE is not an ASCII digit
+        "bnn 1\n\uff11",  # FULLWIDTH DIGIT ONE is not an ASCII digit
+        "rxn 0 -1\n",  # uniformity below 1
+        "rxn -1 2\n0",  # no vertices
     ],
 )
 def test_parse_rejects(text):
@@ -67,59 +73,80 @@ def test_parse_rejects(text):
         parse_colouring(text)
 
 
-@given(st.integers(3, 8), st.integers(0, 2**20 - 1))
-def test_roundtrip_h3(n, seed):
-    col = gen_random("h3", n, 2, seed)
-    assert parse_colouring(serialize_colouring(col)) == col
+def test_parse_names_the_first_bad_character_before_the_length():
+    with pytest.raises(ValueError, match="'\u0661' outside palette 2"):
+        parse_colouring("bnn 2\n0\u0661X")
+    with pytest.raises(ValueError, match="'3' outside palette 3"):
+        parse_colouring("kn 3 3\n0232")
+    with pytest.raises(ValueError, match="body length 3 != 4 edges"):
+        parse_colouring("bnn 2\n010")
 
 
-@given(
-    st.sampled_from(["kn", "bnn"]),
-    st.integers(1, 7),
-    st.sampled_from([2, 3]),
-    st.integers(0, 2**20 - 1),
-)
-def test_roundtrip_pairs(kind, n, palette, seed):
-    col = gen_random(kind, n, palette, seed)
-    assert parse_colouring(serialize_colouring(col)) == col
-
-
-@given(st.integers(1, 3), st.integers(2, 4), st.integers(0, 2**16))
-def test_roundtrip_rxn_materialized(r, n, seed):
-    col = gen_random("rxn", n, 2, seed, r=r)
-    assert parse_colouring(serialize_colouring(col)).entries == col.entries
-
-
-def test_roundtrip_rxn_rule():
-    col = TransversalColouring(3, 9, rule=HyperSplitSizes(3, 9, (1, 4, 8)))
-    back = parse_colouring(serialize_colouring(col))
-    assert back.rule == col.rule
-
-
-def test_rule_matches_materialized():
-    rule = TransversalColouring(3, 3, rule=HyperSplitSizes(3, 3, (1, 2, 1)))
-    mat = rule.materialize()
-    for e0 in range(3):
-        for e1 in range(3):
-            for e2 in range(3):
-                edge = (e0, 3 + e1, 6 + e2)
-                assert rule.colour_bit(edge) == mat.colour_bit(edge)
-
-
-def test_two_colour_context_rejects_green():
+def test_from_digits_checks_count_and_palette():
+    assert TripleColouring.from_digits(4, [1, 0, 0, 1]).bits == bytes([0b1001])
     with pytest.raises(ValueError):
-        PairColouring("bnn", 2, 2, bytes([0, 1, 2, 0]))
+        TripleColouring.from_digits(4, [0, 1, 0])
     with pytest.raises(ValueError):
-        TripleColouring.constant(4, 2)
+        TripleColouring.from_digits(4, [0, 1, 2, 0])
+    assert list(TripleColouring.constant(5, 1).digits()) == [1] * 10
 
 
-def test_colour_order():
-    assert RED < BLUE < GREEN
-    assert Colour.RED.letter == "red"
+# sha256 of serialize_colouring for one seeded host of each kind
+_PINNED_HOSTS = {
+    "h3": (lambda: gen_random("h3", 12, 2, seed=3),
+           "fe5700de01fb847c0089d98bdc650ab1f99df05e97f9d1da0362d24458c9ef6a"),
+    "kn2": (lambda: gen_random("kn", 12, 2, seed=3),
+            "046a50b9a8fd1f23dcb62091ea95909a9814ca77644a0d3ee24c0fa2d92b96d4"),
+    "kn3": (lambda: gen_random("kn", 12, 3, seed=3),
+            "0dc5c90cc32370d22e637b54e7eae59e726fd21204b618e1e51a3bcb8ae5bc38"),
+    "bnn2": (lambda: gen_random("bnn", 9, 2, seed=3),
+             "cf9b66ae3b4bfb9ba4dca7d9fa5c489588c781bb887a222af9c19d26fa36632b"),
+    "bnn3": (lambda: gen_random("bnn", 9, 3, seed=3),
+             "967b5f0f1dc9f14c4c687d147beea70cdd5ec11cb6d1fc721b1801ff00ba7039"),
+    "rxn": (lambda: gen_random("rxn", 5, 2, seed=3, r=3),
+            "16c815b0bc95c2231a7da83771aec8f9d576c44d538af433e35eb966d5857b5c"),
+    "rxn-rule": (lambda: TransversalColouring(3, 9, rule=HyperSplitSizes(3, 9, (1, 4, 8))),
+                 "1ee0cd95a510679dbcf6e161e7b9b22eda86ad5f4009f86e609d58b434247dc8"),
+}
 
 
-def test_palette_header_roundtrip():
-    col = gen_random("kn", 5, 3, 11)
-    text = serialize_colouring(col)
-    assert text.startswith("kn 5 3\n")
-    assert parse_colouring(text) == col
+@pytest.mark.parametrize("name", sorted(_PINNED_HOSTS))
+def test_serialize_digest_pinned(name):
+    make, digest = _PINNED_HOSTS[name]
+    text = serialize_colouring(make())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# canonical headers and their edge counts
+_HEADERS = {"h3 4": 4, "h3 5": 10, "kn 3": 3, "kn 4 3": 6, "bnn 2": 4, "bnn 2 3": 4,
+            "rxn 2 2": 4, "rxn 2 3": 8}
+_BODY_CHARS = "01\u0661\uff112\u00b23x"
+
+
+def _canonical_text(head):
+    m = _HEADERS[head]
+    body = st.text(alphabet=_BODY_CHARS, min_size=m - 1, max_size=m + 1)
+    return body.map(lambda b: f"{head}\n{b}\n")
+
+
+@given(st.one_of(
+    st.text(),
+    st.builds("{}\n{}".format, st.sampled_from(sorted(_HEADERS) + ["b2 2", "kn 3 2", "rxn 1 0"]),
+              st.text(alphabet=_BODY_CHARS + " \t\r\n\x0b\x85\u2028\u3000", max_size=10)),
+))
+def test_parse_arbitrary_text_raises_or_round_trips(text):
+    try:
+        col = parse_colouring(text)
+    except ValueError:
+        return
+    out = serialize_colouring(col)
+    assert serialize_colouring(parse_colouring(out)) == out
+
+
+@given(st.sampled_from(sorted(_HEADERS)).flatmap(_canonical_text))
+def test_parse_canonical_text_raises_or_serialises_to_itself(text):
+    try:
+        col = parse_colouring(text)
+    except ValueError:
+        return
+    assert serialize_colouring(col) == text

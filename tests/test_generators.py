@@ -115,3 +115,16 @@ def test_three_colour_split_rejects_zero_block():
         gen_three_colour_split((0, 2, 1), (1, 1, 1))
     with pytest.raises(ValueError):
         gen_three_colour_split((1, 1, 1), (1, 1, 2))
+
+
+def test_rxn_over_the_cap_is_refused_before_generating(monkeypatch):
+    import monopart.generators as generators
+    from monopart.colourings import MATERIALIZE_CAP
+
+    def fail(seed, count, palette):
+        raise AssertionError(f"asked to generate {count} colours")
+
+    monkeypatch.setattr(generators, "splitmix64_stream", fail)
+    assert 2**25 > MATERIALIZE_CAP
+    with pytest.raises(ValueError, match="cap"):
+        gen_random("rxn", 2, 2, seed=0, r=25)

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import pytest
 
 from monopart.certificates import PartitionCertificate, Piece, check_certificate
@@ -142,3 +146,19 @@ def test_min_cover_cap():
     col = TransversalColouring(2, 8, rule=HyperSplitSizes(2, 8, (1, 1)))
     with pytest.raises(ExceedsCap):
         min_cover_exact(col)
+
+
+def test_random_mono_tight_path_samples_pinned():
+    # the first 20 samples for one seed over r in {1, 2, 3}, as computed
+    # before the sampler lost its never-taken retry loop
+    rng = random.Random(2024)
+    samples = []
+    for _ in range(20):
+        r = rng.choice([1, 2, 3])
+        n = rng.randint(2, 6)
+        sizes = HyperSplitSizes(r, n, tuple(rng.randint(1, n - 1) for _ in range(r)))
+        path, colour = random_mono_tight_path(sizes, rng)
+        samples.append([r, n, list(sizes.s), path, int(colour)])
+    assert samples[:2] == [[2, 3, [2, 1], [2, 4], 0], [1, 5, [3], [3, 4], 0]]
+    digest = hashlib.sha256(json.dumps(samples).encode()).hexdigest()
+    assert digest == "9b92b22c14626cf49f8b2a1703961e1496536897ef85a8b5816e9ad163712d33"
