@@ -73,6 +73,65 @@ def test_parse_rejects(text):
         parse_colouring(text)
 
 
+@given(st.integers(3, 8), st.integers(0, 2**20 - 1))
+def test_roundtrip_h3(n, seed):
+    col = gen_random("h3", n, 2, seed)
+    assert parse_colouring(serialize_colouring(col)) == col
+
+
+@given(
+    st.sampled_from(["kn", "bnn"]),
+    st.integers(1, 7),
+    st.sampled_from([2, 3]),
+    st.integers(0, 2**20 - 1),
+)
+def test_roundtrip_pairs(kind, n, palette, seed):
+    col = gen_random(kind, n, palette, seed)
+    assert parse_colouring(serialize_colouring(col)) == col
+
+
+@given(st.integers(1, 3), st.integers(2, 4), st.integers(0, 2**16))
+def test_roundtrip_rxn_materialized(r, n, seed):
+    col = gen_random("rxn", n, 2, seed, r=r)
+    assert parse_colouring(serialize_colouring(col)).entries == col.entries
+
+
+def test_roundtrip_rxn_rule():
+    col = TransversalColouring(3, 9, rule=HyperSplitSizes(3, 9, (1, 4, 8)))
+    back = parse_colouring(serialize_colouring(col))
+    assert back.rule == col.rule
+
+
+def test_rule_matches_materialized():
+    rule = TransversalColouring(3, 3, rule=HyperSplitSizes(3, 3, (1, 2, 1)))
+    mat = rule.materialize()
+    for e0 in range(3):
+        for e1 in range(3):
+            for e2 in range(3):
+                edge = (e0, 3 + e1, 6 + e2)
+                assert rule.colour_bit(edge) == mat.colour_bit(edge)
+
+
+def test_two_colour_context_rejects_green():
+    with pytest.raises(ValueError):
+        PairColouring("bnn", 2, 2, bytes([0, 1, 2, 0]))
+    with pytest.raises(ValueError):
+        TripleColouring.constant(4, 2)
+
+
+def test_colour_order():
+    assert RED < BLUE < GREEN
+    assert Colour.RED.letter == "red"
+
+
+def test_palette_header_roundtrip():
+    col = gen_random("kn", 5, 3, 11)
+    text = serialize_colouring(col)
+    assert text.startswith("kn 5 3\n")
+    assert parse_colouring(text) == col
+
+
+
 def test_parse_names_the_first_bad_character_before_the_length():
     with pytest.raises(ValueError, match="'\u0661' outside palette 2"):
         parse_colouring("bnn 2\n0\u0661X")
