@@ -187,13 +187,21 @@ def find_good_c4(col: PairColouring):
 
 
 def find_balanced_c4(col: PairColouring, subset0, subset1):
-    """First C4 inside the subset with exactly two edges of each colour."""
+    """First C4 inside the subset with exactly two edges of each colour.
+
+    A subset has a balanced C4 exactly when each colour has at least two
+    of its edges, so the edges are counted first, row by row until both
+    colours reach two, and the lexicographic scan only runs when a witness
+    exists.
+    """
     _require_bnn2(col)
     if len(subset0) != len(subset1):
         raise ValueError("subset classes must have equal sizes")
     s0 = sorted(subset0)
     s1 = sorted(subset1)
     cbit = col.colour_bit
+    if not _two_edges_of_each_colour(cbit, s0, s1):
+        return None
     for i, a in enumerate(s0):
         for a2 in s0[i + 1 :]:
             for j, b in enumerate(s1):
@@ -207,6 +215,21 @@ def find_balanced_c4(col: PairColouring, subset0, subset1):
                     if reds == 2:
                         return (a, b, a2, b2)
     return None
+
+
+def _two_edges_of_each_colour(cbit, s0, s1) -> bool:
+    """Whether both colours appear on at least two edges of s0 x s1, read
+    row by row and stopped as soon as they do."""
+    reds = blues = 0
+    for a in s0:
+        for b in s1:
+            if cbit(a, b):
+                blues += 1
+            else:
+                reds += 1
+            if reds > 1 and blues > 1:
+                return True
+    return False
 
 
 def near_mono_spanning_path(col: PairColouring, subset0, subset1):

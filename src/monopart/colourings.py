@@ -352,6 +352,16 @@ class HyperSplitSizes:
 MATERIALIZE_CAP = 1 << 24
 
 
+def _check_materializable(n: int, r: int | None) -> None:
+    """Raise ValueError unless an rxn table of n**r entries fits
+    MATERIALIZE_CAP.  For |n| >= 2 and r past the cap's bit length the
+    power exceeds the cap, so it is refused without computing a power whose
+    size grows with r."""
+    too_long = abs(n) >= 2 and r is not None and r >= MATERIALIZE_CAP.bit_length()
+    if too_long or _n_edges("rxn", n, r) > MATERIALIZE_CAP:
+        raise ValueError(f"n**r exceeds materialization cap {MATERIALIZE_CAP}")
+
+
 class TransversalColouring:
     """2-colouring of the transversal edges of the r-partite host.
 
@@ -373,9 +383,8 @@ class TransversalColouring:
         if n < 1:
             raise ValueError("n must be positive")
         if entries is not None:
+            _check_materializable(n, r)
             m = _n_edges("rxn", n, r)
-            if m > MATERIALIZE_CAP:
-                raise ValueError(f"n**r exceeds materialization cap {MATERIALIZE_CAP}")
             if len(entries) != m:
                 raise ValueError(f"expected {m} entries")
             if max(entries, default=0) > 1:
@@ -417,9 +426,8 @@ class TransversalColouring:
     def materialize(self) -> "TransversalColouring":
         if self.entries is not None:
             return self
+        _check_materializable(self.n, self.r)
         n, r, m = self.n, self.r, self.n_edges
-        if m > MATERIALIZE_CAP:
-            raise ValueError("rule-backed colouring too large to materialize")
         out = bytearray(m)
         edge = [0] * r
         for idx in range(m):
@@ -519,6 +527,7 @@ def parse_colouring(text: str):
         if body.startswith("split"):
             sizes = tuple(int(t) for t in body.split()[1:])
             return TransversalColouring(r, n, rule=HyperSplitSizes(r, n, sizes))
+        _check_materializable(n, r)
     elif kind != "h3" and len(head) > 2:
         palette = int(head[2])
     values = _parse_digits(body, palette, _n_edges(kind, n, r))

@@ -19,11 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from .colourings import (
-    MATERIALIZE_CAP,
     PairColouring,
     SplitStructure,
     TransversalColouring,
     TripleColouring,
+    _check_materializable,
     _n_edges,
 )
 
@@ -73,11 +73,11 @@ def splitmix64_stream(seed: int, count: int, palette: int) -> bytes:
 
 def gen_random(kind: str, n: int, palette: int = 2, seed: int = 0, r: int | None = None):
     """Seeded random colouring of the given host."""
+    if kind == "rxn":
+        _check_materializable(n, r)
     m = _n_edges(kind, n, r)
     if kind in ("h3", "rxn") and palette != 2:
         raise ValueError(f"{kind} hosts are 2-coloured")
-    if kind == "rxn" and m > MATERIALIZE_CAP:
-        raise ValueError(f"n**r exceeds materialization cap {MATERIALIZE_CAP}")
     values = splitmix64_stream(seed, m, palette)
     if kind == "h3":
         return TripleColouring.from_digits(n, np.frombuffer(values, np.uint8))

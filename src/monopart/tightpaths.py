@@ -97,63 +97,110 @@ def classify_tight_path(col: TripleColouring, seq) -> TightPathClass:
     return TightPathClass("bicoloured", colour=Colour(first), turn=boundary)
 
 
-def _profile(col: TripleColouring, seq: list[int]) -> BicolouredTightPath:
-    """Wrap a sequence as a BicolouredTightPath, raising if invalid."""
-    cls = classify_tight_path(col, seq)
-    if cls.kind == "invalid":
-        raise ValueError(f"not a bicoloured tight path: {cls.reason}")
-    k = len(seq)
-    if cls.kind == "mono":
-        turn = k - 1 if k >= 2 else None
-    else:
-        turn = cls.turn
-    return BicolouredTightPath(tuple(seq), turn)
-
-
 def augment(col: TripleColouring, path: BicolouredTightPath, w: int) -> BicolouredTightPath:
     """Extend a bicoloured tight path by the uncovered vertex w.
 
     Total on complete hosts: the result is always a valid bicoloured tight
-    path on V(path) + {w}.  Short or monochromatic paths take w at the end;
-    otherwise the path is put in a working frame (reversing it swaps the
+    path on V(path) + {w}.  The input turn is trusted (the
+    `BicolouredTightPath` invariant), so the new turn is derived rather
+    than found by reclassifying the path.  Short or monochromatic paths
+    take w at the end, and the one new triple decides the turn.
+    Otherwise the path is put in a working frame (reversing it swaps the
     roles of the two colour runs) so that the triple (turn, turn+1, w) has
     the first-run colour, and one of five explicit re-routings applies.
+    Each re-routing splices w between at most four blocks of the old path,
+    kept or reversed; a triple inside a block keeps its known run colour,
+    so only the triples across a junction are looked up, and a profile of
+    more than two runs raises ValueError.
     """
-    seq = list(path.vertices)
+    seq = tuple(path.vertices)
     k = len(seq)
     if not 0 <= w < col.n:
         raise ValueError(f"vertex {w} out of range")
-    if w in set(seq):
+    if w in seq:
         raise ValueError(f"vertex {w} already on the path")
 
-    if k <= 2 or path.is_mono:
-        return _profile(col, seq + [w])
-
     cbit = col.colour_bit
+    if k <= 2 or path.is_mono:
+        if k == 0:
+            return BicolouredTightPath((w,), None)
+        same = k <= 2 or cbit(seq[-2], seq[-1], w) == cbit(seq[0], seq[1], seq[2])
+        return BicolouredTightPath(seq + (w,), k if same else k - 1)
+
     ell = path.turn
     first = cbit(seq[0], seq[1], seq[2])
     if cbit(seq[ell - 1], seq[ell], w) != first:
         seq = seq[::-1]
         ell = k - ell
-        first = cbit(seq[0], seq[1], seq[2])
+        first = 1 - first
     second = 1 - first
 
     def v(i: int) -> int:  # 1-based access, matching the turn convention
         return seq[i - 1]
 
+    # Blocks are 0-based index pairs (i, j) of the working frame, read from
+    # i to j (reversed when i > j); None stands for w.
     if cbit(v(ell + 1), w, v(ell + 2)) == first:
-        new = seq[: ell + 1] + [w] + seq[ell + 1 :]
+        blocks = ((0, ell), None, (ell + 1, k - 1))
     elif cbit(v(1), w, v(ell + 1)) == second:
-        new = seq[:ell][::-1] + [w] + seq[ell:]
+        blocks = ((ell - 1, 0), None, (ell, k - 1))
     elif cbit(v(ell + 1), w, v(k)) == first:
-        new = seq[: ell + 1] + [w, v(k)] + seq[ell + 1 : k - 1][::-1]
+        blocks = ((0, ell), None, (k - 1, ell + 1))
     elif cbit(v(1), w, v(k)) == first:
-        new = seq[1 : ell + 1] + [w, v(1), v(k)] + seq[ell + 1 : k - 1][::-1]
+        blocks = ((1, ell), None, (0, 0), (k - 1, ell + 1))
     else:
-        new = seq[:ell][::-1] + [v(k), w] + seq[ell : k - 1]
-    out = _profile(col, new)
-    assert len(out.vertices) == k + 1
-    return out
+        blocks = ((ell - 1, 0), (k - 1, k - 1), None, (ell, k - 2))
+    new = []
+    for b in blocks:
+        if b is None:
+            new.append(w)
+        elif b[0] <= b[1]:
+            new += seq[b[0] : b[1] + 1]
+        else:
+            new += seq[b[1] : b[0] + 1][::-1]
+    return BicolouredTightPath(tuple(new), _spliced_turn(cbit, new, blocks, ell, first))
+
+
+def _spliced_turn(cbit, new: list[int], blocks, ell: int, first: int) -> int:
+    """Turn of `new`, spliced from `blocks` of a bicoloured working-frame
+    path whose triples with 0-based middle below `ell` have colour `first`
+    and the rest the other colour.
+
+    Builds the run-length profile of `new`'s edge colours: a triple inside
+    a block keeps its old colour, and a triple across a junction is looked
+    up.  Raises ValueError when there are more than two runs.
+    """
+    runs: list[list[int]] = []  # [colour, count], adjacent colours distinct
+
+    def add(colour: int, count: int) -> None:
+        if count > 0:
+            if runs and runs[-1][0] == colour:
+                runs[-1][1] += count
+            else:
+                runs.append([colour, count])
+
+    last = len(new) - 2  # middles of new's triples run from 1 to last
+    s = 0
+    for b in blocks:
+        e = s + (1 if b is None else abs(b[1] - b[0]) + 1)
+        if 0 < s <= last:  # the triple centred on the block's first vertex
+            add(cbit(new[s - 1], new[s], new[s + 1]), 1)
+        if e - s >= 3:  # old middles lo+1 .. hi-1, read in block order
+            lo, hi = min(b), max(b)
+            n_first = max(0, min(hi, ell) - lo - 1)
+            n_second = max(0, hi - max(lo + 1, ell))
+            if b[0] < b[1]:
+                add(first, n_first)
+                add(1 - first, n_second)
+            else:
+                add(1 - first, n_second)
+                add(first, n_first)
+        if s < e - 1 <= last:  # the triple centred on the block's last vertex
+            add(cbit(new[e - 2], new[e - 1], new[e]), 1)
+        s = e
+    if len(runs) > 2:
+        raise ValueError("not a bicoloured tight path: more than two colour runs")
+    return runs[0][1] + 1
 
 
 def spanning_bicoloured_path(col: TripleColouring) -> BicolouredTightPath:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from monopart.bipartite import (
@@ -102,6 +104,48 @@ def test_near_mono_equivalence_exhaustive(n):
         assert (quad is None) == (min(reds, n * n - reds) <= 1), idx
 
 
+def _first_balanced_c4(col, s0, s1):
+    """Brute force: the first (a, b, a2, b2) in lexicographic order of the
+    class pairs whose four edges carry two reds."""
+    for a, a2 in itertools.combinations(sorted(s0), 2):
+        for b, b2 in itertools.combinations(sorted(s1), 2):
+            if [col.colour_bit(x, y) for x in (a, a2) for y in (b, b2)].count(RED) == 2:
+                return (a, b, a2, b2)
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_balanced_c4_matches_first_hit_scan(n):
+    pairs = [
+        (s0, s1)
+        for m in range(n + 1)
+        for s0 in itertools.combinations(range(n), m)
+        for s1 in itertools.combinations(range(n, 2 * n), m)
+    ]
+    for idx, col in all_bnn_colourings(n):
+        for s0, s1 in pairs:
+            assert find_balanced_c4(col, s0, s1) == _first_balanced_c4(col, s0, s1), (idx, s0, s1)
+
+
+def test_balanced_c4_free_host_is_answered_by_counting(monkeypatch):
+    # all red but the edge (0, n): one blue edge, so no balanced C4
+    n = 64
+    entries = bytearray(n * n)
+    entries[0] = 1
+    col = PairColouring("bnn", n, 2, bytes(entries))
+    calls = 0
+    lookup = PairColouring.colour_bit
+
+    def counting(self, u, v):
+        nonlocal calls
+        calls += 1
+        return lookup(self, u, v)
+
+    monkeypatch.setattr(PairColouring, "colour_bit", counting)
+    assert find_balanced_c4(col, range(n), range(n, 2 * n)) is None
+    assert calls <= 2 * n * n
+
+
 def test_near_mono_path_all_red():
     col = PairColouring.constant("bnn", 3, 2, 0)
     path, colour = near_mono_spanning_path(col, range(3), range(3, 6))
@@ -137,8 +181,6 @@ def test_near_mono_raises_on_balanced_c4():
 
 
 def test_extension_stays_inside_and_grows(rng):
-    import itertools
-
     for trial in range(400):
         n = rng.randint(4, 6)
         col = gen_random("bnn", n, 2, seed=trial)

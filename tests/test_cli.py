@@ -45,6 +45,18 @@ def _solved_bnn(tmp_path):
     return col, cert
 
 
+def test_oversized_rxn_header_is_one_line(tmp_path, capsys):
+    _, cert = _solved_bnn(tmp_path)
+    col = tmp_path / "big.rxn"
+    col.write_text("rxn 3 30000000\n0\n")
+    code, out, err = run(["solve", str(col)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("cannot read colouring: n**r exceeds") and err.count("\n") == 1
+    code, out, err = run(["verify", str(col), str(cert)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("cannot read inputs: n**r exceeds") and err.count("\n") == 1
+
+
 def test_verify_rejects_tampered_cert(tmp_path, capsys):
     col, cert = _solved_bnn(tmp_path)
     obj = json.loads(cert.read_text())
@@ -176,8 +188,10 @@ def test_force_red_path_writes_split_fallback(tmp_path, capsys):
     ["--kind", "bnn", "--n", "4", "--v-cut", "9"],
     ["--kind", "bnn", "--n", "4", "--recolour", "1"],
     ["--kind", "bnn", "--n", "4", "--out", "{missing}"],
+    ["--kind", "rxn", "--n", "3", "--r", "30000000"],
 ], ids=["rxn-without-r", "h3-too-small", "bnn-empty", "split-too-big", "split-three-parts",
-        "split-not-int", "split-on-kn", "v-cut-out-of-range", "recolour-one-end", "out-dir-missing"])
+        "split-not-int", "split-on-kn", "v-cut-out-of-range", "recolour-one-end", "out-dir-missing",
+        "rxn-over-cap"])
 def test_gen_rejects_bad_arguments(tmp_path, capsys, args):
     args = [a.replace("{missing}", str(tmp_path / "missing" / "c.bnn")) for a in args]
     code, out, err = run(["gen", *args], capsys)

@@ -73,6 +73,21 @@ def test_parse_rejects(text):
         parse_colouring(text)
 
 
+@pytest.mark.parametrize("text", ["rxn 3 30000000\n0", "rxn 2 25\n0", "rxn -2 30000000\n0"])
+def test_parse_refuses_oversized_rxn_header_before_counting(monkeypatch, text):
+    import monopart.colourings as colourings
+
+    count = colourings._n_edges
+
+    def bounded(kind, n, r=None):
+        assert r is None or r < 64, f"computed {n}**{r}"
+        return count(kind, n, r)
+
+    monkeypatch.setattr(colourings, "_n_edges", bounded)
+    with pytest.raises(ValueError, match="materialization cap"):
+        parse_colouring(text)
+
+
 @given(st.integers(3, 8), st.integers(0, 2**20 - 1))
 def test_roundtrip_h3(n, seed):
     col = gen_random("h3", n, 2, seed)

@@ -1,9 +1,14 @@
+import hashlib
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from monopart.colourings import BLUE, RED, TripleColouring
+from monopart.generators import gen_random
 from monopart.oracles import oracle_spanning_bipath_exists
+from monopart.solve import solve
 from monopart.tightpaths import (
     BicolouredTightPath,
     augment,
@@ -60,16 +65,24 @@ def test_augment_rejects_covered_vertex():
         augment(col, BicolouredTightPath((0, 1, 2), 2), 2)
 
 
+def _canonical(col, seq):
+    """`seq` as a BicolouredTightPath with its canonical turn; None if invalid."""
+    cls = classify_tight_path(col, seq)
+    if cls.kind == "invalid":
+        return None
+    k = len(seq)
+    turn = cls.turn if cls.kind == "bicoloured" else (k - 1 if k >= 2 else None)
+    return BicolouredTightPath(tuple(seq), turn)
+
+
 def _valid_paths(col, n, max_len=None):
     """Every valid bicoloured tight path over [n] as a BicolouredTightPath."""
     max_len = max_len or n
     for k in range(1, max_len + 1):
         for seq in itertools.permutations(range(n), k):
-            cls = classify_tight_path(col, seq)
-            if cls.kind == "invalid":
-                continue
-            turn = cls.turn if cls.kind == "bicoloured" else (k - 1 if k >= 2 else None)
-            yield BicolouredTightPath(seq, turn)
+            path = _canonical(col, seq)
+            if path is not None:
+                yield path
 
 
 def test_augment_exhaustive_n4():
@@ -83,6 +96,7 @@ def test_augment_exhaustive_n4():
                 out = augment(col, path, w)
                 assert len(out.vertices) == len(path.vertices) + 1
                 assert classify_tight_path(col, out.vertices).kind != "invalid"
+                assert out == _canonical(col, out.vertices)
 
 
 def test_augment_exhaustive_n5():
@@ -95,6 +109,58 @@ def test_augment_exhaustive_n5():
                 out = augment(col, path, w)
                 assert len(out.vertices) == len(path.vertices) + 1
                 assert classify_tight_path(col, out.vertices).kind != "invalid"
+                assert out == _canonical(col, out.vertices)
+
+
+def test_spanning_path_lookups_are_linear(monkeypatch):
+    # each augment looks up O(1) triples: the junctions of its re-routing
+    n = 1000
+    col = TripleColouring(n, random.Random(2026).randbytes((n * (n - 1) * (n - 2) // 6 + 7) // 8))
+    calls = 0
+    lookup = TripleColouring.colour_bit
+
+    def counting(self, a, b, c):
+        nonlocal calls
+        calls += 1
+        return lookup(self, a, b, c)
+
+    monkeypatch.setattr(TripleColouring, "colour_bit", counting)
+    path = spanning_bicoloured_path(col)
+    monkeypatch.undo()
+    assert sorted(path.vertices) == list(range(n))
+    assert path == _canonical(col, path.vertices)
+    assert calls <= 16 * n
+
+
+def _h3_random(n, seed):
+    return gen_random("h3", n, 2, seed=seed)
+
+
+def _h3_near_mono(n, seed):
+    """All red except one seeded blue triple."""
+    m = n * (n - 1) * (n - 2) // 6
+    i = random.Random(seed).randrange(m)
+    bits = bytearray((m + 7) // 8)
+    bits[i >> 3] |= 1 << (i & 7)
+    return TripleColouring(n, bytes(bits))
+
+
+def _h3_parity(n, s):
+    """Triple is blue iff an odd number of its vertices lie below s."""
+    inside = (np.arange(n) < s).astype(np.uint8)
+    digits = [(inside[:b] + inside[b] + inside[c]) & 1 for c in range(n) for b in range(c)]
+    return TripleColouring.from_digits(n, np.concatenate(digits))
+
+
+@pytest.mark.parametrize("build, arg, digest", [
+    (_h3_random, 7, "0942d38f02f6cf08392c59c25f4320381853d20d173bb8f1b11885648dbe6ea6"),
+    (_h3_near_mono, 7, "b1edc00bcd26b99823071b37ebbbdb2b1a4f4097374abc7ab5397e7097da98f2"),
+    (_h3_parity, 150, "7d57040883aa275954241195a55fedcddeed869d1a0ac9d163990ac78adafeab"),
+], ids=["random", "near-mono", "parity"])
+def test_h3_certificates_pinned_at_n300(build, arg, digest):
+    cert, split = solve(build(300, arg))
+    assert split is None
+    assert hashlib.sha256(cert.to_text().encode()).hexdigest() == digest
 
 
 def test_spanning_path_all_red():
@@ -113,8 +179,6 @@ def test_spanning_path_exhaustive_small(n):
 
 
 def test_spanning_path_random_larger(rng):
-    from monopart.generators import gen_random
-
     for n in range(7, 41, 3):
         for _ in range(40):
             col = gen_random("h3", n, 2, seed=rng.getrandbits(32))
@@ -147,8 +211,6 @@ def test_split_cut_rule_small():
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_split_parts_keep_edges(rng, n):
-    from monopart.generators import gen_random
-
     for _ in range(300):
         col = gen_random("h3", n, 2, seed=rng.getrandbits(32))
         path = spanning_bicoloured_path(col)
