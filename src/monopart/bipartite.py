@@ -200,7 +200,7 @@ def find_balanced_c4(col: PairColouring, subset0, subset1):
     s0 = sorted(subset0)
     s1 = sorted(subset1)
     cbit = col.colour_bit
-    if not _two_edges_of_each_colour(cbit, s0, s1):
+    if _near_mono(cbit, s0, s1) is not None:
         return None
     for i, a in enumerate(s0):
         for a2 in s0[i + 1 :]:
@@ -217,19 +217,25 @@ def find_balanced_c4(col: PairColouring, subset0, subset1):
     return None
 
 
-def _two_edges_of_each_colour(cbit, s0, s1) -> bool:
-    """Whether both colours appear on at least two edges of s0 x s1, read
-    row by row and stopped as soon as they do."""
+def _near_mono(cbit, s0, s1):
+    """None when both colours have at least two edges of s0 x s1, read row
+    by row and stopped as soon as they do; otherwise (majority colour,
+    first edge of the other colour, or None when it has no edge)."""
     reds = blues = 0
+    red = blue = None
     for a in s0:
         for b in s1:
             if cbit(a, b):
+                if not blues:
+                    blue = (a, b)
                 blues += 1
             else:
+                if not reds:
+                    red = (a, b)
                 reds += 1
             if reds > 1 and blues > 1:
-                return True
-    return False
+                return None
+    return (RED, blue) if reds >= blues else (BLUE, red)
 
 
 def near_mono_spanning_path(col: PairColouring, subset0, subset1):
@@ -238,31 +244,20 @@ def near_mono_spanning_path(col: PairColouring, subset0, subset1):
     With no balanced C4 some colour appears on at most one induced edge;
     the zig-zag spanning path avoids that edge and is monochromatic in the
     majority colour.  For a single pair the lone edge itself is returned
-    with its own colour.
+    with its own colour.  Raises BalancedC4Present, carrying the first
+    balanced C4, when the subgraph has one.
     """
     _require_bnn2(col)
     s0 = sorted(subset0)
     s1 = sorted(subset1)
-    m = len(s0)
-    if m != len(s1) or m < 1:
+    if len(s0) != len(s1) or not s0:
         raise ValueError("need equal non-empty class subsets")
-    cbit = col.colour_bit
-    red_edges = [(a, b) for a in s0 for b in s1 if cbit(a, b) == RED]
-    n_red = len(red_edges)
-    n_blue = m * m - n_red
-    if min(n_red, n_blue) > 1:
-        witness = find_balanced_c4(col, s0, s1)
-        raise BalancedC4Present(witness)
-
-    if m == 1:
-        return [s0[0], s1[0]], Colour(cbit(s0[0], s1[0]))
-
-    majority = RED if n_red >= n_blue else BLUE
-    if min(n_red, n_blue) == 1:
-        if majority == RED:
-            x, y = next((a, b) for a in s0 for b in s1 if cbit(a, b) == BLUE)
-        else:
-            x, y = red_edges[0]
+    near = _near_mono(col.colour_bit, s0, s1)
+    if near is None:
+        raise BalancedC4Present(find_balanced_c4(col, s0, s1))
+    majority, lone = near
+    if lone is not None:
+        x, y = lone
         s0 = [x] + [a for a in s0 if a != x]
         s1 = [b for b in s1 if b != y] + [y]
     return _interleave(s0, s1), Colour(majority)
@@ -278,26 +273,30 @@ def _cycle_colours(col: PairColouring, cyc) -> list[int]:
     return [cbit(cyc[i], cyc[(i + 1) % k]) for i in range(k)]
 
 
-def _cap(col: PairColouring) -> int:
-    """Iteration cap of the growth, attach and exchange loops."""
-    n = col.n
-    return 4 * (2 * n) ** 2 + 8
+def _check_progress(col: PairColouring, before: int, new, colour, step: str) -> None:
+    """Raise unless cycle `new` has more than `before` edges of `colour`.
 
-
-def _check_progress(col: PairColouring, old, new, colour, step: str) -> None:
-    """Raise unless cycle `new` has more edges of `colour` than `old`."""
-    before = sum(1 for c in _cycle_colours(col, old) if c == colour)
-    after = sum(1 for c in _cycle_colours(col, new) if c == colour)
-    if after <= before:
+    This check and `_checked_extension` are what stop the growth, attach
+    and exchange loops: every growth step strictly lengthens the cycle,
+    and every attach or exchange step strictly raises the number of its
+    edges of one colour.  Both counts are at most the host's 2n vertices,
+    so each loop runs at most 2n times.
+    """
+    if _cycle_colours(col, new).count(colour) <= before:
         raise RuntimeError(f"{step} did not progress")
 
 
 def _red_exchange(col: PairColouring, seq, ell) -> list[int]:
     """Reverse the run after v_ell of a red-led frame; the result must
-    carry more red edges."""
+    carry more red edges than the frame's ell - 1."""
     new_cyc = seq[:ell] + seq[ell:][::-1]
-    _check_progress(col, seq, new_cyc, RED, "red-exchange")
+    _check_progress(col, ell - 1, new_cyc, RED, "red-exchange")
     return new_cyc
+
+
+def _run_starts(cols) -> list[int]:
+    """Indices i of a cyclic colour sequence at which a run starts."""
+    return [i for i in range(len(cols)) if cols[i] != cols[i - 1]]
 
 
 def cycle_profile(col: PairColouring, cyc):
@@ -306,11 +305,9 @@ def cycle_profile(col: PairColouring, cyc):
     Turning vertices are where the two colour runs meet (bicoloured only).
     Cycles on at most two vertices count as mono.
     """
-    k = len(cyc)
-    if k <= 2:
+    if len(cyc) <= 2:
         return "mono", ()
-    cols = _cycle_colours(col, cyc)
-    turns = tuple(cyc[(i + 1) % k] for i in range(k) if cols[i] != cols[(i + 1) % k])
+    turns = tuple(cyc[i] for i in _run_starts(_cycle_colours(col, cyc)))
     if not turns:
         return "mono", ()
     if len(turns) == 2:
@@ -323,34 +320,25 @@ def is_good_cycle(col: PairColouring, cyc) -> bool:
     return kind == "bicoloured" and col.side(turns[0]) != col.side(turns[1])
 
 
-def _frames(col: PairColouring, cyc, red: int):
-    """All run-normalized presentations of a bicoloured cycle.
+def _frame(col: PairColouring, cyc: list, red: int):
+    """The forward frame (seq, ell) of a bicoloured cycle led by colour `red`.
 
-    Each frame lists the vertices starting at a turning point whose first
-    edge carries colour `red`, so edges form a `red` run followed by the
-    other colour's run; yields (sequence, ell) with v_ell the other
-    turning point (1-based).
+    `seq` is `cyc` rotated to start at a turning point, so that its edges
+    form a `red` run to v_ell = seq[ell - 1] (1-based), the other turning
+    point, followed by the other colour's run.  Raises ValueError unless
+    the cycle has exactly two colour runs.
     """
-    k = len(cyc)
-    for d in (list(cyc), list(reversed(cyc))):
-        cols = _cycle_colours(col, d)
-        for i in range(k):
-            if cols[i] != cols[(i + 1) % k]:
-                p = (i + 1) % k
-                if cols[p] == red:
-                    seq = d[p:] + d[:p]
-                    run1 = 1
-                    scol = _cycle_colours(col, seq)
-                    while run1 < k and scol[run1] == red:
-                        run1 += 1
-                    yield seq, run1 + 1
+    cols = _cycle_colours(col, cyc)
+    starts = _run_starts(cols)
+    if len(starts) != 2:
+        raise ValueError("cycle is not bicoloured")
+    p, q = starts if cols[starts[0]] == red else starts[::-1]
+    return cyc[p:] + cyc[:p], (q - p) % len(cyc) + 1
 
 
-def _normalise(col: PairColouring, cyc, red: int):
-    """First frame of the cycle with the `red`-run leading."""
-    for seq, ell in _frames(col, cyc, red):
-        return seq, ell
-    raise ValueError("cycle is not bicoloured in the requested colours")
+def _reversed_frame(seq, ell):
+    """The frame led by the same colour, traversing the cycle backwards."""
+    return seq[ell - 1 :: -1] + seq[: ell - 1 : -1], ell
 
 
 class ExtensionError(RuntimeError):
@@ -369,6 +357,32 @@ def _checked_extension(col, cand, old_len, allowed):
     return list(cand)
 
 
+def _working_frame(col: PairColouring, seq, ell, q0, q1):
+    """(eff_red, seq, ell, x1, y1, x2, y2): the first of the good cycle's
+    four frames, with its quad labelling, in which the case tree's probe
+    edges are defined.
+
+    From the forward red-led frame (seq, ell) the others are index
+    arithmetic: the reversed red-led frame, then the forward and reversed
+    blue-led ones.
+    """
+    cbit = col.colour_bit
+    blue_led = (seq[ell - 1 :] + seq[: ell - 1], len(seq) - ell + 2)
+    frames = ((seq, ell), _reversed_frame(seq, ell), blue_led, _reversed_frame(*blue_led))
+    for eff_red, (fseq, fell) in zip((RED, RED, BLUE, BLUE), frames):
+        own, opp = (q0, q1) if col.side(fseq[0]) == 0 else (q1, q0)
+        for x1, y1 in ((own[0], own[1]), (own[1], own[0])):
+            for x2, y2 in ((opp[0], opp[1]), (opp[1], opp[0])):
+                if (
+                    cbit(x1, x2) == eff_red
+                    and cbit(y1, x2) != eff_red
+                    and ((cbit(x1, y2) == eff_red) != (cbit(y1, y2) == eff_red))
+                    and cbit(fseq[0], x2) == eff_red
+                ):
+                    return eff_red, fseq, fell, x1, y1, x2, y2
+    raise ExtensionError("no admissible working frame")
+
+
 def extend_good_cycle(col: PairColouring, cycle, quad):
     """Strictly longer good cycle from a good cycle and a disjoint balanced
     C4, using only their vertices.
@@ -379,9 +393,10 @@ def extend_good_cycle(col: PairColouring, cycle, quad):
     re-routing that is verified before being returned.
     """
     _require_bnn2(col)
-    if not is_good_cycle(col, cycle):
-        raise ValueError("input cycle is not good")
     cyc = list(cycle)
+    seq, ell = _frame(col, cyc, RED)
+    if col.side(seq[0]) == col.side(seq[ell - 1]):
+        raise ValueError("input cycle is not good")
     quad = list(quad)
     if set(cyc) & set(quad):
         raise ValueError("cycle and quad are not disjoint")
@@ -395,30 +410,7 @@ def extend_good_cycle(col: PairColouring, cycle, quad):
         raise ValueError("quad is not balanced")
     allowed = set(cyc) | set(quad)
     k = len(cyc)
-
-    frame = None
-    for eff_red in (RED, BLUE):
-        for seq, ell in _frames(col, cyc, eff_red):
-            own, opp = (q0, q1) if col.side(seq[0]) == 0 else (q1, q0)
-            for x1, y1 in ((own[0], own[1]), (own[1], own[0])):
-                for x2, y2 in ((opp[0], opp[1]), (opp[1], opp[0])):
-                    if (
-                        cbit(x1, x2) == eff_red
-                        and cbit(y1, x2) != eff_red
-                        and ((cbit(x1, y2) == eff_red) != (cbit(y1, y2) == eff_red))
-                        and cbit(seq[0], x2) == eff_red
-                    ):
-                        frame = (eff_red, seq, ell, x1, y1, x2, y2)
-                        break
-                if frame:
-                    break
-            if frame:
-                break
-        if frame:
-            break
-    if frame is None:
-        raise ExtensionError("no admissible working frame")
-    eff_red, seq, ell, x1, y1, x2, y2 = frame
+    eff_red, seq, ell, x1, y1, x2, y2 = _working_frame(col, seq, ell, q0, q1)
 
     def R(u, v):
         return cbit(u, v) == eff_red
@@ -528,26 +520,22 @@ def spanning_bicoloured_or_mono_cycle(col: PairColouring):
         return _wrap_spanning(col, list(red.vertices + blue.vertices))
 
     cyc = list(find_good_c4(col))
-    cap = _cap(col)
-    path = None
-    for _ in range(cap):
+    while True:
         on = set(cyc)
         rest0 = [u for u in range(n) if u not in on]
         rest1 = [u for u in range(n, 2 * n) if u not in on]
         if not rest0 and not rest1:
             return _wrap_spanning(col, cyc)
-        quad = find_balanced_c4(col, rest0, rest1)
-        if quad is None:
+        try:
             path, pcol = near_mono_spanning_path(col, rest0, rest1)
             break
-        cyc = extend_good_cycle(col, cyc, quad)
-    else:
-        raise RuntimeError("cycle growth failed to terminate within its cap")
+        except BalancedC4Present as exc:
+            cyc = extend_good_cycle(col, cyc, exc.witness)
 
     cbit = col.colour_bit
-    for _ in range(cap):
-        assert is_good_cycle(col, cyc)
-        seq, ell = _normalise(col, cyc, pcol)
+    while True:
+        seq, ell = _frame(col, cyc, pcol)
+        assert col.side(seq[0]) != col.side(seq[ell - 1])
         if col.side(path[0]) != col.side(seq[0]):
             path = path[::-1]
         x1, xh = path[0], path[-1]
@@ -558,11 +546,11 @@ def spanning_bicoloured_or_mono_cycle(col: PairColouring):
         # both attachment edges refuse: trade the leading run for the path
         new_cyc = [seq[0]] + path[::-1] + seq[ell - 1 :]
         new_path = seq[1 : ell - 1]
-        _check_progress(col, cyc, new_cyc, other_colour(pcol), "attachment re-routing")
+        before = len(seq) - ell + 1
+        _check_progress(col, before, new_cyc, other_colour(pcol), "attachment re-routing")
         if not new_path:
             return _wrap_spanning(col, new_cyc)
         cyc, path = new_cyc, new_path
-    raise RuntimeError("attachment failed to terminate within its cap")
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +582,8 @@ def partition_path_cycle(col: PairColouring):
 
     cyc = list(res.vertices)
     cbit = col.colour_bit
-    for _ in range(_cap(col)):
-        seq, ell = _normalise(col, cyc, RED)
+    while True:
+        seq, ell = _frame(col, cyc, RED)
         if col.side(seq[0]) != col.side(seq[ell - 1]):
             if cbit(seq[0], seq[ell - 1]) == RED:
                 return _pieces_result(seq[ell:], BLUE, seq[:ell], RED)
@@ -603,7 +591,6 @@ def partition_path_cycle(col: PairColouring):
         if cbit(seq[0], seq[ell]) != RED:
             return _pieces_result(seq[1:ell], RED, [seq[0]] + seq[ell:], BLUE)
         cyc = _red_exchange(col, seq, ell)
-    raise RuntimeError("path+cycle exchange failed to terminate within its cap")
 
 
 def partition_path_cycle_coloured(col: PairColouring, cycle):
@@ -614,22 +601,18 @@ def partition_path_cycle_coloured(col: PairColouring, cycle):
     cyc = list(cycle)
     if sorted(cyc) != list(range(2 * col.n)):
         raise ValueError("cycle is not spanning")
-    kind, turns = cycle_profile(col, cyc)
-    if kind != "bicoloured":
-        raise ValueError("cycle is not bicoloured")
-    if col.side(turns[0]) != col.side(turns[1]):
+    seq, ell = _frame(col, cyc, RED)
+    if col.side(seq[0]) != col.side(seq[ell - 1]):
         raise ValueError("cycle must not be good")
 
     cbit = col.colour_bit
-    for _ in range(_cap(col)):
-        seq, ell = _normalise(col, cyc, RED)
-        assert col.side(seq[0]) == col.side(seq[ell - 1])
+    while True:
         if cbit(seq[0], seq[ell]) == BLUE:
             return _pieces_result(seq[1:ell], RED, [seq[0]] + seq[ell:], BLUE)
         if cbit(seq[ell - 1], seq[-1]) == BLUE:
             return _pieces_result(seq[: ell - 1], RED, [seq[ell - 1]] + seq[ell:][::-1], BLUE)
-        cyc = _red_exchange(col, seq, ell)
-    raise RuntimeError("coloured exchange failed to terminate within its cap")
+        seq, ell = _frame(col, _red_exchange(col, seq, ell), RED)
+        assert col.side(seq[0]) == col.side(seq[ell - 1])
 
 
 def two_paths(col: PairColouring):

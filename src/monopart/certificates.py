@@ -83,7 +83,10 @@ class PartitionCertificate:
     @classmethod
     def from_text(cls, text: str) -> "PartitionCertificate":
         """Parse the JSON form; raises ValueError on malformed input."""
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("certificate JSON is nested too deeply") from None
         if not (
             isinstance(obj, dict)
             and isinstance(obj.get("host"), dict)

@@ -1,8 +1,8 @@
 """Command-line surface: gen | solve | verify | enumerate | bench.
 
-Exit codes: 0 success, 1 usage or I/O error (or no solver for the host),
-2 split colouring detected, 3 certificate violation or solver failure (or
-enumeration failures).
+Exit codes: 0 success, 1 usage or I/O error (or no solver for the host, or
+out of memory), 2 split colouring detected, 3 certificate violation or
+solver failure (or enumeration failures).
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_bench(args) -> int:
     t_total = 0.0
     for i in range(args.count):
-        col = gen_random(args.kind, args.n, args.palette, seed=args.seed + i, r=args.r)
+        col = gen_random(args.kind, args.n, args.palette, seed=args.seed + i)
         t0 = time.perf_counter()
         try:
             solve(col)
@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="time solves over a seeded corpus")
     b.add_argument("--kind", required=True, choices=["h3", "bnn", "kn"])
     b.add_argument("--n", type=int, required=True)
-    b.add_argument("--r", type=int, default=None)
     b.add_argument("--palette", type=int, default=2, choices=[2, 3])
     b.add_argument("--count", type=int, default=10)
     b.add_argument("--seed", type=int, default=0)
@@ -249,7 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except MemoryError:
+        print(f"{args.command}: out of memory", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
 
+import monopart.bipartite as bp
 from monopart.bipartite import (
     BalancedC4Present,
     SplitDetected,
@@ -27,6 +29,7 @@ from monopart.generators import (
     gen_split_bipartite,
     gen_v_colouring,
 )
+from monopart.solve import solve
 from monopart.threecolour import _split_cycles
 from tests.conftest import all_bnn_colourings
 
@@ -127,23 +130,32 @@ def test_balanced_c4_matches_first_hit_scan(n):
             assert find_balanced_c4(col, s0, s1) == _first_balanced_c4(col, s0, s1), (idx, s0, s1)
 
 
-def test_balanced_c4_free_host_is_answered_by_counting(monkeypatch):
-    # all red but the edge (0, n): one blue edge, so no balanced C4
-    n = 64
+def _off_edge(n):
+    """All red but the edge (0, n): one blue edge, so no balanced C4."""
     entries = bytearray(n * n)
     entries[0] = 1
-    col = PairColouring("bnn", n, 2, bytes(entries))
-    calls = 0
+    return PairColouring("bnn", n, 2, bytes(entries))
+
+
+def _count_lookups(monkeypatch) -> list[int]:
+    """Count `PairColouring.colour_bit` calls in the returned one-item list."""
+    calls = [0]
     lookup = PairColouring.colour_bit
 
     def counting(self, u, v):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return lookup(self, u, v)
 
     monkeypatch.setattr(PairColouring, "colour_bit", counting)
+    return calls
+
+
+def test_balanced_c4_free_host_is_answered_by_counting(monkeypatch):
+    n = 64
+    col = _off_edge(n)
+    calls = _count_lookups(monkeypatch)
     assert find_balanced_c4(col, range(n), range(n, 2 * n)) is None
-    assert calls <= 2 * n * n
+    assert calls[0] <= 2 * n * n
 
 
 def test_near_mono_path_all_red():
@@ -225,6 +237,15 @@ def test_spanning_cycle_exhaustive(n):
             continue
         assert sorted(res.vertices) == list(range(2 * n))
         assert res.kind in ("mono", "bicoloured")
+
+
+def test_red_exchange_raises_without_progress():
+    # vertex 2 is red to the other class, 0 and 1 are blue to it: the
+    # exchange swaps 0 and 1 and the cycle keeps its two red edges
+    col = PairColouring.from_int("bnn", 3, 63)
+    assert bp._frame(col, [0, 3, 1, 4, 2, 5], RED) == ([4, 2, 5, 0, 3, 1], 3)
+    with pytest.raises(RuntimeError, match="red-exchange did not progress"):
+        bp._red_exchange(col, [4, 2, 5, 0, 3, 1], 3)
 
 
 # -- partitions ----------------------------------------------------------
@@ -334,6 +355,62 @@ def test_force_red_path_rejects_good_cycle():
     assert is_good_cycle(col, cyc)
     with pytest.raises(ValueError):
         partition_path_cycle_coloured(col, cyc)
+
+
+def _solve_digest(cols, variant):
+    """sha256 over the `solve` certificates of `cols`, one line each; a
+    colouring the variant cannot serve adds the line "ValueError"."""
+    h = hashlib.sha256()
+    for col in cols:
+        try:
+            h.update(solve(col, variant)[0].to_text().encode())
+        except ValueError:
+            h.update(b"ValueError")
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+_PINNED_HOSTS = {
+    "all-n4": lambda: (col for _, col in all_bnn_colourings(4)),
+    "all-n<=3": lambda: (col for n in (1, 2, 3) for _, col in all_bnn_colourings(n)),
+    "random-64": lambda: [gen_random("bnn", 64, 2, seed=64)],
+    "random-128": lambda: [gen_random("bnn", 128, 2, seed=128)],
+    "random-256": lambda: [gen_random("bnn", 256, 2, seed=256)],
+    "off-edge-64": lambda: [_off_edge(64)],
+    "recoloured-split-64": lambda: [gen_recoloured_split(64, 32, 32, (0, 0))],
+    "v-256": lambda: [gen_v_colouring(256, 85)],
+}
+
+
+# sha256 of the `solve` certificates; a refactor of the bnn2 engine keeps
+# them byte-identical
+_PINNED_DIGESTS = {
+    ("all-n4", "path-cycle"): "250869b3819e63fb54c0d6857aa8314ddfdd0827ecb937ebacf7fc7596a20413",
+    ("all-n<=3", "path-cycle"): "98666483e9c7a9118277f51591c76902938efaeae2e95cf33301abcd13431d9e",
+    ("all-n<=3", "two-paths"): "32af343880fd133ed0786439b11668a38234c1808fd215d474588b29f25f173f",
+    ("all-n<=3", "red-path"): "137cb4a2c559bc504b78a88c8c5d73f818855dbe29b6bd3fbdd8d2cf51b8c6d1",
+    ("random-64", "path-cycle"): "79dab56b53f5f5521e2d386aa30f80e1a04635f60a74ffab396b1a897a83bd5f",
+    ("random-128", "path-cycle"): "ecbae3e0d0c9682554778b1b0c996d7ec262ac6c096184add68a0865c377a0de",
+    ("random-256", "path-cycle"): "4f600ee61de31238ecfe78a8ed7044c03e58ad688e09ac8616a5a1cfecb41a4d",
+    ("off-edge-64", "path-cycle"): "551fb0b167e6a9159953cfa6947cdf81a5609d326563f30f4593bc31a281ac8c",
+    ("recoloured-split-64", "path-cycle"): "d001c43cd9886a6250ec845377574df40851483b6f503c04de89932f947934d9",
+    ("v-256", "path-cycle"): "8560a267aa249020d7c5e0b089373849178068518774e532f584cf17894a7e0c",
+}
+
+
+@pytest.mark.parametrize("hosts, variant", list(_PINNED_DIGESTS))
+def test_bnn2_certificates_pinned(hosts, variant):
+    assert _solve_digest(_PINNED_HOSTS[hosts](), variant) == _PINNED_DIGESTS[hosts, variant]
+
+
+@pytest.mark.parametrize("hosts, bound", [("random-256", 2.5), ("off-edge-64", 1.5)])
+def test_bnn2_solve_lookups(monkeypatch, hosts, bound):
+    # one colour read per cycle and per remainder: a frame is read once and
+    # a balanced-C4-free remainder is counted once
+    (col,) = _PINNED_HOSTS[hosts]()
+    calls = _count_lookups(monkeypatch)
+    solve(col)
+    assert calls[0] <= bound * col.n**2
 
 
 # -- split fallbacks and V constructions --------------------------------

@@ -1,7 +1,20 @@
+import json
 import random
 
-from monopart.certificates import PartitionCertificate, Piece, check_certificate
-from monopart.colourings import BLUE, GREEN, RED, Colour, PairColouring, TripleColouring
+import pytest
+from hypothesis import given, strategies as st
+
+from monopart.certificates import CheckResult, PartitionCertificate, Piece, check_certificate
+from monopart.colourings import (
+    BLUE,
+    GREEN,
+    RED,
+    Colour,
+    HyperSplitSizes,
+    PairColouring,
+    TransversalColouring,
+    TripleColouring,
+)
 from monopart.generators import gen_random, gen_split_bipartite
 
 
@@ -64,6 +77,70 @@ def test_text_roundtrip():
     )
     back = PartitionCertificate.from_text(cert.to_text())
     assert back == cert
+
+
+def test_from_text_rejects_deep_nesting():
+    with pytest.raises(ValueError, match="nested too deeply"):
+        PartitionCertificate.from_text("[" * 200_000)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=20,
+)
+_PIECE_LIKE = st.fixed_dictionaries({
+    "kind": st.sampled_from(["path", "cycle", "loop"]) | _JSON,
+    "colour": st.sampled_from(["red", "Blue", "green", "r"]) | _JSON,
+    "vertices": st.lists(st.integers(-2, 9), max_size=6) | _JSON,
+})
+_CERTIFICATE_LIKE = st.fixed_dictionaries({
+    "host": st.fixed_dictionaries({"kind": st.sampled_from(["h3", "bnn"]), "n": st.integers()}) | _JSON,
+    "pieces": st.lists(_PIECE_LIKE | _JSON, max_size=3) | _JSON,
+})
+
+
+@given(st.one_of(st.text(), _JSON.map(json.dumps), _CERTIFICATE_LIKE.map(json.dumps)))
+def test_from_text_raises_value_error_or_returns_a_certificate(text):
+    try:
+        cert = PartitionCertificate.from_text(text)
+    except ValueError:
+        return
+    assert isinstance(cert, PartitionCertificate)
+
+
+_HOSTS = (
+    gen_random("h3", 5, seed=1),
+    gen_random("kn", 5, 2, seed=1),
+    gen_random("kn", 4, 3, seed=1),
+    gen_random("bnn", 3, 2, seed=1),
+    gen_random("bnn", 3, 3, seed=1),
+    gen_random("rxn", 3, seed=1, r=2),
+    TransversalColouring(3, 3, rule=HyperSplitSizes(3, 3, (1, 1, 2))),
+)
+
+
+@st.composite
+def _checked_certificates(draw):
+    """(host, certificate): pieces of either kind and any colour, whose
+    vertices may repeat or leave the host's range, usually declared for
+    the host itself and sometimes for another one."""
+    col = draw(st.sampled_from(_HOSTS))
+    n = col.n_vertices
+    vertices = st.lists(st.integers(-1, n), max_size=n + 1) | st.lists(
+        st.integers(0, n - 1), unique=True, max_size=n
+    )
+    piece = st.builds(Piece, st.sampled_from(["path", "cycle"]), st.sampled_from(list(Colour)),
+                      vertices.map(tuple))
+    declared = draw(st.sampled_from(_HOSTS) | st.just(col))
+    return col, PartitionCertificate.for_colouring(declared, draw(st.lists(piece, max_size=3)))
+
+
+@given(_checked_certificates())
+def test_check_certificate_returns_a_result_and_text_round_trips(case):
+    col, cert = case
+    assert isinstance(check_certificate(col, cert), CheckResult)
+    assert PartitionCertificate.from_text(cert.to_text()) == cert
 
 
 def _corrupt(cert, rnd):

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import monopart.cli as cli
+import monopart.generators as gen
 from monopart.cli import main
 
 
@@ -115,6 +117,8 @@ def test_gen_deterministic(tmp_path):
 def test_bench_runs(capsys):
     code, out, _ = run(["bench", "--kind", "bnn", "--n", "8", "--count", "3"], capsys)
     assert code == 0 and "solves in" in out
+    with pytest.raises(SystemExit):  # --r: no bench kind has a uniformity
+        main(["bench", "--kind", "bnn", "--n", "8", "--r", "3"])
 
 
 def test_usage_error_on_missing_file(capsys):
@@ -137,6 +141,30 @@ def test_verify_rejects_malformed_certificate(tmp_path, capsys, edit):
     code, out, err = run(["verify", str(col), str(cert)], capsys)
     assert code == 1 and out == ""
     assert err.startswith("cannot read inputs:") and err.count("\n") == 1
+
+
+def test_verify_rejects_deeply_nested_certificate(tmp_path, capsys):
+    col, cert = _solved_bnn(tmp_path)
+    cert.write_text("[" * 200_000)
+    code, out, err = run(["verify", str(col), str(cert)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("cannot read inputs:") and err.count("\n") == 1
+
+
+def test_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch):
+    col, cert = _solved_bnn(tmp_path)
+
+    def no_memory(*args):
+        raise MemoryError
+
+    # stands in for the n^3/6-byte colour stream of a huge h3 host
+    monkeypatch.setattr(gen, "splitmix64_stream", no_memory)
+    code, out, err = run(["gen", "--kind", "h3", "--n", "100000"], capsys)
+    assert (code, out, err) == (1, "", "gen: out of memory\n")
+    monkeypatch.setattr(cli, "parse_colouring", no_memory)
+    for argv in (["solve", str(col)], ["verify", str(col), str(cert)]):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (1, "", f"{argv[0]}: out of memory\n")
 
 
 def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
