@@ -8,6 +8,7 @@ solver failure (or enumeration failures).
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 import time
 
@@ -96,8 +97,6 @@ def _solver_error(exc: Exception) -> int:
 
 
 def _solve_rxn(col: TransversalColouring, args) -> int:
-    import random
-
     r, n = col.r, col.n
     lines = []
     if col.rule is not None:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -341,12 +342,19 @@ class HyperSplitSizes:
             if not 1 <= si <= self.n - 1:
                 raise ValueError(f"part size {si} leaves an empty half for n={self.n}")
 
+    @cached_property
+    def half(self) -> bytes:
+        """1 at global id u iff u lies in its class's distinguished half.
+
+        Built on first use, so a rule-backed host costs O(r) until its
+        colours are read, whatever its n."""
+        return b"".join(b"\x01" * si + bytes(self.n - si) for si in self.s)
+
     def colour_bit(self, edge) -> int:
         """Colour of a transversal edge given as global ids, unchecked: red
         (0) iff an even number of its vertices lie in the distinguished
         halves."""
-        n, s = self.n, self.s
-        return sum(1 for u in edge if u % n < s[u // n]) & 1
+        return sum(map(self.half.__getitem__, edge)) & 1
 
 
 MATERIALIZE_CAP = 1 << 24

@@ -71,10 +71,24 @@ def splitmix64_stream(seed: int, count: int, palette: int) -> bytes:
     return bytes(out)
 
 
+# Largest h3, kn or bnn host the generators build, in edges: an h3 host of
+# n = 1000 (166,167,000 triples) fits, a bnn host of n = 16,384 just fits.
+EDGE_CAP = 1 << 28
+
+
+def _check_edge_cap(kind: str, n: int) -> None:
+    """Raise ValueError, before anything is allocated, if the h3, kn or bnn
+    host on n vertices (per class for bnn) has more than EDGE_CAP edges."""
+    if _n_edges(kind, n) > EDGE_CAP:
+        raise ValueError(f"{kind} host with n={n} exceeds the edge cap {EDGE_CAP}")
+
+
 def gen_random(kind: str, n: int, palette: int = 2, seed: int = 0, r: int | None = None):
     """Seeded random colouring of the given host."""
     if kind == "rxn":
         _check_materializable(n, r)
+    else:
+        _check_edge_cap(kind, n)
     m = _n_edges(kind, n, r)
     if kind in ("h3", "rxn") and palette != 2:
         raise ValueError(f"{kind} hosts are 2-coloured")
@@ -94,6 +108,7 @@ def gen_split_bipartite(n: int, a1: int, b1: int) -> tuple[PairColouring, SplitS
     """
     if not (1 <= a1 <= n - 1 and 1 <= b1 <= n - 1):
         raise ValueError("split parts must leave both halves non-empty")
+    _check_edge_cap("bnn", n)
     entries = bytearray(n * n)
     for a in range(n):
         base = a * n
@@ -116,6 +131,7 @@ def gen_v_colouring(n: int, cut: int) -> PairColouring:
     the cut are red to all of class 0, the rest blue."""
     if not 1 <= cut <= n - 1:
         raise ValueError("cut out of range")
+    _check_edge_cap("bnn", n)
     entries = bytearray(n * n)
     for a in range(n):
         base = a * n
@@ -156,6 +172,7 @@ def gen_three_colour_split(
     n = sum(class0_blocks)
     if sum(class1_blocks) != n:
         raise ValueError("sides must sum to the same n")
+    _check_edge_cap("bnn", n)
 
     def block_of(sizes, v):
         if v < sizes[0]:

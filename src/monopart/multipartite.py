@@ -143,8 +143,14 @@ def min_cover_exact(col: TransversalColouring):
     full = (1 << total) - 1
     classes = [u // n for u in range(total)]
 
-    def window_colour(window) -> int:
-        return col.colour_bit(tuple(window))
+    # each distinct ordered window goes through the validated lookup once
+    colours: dict[tuple[int, ...], int] = {}
+
+    def window_colour(window: tuple[int, ...]) -> int:
+        c = colours.get(window)
+        if c is None:
+            c = colours[window] = col.colour_bit(window)
+        return c
 
     def search(mask: int, budget: int, last_min: int, failed: set):
         if mask == full:
@@ -171,21 +177,23 @@ def min_cover_exact(col: TransversalColouring):
             if sub is not None:
                 piece_colour = Colour(colour) if colour is not None else Colour.RED
                 return [(tuple(seq), piece_colour)] + sub
-            tail_classes = {classes[u] for u in seq[-(r - 1) :]} if r > 1 else set()
+            tail = tuple(seq[-(r - 1) :]) if r > 1 else ()
+            tail_classes = {classes[u] for u in tail}
             for w in uncovered:
                 if (pmask >> w) & 1:
                     continue
                 ncolour = colour
+                grown = tail + (w,)
                 if len(seq) + 1 >= r:
-                    if r > 1 and classes[w] in tail_classes:
+                    if classes[w] in tail_classes:
                         continue
-                    c = window_colour(seq[-(r - 1) :] + [w] if r > 1 else [w])
+                    c = window_colour(grown)
                     if ncolour is None:
                         ncolour = c
                     elif ncolour != c:
                         continue
                 nmask = pmask | (1 << w)
-                window = tuple((seq + [w])[-(r - 1) :]) if r > 1 else ()
+                window = grown[-(r - 1) :] if r > 1 else ()
                 state = (nmask, window, ncolour)
                 if state in seen_states:
                     continue
@@ -219,17 +227,15 @@ def random_mono_tight_path(sizes: HyperSplitSizes, rng):
         path.append(v)
         used.add(v)
     colour = sizes.colour_bit(path)
+    half = sizes.half
     target = rng.randint(r, r * n)
     while len(path) < target:
-        nxt_class = path[-r] // n
-        options = [
-            nxt_class * n + j
-            for j in range(n)
-            if nxt_class * n + j not in used
-            and sizes.colour_bit(path[-(r - 1) :] + [nxt_class * n + j]) == colour
-        ] if r > 1 else [
-            j for j in range(n) if j not in used and sizes.colour_bit([j]) == colour
-        ]
+        # the last window has `colour`, so the new window keeps it iff the
+        # new vertex lies on the same side of its class as path[-r], the
+        # vertex it replaces
+        first = path[-r] // n * n
+        want = half[path[-r]]
+        options = [v for v in range(first, first + n) if v not in used and half[v] == want]
         if not options:
             break
         v = rng.choice(options)

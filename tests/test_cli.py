@@ -157,14 +157,35 @@ def test_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch):
     def no_memory(*args):
         raise MemoryError
 
-    # stands in for the n^3/6-byte colour stream of a huge h3 host
+    # stands in for the n^3/6-byte colour stream of a large h3 host
     monkeypatch.setattr(gen, "splitmix64_stream", no_memory)
-    code, out, err = run(["gen", "--kind", "h3", "--n", "100000"], capsys)
+    code, out, err = run(["gen", "--kind", "h3", "--n", "1000"], capsys)
     assert (code, out, err) == (1, "", "gen: out of memory\n")
     monkeypatch.setattr(cli, "parse_colouring", no_memory)
     for argv in (["solve", str(col)], ["verify", str(col), str(cert)]):
         code, out, err = run(argv, capsys)
         assert (code, out, err) == (1, "", f"{argv[0]}: out of memory\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "h3", "--n", "1200"],
+    ["--kind", "h3", "--n", "100000"],
+    ["--kind", "kn", "--n", "23171", "--palette", "3"],
+    ["--kind", "bnn", "--n", "16385"],
+    ["--kind", "bnn", "--n", "16385", "--split", "1,1"],
+    ["--kind", "bnn", "--n", "16385", "--v-cut", "1"],
+    ["--kind", "bnn", "--n", "16385", "--recolour", "0,0"],
+    ["--kind", "bnn", "--three-split", "1,1,16383/1,1,16383", "--n", "1"],
+], ids=["h3", "h3-huge", "kn", "bnn", "bnn-split", "bnn-v", "bnn-recoloured", "bnn-three"])
+def test_gen_refuses_hosts_over_the_edge_cap(capsys, monkeypatch, args):
+    def no_stream(*args):
+        raise AssertionError("the colour stream was allocated")
+
+    monkeypatch.setattr(gen, "splitmix64_stream", no_stream)
+    code, out, err = run(["gen", *args], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("cannot generate colouring:") and err.count("\n") == 1
+    assert f"edge cap {gen.EDGE_CAP}" in err
 
 
 def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 from monopart.bipartite import classify_bipartite, find_good_c4, is_good_cycle
 from monopart.colourings import BLUE, GREEN, RED
 from monopart.generators import (
+    EDGE_CAP,
     gen_random,
     gen_recoloured_split,
     gen_split_bipartite,
@@ -128,3 +129,22 @@ def test_rxn_over_the_cap_is_refused_before_generating(monkeypatch):
     assert 2**25 > MATERIALIZE_CAP
     with pytest.raises(ValueError, match="cap"):
         gen_random("rxn", 2, 2, seed=0, r=25)
+
+
+class _StreamReached(Exception):
+    pass
+
+
+def test_edge_cap_is_checked_before_the_stream(monkeypatch):
+    import monopart.generators as gen
+
+    def stream(seed, m, palette):
+        raise _StreamReached(m)
+
+    monkeypatch.setattr(gen, "splitmix64_stream", stream)
+    for kind, largest in (("h3", 1173), ("kn", 23170), ("bnn", 16384)):
+        with pytest.raises(ValueError, match="edge cap"):
+            gen_random(kind, largest + 1)
+        with pytest.raises(_StreamReached) as reached:
+            gen_random(kind, largest)
+        assert reached.value.args[0] <= EDGE_CAP

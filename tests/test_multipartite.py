@@ -1,12 +1,21 @@
+import functools
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
 from monopart.certificates import PartitionCertificate, Piece, check_certificate
-from monopart.colourings import BLUE, RED, HyperSplitSizes, TransversalColouring
-from monopart.generators import gen_split_bipartite
+from monopart.colourings import (
+    BLUE,
+    RED,
+    HyperSplitSizes,
+    TransversalColouring,
+    parse_colouring,
+    serialize_colouring,
+)
+from monopart.generators import gen_random, gen_split_bipartite
 from monopart.multipartite import (
     ExceedsCap,
     check_side_consistency,
@@ -128,18 +137,22 @@ def _two_block_paths_feasible(n, a, b):
     return abs(a - b) <= 1 or abs(a + b - n) <= 1
 
 
+@functools.cache
+def _block_covers():
+    """`min_cover_exact` on every rule-backed r = 2 host with n <= 7, keyed
+    by (n, a, b); shared by the block analysis and the witness pins."""
+    return {
+        (n, a, b): min_cover_exact(TransversalColouring(2, n, rule=HyperSplitSizes(2, n, (a, b))))
+        for n in range(2, 8) for a in range(1, n) for b in range(1, n)
+    }
+
+
 def test_min_cover_matches_block_analysis():
-    for n in range(2, 8):
-        for a in range(1, n):
-            for b in range(1, n):
-                if 2 * n > 14:
-                    continue
-                col = TransversalColouring(2, n, rule=HyperSplitSizes(2, n, (a, b)))
-                k, witness = min_cover_exact(col)
-                assert k >= 2
-                assert (k == 2) == _two_block_paths_feasible(n, a, b), (n, a, b, k)
-                masks = [frozenset(seq) for seq, _ in witness]
-                assert sum(len(m) for m in masks) == 2 * n
+    for (n, a, b), (k, witness) in _block_covers().items():
+        assert k >= 2
+        assert (k == 2) == _two_block_paths_feasible(n, a, b), (n, a, b, k)
+        masks = [frozenset(seq) for seq, _ in witness]
+        assert sum(len(m) for m in masks) == 2 * n
 
 
 def test_min_cover_cap():
@@ -162,3 +175,92 @@ def test_random_mono_tight_path_samples_pinned():
     assert samples[:2] == [[2, 3, [2, 1], [2, 4], 0], [1, 5, [3], [3, 4], 0]]
     digest = hashlib.sha256(json.dumps(samples).encode()).hexdigest()
     assert digest == "9b92b22c14626cf49f8b2a1703961e1496536897ef85a8b5816e9ad163712d33"
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def _cover_record(col):
+    try:
+        k, witness = min_cover_exact(col)
+    except ValueError as exc:
+        return f"error: {exc}"
+    return [k, [[list(seq), int(colour)] for seq, colour in witness]]
+
+
+def test_min_cover_witnesses_pinned():
+    # every rule-backed r = 2 host with n <= 7, and seeded materialised hosts
+    # with r * n <= 12; r = 3 hosts that reach a window repeating a class
+    # pin its error (the known r >= 3 defect)
+    rule = [[n, a, b, k, [[list(seq), int(c)] for seq, c in witness]]
+            for (n, a, b), (k, witness) in _block_covers().items()]
+    assert _digest(rule) == "8203002ae71698958cf521438f7645c8dafe6c260c783365ce093e977ef0db86"
+    materialised = [[r, n, seed, _cover_record(gen_random("rxn", n, 2, seed=seed, r=r))]
+                    for r in (1, 2, 3) for n in range(1, 12 // r + 1) for seed in range(4)]
+    assert _digest(materialised) == "976aa18f995a4d4186f5d1ebca0310136e68fb2802c7867b4edfff71edfd0cb3"
+
+
+def test_random_mono_tight_path_pinned_at_bench_sizes():
+    # 200 samples on each of the benchmark's rule-backed split hosts and on
+    # one r = 3 host
+    samples = []
+    for sizes in (HyperSplitSizes(2, 20, (6, 10)), HyperSplitSizes(2, 24, (8, 12)),
+                  HyperSplitSizes(3, 9, (2, 4, 7))):
+        rng = random.Random(sizes.n)
+        for _ in range(200):
+            path, colour = random_mono_tight_path(sizes, rng)
+            samples.append([path, int(colour)])
+    assert _digest(samples) == "fac98d4665ad98da55e0b59819102ca442c88cf54282e39b0aec151853995338"
+
+
+def _count_lookups(monkeypatch, cls) -> list[int]:
+    """Count `cls.colour_bit` calls in the returned one-item list."""
+    calls = [0]
+    lookup = cls.colour_bit
+
+    def counting(self, edge):
+        calls[0] += 1
+        return lookup(self, edge)
+
+    monkeypatch.setattr(cls, "colour_bit", counting)
+    return calls
+
+
+def test_min_cover_reads_each_window_once(monkeypatch):
+    n = 7
+    col = TransversalColouring(2, n, rule=HyperSplitSizes(2, n, (2, 3)))
+    calls = _count_lookups(monkeypatch, TransversalColouring)
+    min_cover_exact(col)
+    assert calls[0] <= 2 * n * n  # the ordered windows (u, w) of two classes
+
+
+def test_random_mono_tight_path_reads_colours_from_the_table(monkeypatch):
+    sizes = HyperSplitSizes(2, 24, (8, 12))
+    calls = _count_lookups(monkeypatch, HyperSplitSizes)
+    path, _colour = random_mono_tight_path(sizes, random.Random(3))
+    assert len(path) > 2 * sizes.r
+    assert calls[0] <= sizes.r + 1
+
+
+def test_split_colour_bit_matches_definition():
+    for r in (1, 2, 3):
+        for n in range(2, 6):
+            for s in itertools.product(range(1, n), repeat=r):
+                sizes = HyperSplitSizes(r, n, s)
+                for locs in itertools.product(range(n), repeat=r):
+                    edge = [i * n + v for i, v in enumerate(locs)]
+                    assert sizes.colour_bit(edge) == sum(u % n < s[u // n] for u in edge) & 1
+
+
+def test_split_table_leaves_identity_and_text_unchanged():
+    sizes = HyperSplitSizes(2, 4, (1, 2))
+    col = TransversalColouring(2, 4, rule=sizes)
+    min_cover_exact(col)  # reads colours through the table
+    assert sizes == HyperSplitSizes(2, 4, (1, 2)) and sizes != HyperSplitSizes(2, 4, (2, 1))
+    assert hash(sizes) == hash((2, 4, (1, 2)))
+    assert repr(sizes) == "HyperSplitSizes(r=2, n=4, s=(1, 2))"
+    assert serialize_colouring(col) == "rxn 4 2\nsplit 1 2\n"
+    # a rule-backed host is read and written without building its table
+    text = "rxn 1000000000000 2\nsplit 1 1\n"
+    assert serialize_colouring(parse_colouring(text)) == text
