@@ -12,11 +12,16 @@ bicoloured, which is then exchanged into a partition into one
 monochromatic path and one monochromatic cycle of distinct colours.
 Split colourings are detected and served by explicit three-piece
 fallbacks.  All constructions are verified before being returned.
+
+The solvers read colours through the unchecked view `PairColouring.rows`,
+and each cycle the growth, attach and exchange loops build is read once:
+its frame is handed on to the next step.  The structure witnesses'
+`verify` methods compare rows of the validated `entries` instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .certificates import Piece
 from .colourings import BLUE, RED, Colour, PairColouring, SplitStructure, other_colour
@@ -54,20 +59,21 @@ class VColStructure:
     def verify(self, col: PairColouring) -> bool:
         if col.kind != "bnn" or col.palette != 2:
             return False
-        if not self.red_arm or not self.blue_arm:
+        if not self.red_arm or not self.blue_arm or self.bichro_class not in (0, 1):
             return False
-        own = list(col.class_vertices(self.bichro_class))
+        n = col.n
         opp = list(col.class_vertices(1 - self.bichro_class))
         if sorted(self.red_arm + self.blue_arm) != opp:
             return False
-        for u in own:
-            for w in self.red_arm:
-                if col.colour_bit(u, w) != RED:
-                    return False
-            for w in self.blue_arm:
-                if col.colour_bit(u, w) != BLUE:
-                    return False
-        return True
+        # every vertex of the bichromatic class has the same row (class 0)
+        # or column (class 1) of entries: red towards the red arm, blue
+        # towards the blue arm
+        red_arm = set(self.red_arm)
+        want = bytes(RED if w in red_arm else BLUE for w in opp)
+        entries = col.entries
+        if self.bichro_class == 0:
+            return all(entries[a * n : (a + 1) * n] == want for a in range(n))
+        return all(entries[b::n] == want for b in range(n))
 
 
 @dataclass(frozen=True)
@@ -109,35 +115,36 @@ def classify_bipartite(col: PairColouring) -> Classification:
     """
     _require_bnn2(col)
     n = col.n
-    cbit = col.colour_bit
+    rows = col.rows
 
     pivot = None
     for u in range(2 * n):
         opp = col.class_vertices(1 - col.side(u))
-        cols = {cbit(u, w) for w in opp}
-        if len(cols) == 2:
+        if len(set(map(rows[u].__getitem__, opp))) == 2:
             pivot = u
             break
     if pivot is None:
-        return Classification("mono", colour=Colour(cbit(0, n)))
+        return Classification("mono", colour=Colour(rows[0][n]))
 
     side = col.side(pivot)
     opp = list(col.class_vertices(1 - side))
-    xr = [w for w in opp if cbit(pivot, w) == RED]
-    xb = [w for w in opp if cbit(pivot, w) == BLUE]
+    row = rows[pivot]
+    xr = [w for w in opp if row[w] == RED]
+    xb = [w for w in opp if row[w] == BLUE]
 
     like_pivot: list[int] = []
     anti_pivot: list[int] = []
     for u in col.class_vertices(side):
-        fr = {cbit(u, w) for w in xr}
+        row = rows[u]
+        fr = set(map(row.__getitem__, xr))
         if len(fr) == 2:
-            x = next(w for w in xr if cbit(u, w) == RED)
-            x2 = next(w for w in xr if cbit(u, w) == BLUE)
+            x = next(w for w in xr if row[w] == RED)
+            x2 = next(w for w in xr if row[w] == BLUE)
             return Classification("other", good_c4=(pivot, x, u, x2))
-        fb = {cbit(u, w) for w in xb}
+        fb = set(map(row.__getitem__, xb))
         if len(fb) == 2:
-            x = next(w for w in xb if cbit(u, w) == RED)
-            x2 = next(w for w in xb if cbit(u, w) == BLUE)
+            x = next(w for w in xb if row[w] == RED)
+            x2 = next(w for w in xb if row[w] == BLUE)
             return Classification("other", good_c4=(pivot, x, u, x2))
         fr, fb = fr.pop(), fb.pop()
         if fr == fb:
@@ -170,16 +177,16 @@ def find_good_c4(col: PairColouring):
     """
     _require_bnn2(col)
     n = col.n
-    cbit = col.colour_bit
+    rows = col.rows
     for a in range(n):
         for b in range(n, 2 * n):
             for a2 in range(a + 1, n):
                 for b2 in range(b + 1, 2 * n):
                     reds = (
-                        (cbit(a, b) == 0)
-                        + (cbit(a2, b) == 0)
-                        + (cbit(a, b2) == 0)
-                        + (cbit(a2, b2) == 0)
+                        (rows[a][b] == 0)
+                        + (rows[a2][b] == 0)
+                        + (rows[a][b2] == 0)
+                        + (rows[a2][b2] == 0)
                     )
                     if reds in (1, 3):
                         return (a, b, a2, b2)
@@ -199,33 +206,35 @@ def find_balanced_c4(col: PairColouring, subset0, subset1):
         raise ValueError("subset classes must have equal sizes")
     s0 = sorted(subset0)
     s1 = sorted(subset1)
-    cbit = col.colour_bit
-    if _near_mono(cbit, s0, s1) is not None:
+    rows = col.rows
+    if _near_mono(rows, s0, s1) is not None:
         return None
     for i, a in enumerate(s0):
         for a2 in s0[i + 1 :]:
             for j, b in enumerate(s1):
                 for b2 in s1[j + 1 :]:
                     reds = (
-                        (cbit(a, b) == 0)
-                        + (cbit(a2, b) == 0)
-                        + (cbit(a, b2) == 0)
-                        + (cbit(a2, b2) == 0)
+                        (rows[a][b] == 0)
+                        + (rows[a2][b] == 0)
+                        + (rows[a][b2] == 0)
+                        + (rows[a2][b2] == 0)
                     )
                     if reds == 2:
                         return (a, b, a2, b2)
     return None
 
 
-def _near_mono(cbit, s0, s1):
+def _near_mono(rows, s0, s1):
     """None when both colours have at least two edges of s0 x s1, read row
-    by row and stopped as soon as they do; otherwise (majority colour,
-    first edge of the other colour, or None when it has no edge)."""
+    by row from the raw view `rows` and stopped as soon as they do;
+    otherwise (majority colour, first edge of the other colour, or None
+    when it has no edge)."""
     reds = blues = 0
     red = blue = None
     for a in s0:
+        row = rows[a]
         for b in s1:
-            if cbit(a, b):
+            if row[b]:
                 if not blues:
                     blue = (a, b)
                 blues += 1
@@ -252,7 +261,7 @@ def near_mono_spanning_path(col: PairColouring, subset0, subset1):
     s1 = sorted(subset1)
     if len(s0) != len(s1) or not s0:
         raise ValueError("need equal non-empty class subsets")
-    near = _near_mono(col.colour_bit, s0, s1)
+    near = _near_mono(col.rows, s0, s1)
     if near is None:
         raise BalancedC4Present(find_balanced_c4(col, s0, s1))
     majority, lone = near
@@ -268,13 +277,16 @@ def near_mono_spanning_path(col: PairColouring, subset0, subset1):
 
 
 def _cycle_colours(col: PairColouring, cyc) -> list[int]:
-    k = len(cyc)
-    cbit = col.colour_bit
-    return [cbit(cyc[i], cyc[(i + 1) % k]) for i in range(k)]
+    """Colours of the edges cyc[i] cyc[i + 1], the last one closing the
+    cycle.  The growth, attach and exchange loops call this once per cycle
+    they build and hand the frame on."""
+    rows = col.rows
+    return [rows[u][v] for u, v in zip(cyc, cyc[1:] + cyc[:1])]
 
 
-def _check_progress(col: PairColouring, before: int, new, colour, step: str) -> None:
-    """Raise unless cycle `new` has more than `before` edges of `colour`.
+def _check_progress(col: PairColouring, before: int, new, colour, step: str, lead):
+    """The frame of cycle `new` led by `lead`, from one read of its
+    colours; raises unless it has more than `before` edges of `colour`.
 
     This check and `_checked_extension` are what stop the growth, attach
     and exchange loops: every growth step strictly lengthens the cycle,
@@ -282,16 +294,18 @@ def _check_progress(col: PairColouring, before: int, new, colour, step: str) -> 
     edges of one colour.  Both counts are at most the host's 2n vertices,
     so each loop runs at most 2n times.
     """
-    if _cycle_colours(col, new).count(colour) <= before:
+    cols = _cycle_colours(col, new)
+    if cols.count(colour) <= before:
         raise RuntimeError(f"{step} did not progress")
+    return _frame_of(new, cols, lead)
 
 
-def _red_exchange(col: PairColouring, seq, ell) -> list[int]:
-    """Reverse the run after v_ell of a red-led frame; the result must
-    carry more red edges than the frame's ell - 1."""
+def _red_exchange(col: PairColouring, seq, ell):
+    """The red-led frame of the cycle that reverses the run after v_ell of
+    the red-led frame (seq, ell); it must carry more red edges than the
+    frame's ell - 1."""
     new_cyc = seq[:ell] + seq[ell:][::-1]
-    _check_progress(col, ell - 1, new_cyc, RED, "red-exchange")
-    return new_cyc
+    return _check_progress(col, ell - 1, new_cyc, RED, "red-exchange", RED)
 
 
 def _run_starts(cols) -> list[int]:
@@ -320,20 +334,38 @@ def is_good_cycle(col: PairColouring, cyc) -> bool:
     return kind == "bicoloured" and col.side(turns[0]) != col.side(turns[1])
 
 
-def _frame(col: PairColouring, cyc: list, red: int):
-    """The forward frame (seq, ell) of a bicoloured cycle led by colour `red`.
+def _frame_of(cyc, cols, lead):
+    """The forward frame (seq, ell) of a bicoloured cycle with edge colours
+    `cols`, led by colour `lead`.
 
     `seq` is `cyc` rotated to start at a turning point, so that its edges
-    form a `red` run to v_ell = seq[ell - 1] (1-based), the other turning
+    form a `lead` run to v_ell = seq[ell - 1] (1-based), the other turning
     point, followed by the other colour's run.  Raises ValueError unless
     the cycle has exactly two colour runs.
     """
-    cols = _cycle_colours(col, cyc)
-    starts = _run_starts(cols)
-    if len(starts) != 2:
+    # two runs: the edges not of colour cols[0] are one interval [i, j),
+    # and every edge is of one of the two colours
+    k = len(cols)
+    first = cols[0]
+    other = 1 - first
+    n_other = cols.count(other)
+    i = cols.index(other) if n_other else 0
+    j = i + n_other
+    if not n_other or cols.count(first) + n_other != k or first in cols[i:j]:
         raise ValueError("cycle is not bicoloured")
-    p, q = starts if cols[starts[0]] == red else starts[::-1]
-    return cyc[p:] + cyc[:p], (q - p) % len(cyc) + 1
+    p, q = (j % k, i) if first == lead else (i, j % k)
+    return cyc[p:] + cyc[:p], (q - p) % k + 1
+
+
+def _frame(col: PairColouring, cyc, lead):
+    """The frame of cycle `cyc` led by `lead` (see `_frame_of`), reading
+    its colours."""
+    return _frame_of(cyc, _cycle_colours(col, cyc), lead)
+
+
+def _other_lead(seq, ell):
+    """The forward frame of the same cycle led by the other colour."""
+    return seq[ell - 1 :] + seq[: ell - 1], len(seq) - ell + 2
 
 
 def _reversed_frame(seq, ell):
@@ -346,15 +378,24 @@ class ExtensionError(RuntimeError):
 
 
 def _checked_extension(col, cand, old_len, allowed):
-    if len(set(cand)) != len(cand):
+    """(cand, its red-led frame), from one read of its colours; raises
+    ExtensionError unless `cand` is a good cycle on more than `old_len`
+    distinct vertices of `allowed`."""
+    vertices = set(cand)
+    if len(vertices) != len(cand):
         raise ExtensionError(f"repeated vertex in {cand}")
-    if not set(cand) <= allowed:
+    if not vertices <= allowed:
         raise ExtensionError("extension left the allowed vertex set")
     if len(cand) <= old_len:
         raise ExtensionError("extension did not grow the cycle")
-    if not is_good_cycle(col, cand):
+    try:
+        seq, ell = _frame(col, cand, RED)
+        good = col.side(seq[0]) != col.side(seq[ell - 1])
+    except ValueError:  # not bicoloured
+        good = False
+    if not good:
         raise ExtensionError(f"extension is not a good cycle: {cand}")
-    return list(cand)
+    return list(cand), (seq, ell)
 
 
 def _working_frame(col: PairColouring, seq, ell, q0, q1):
@@ -366,18 +407,18 @@ def _working_frame(col: PairColouring, seq, ell, q0, q1):
     arithmetic: the reversed red-led frame, then the forward and reversed
     blue-led ones.
     """
-    cbit = col.colour_bit
-    blue_led = (seq[ell - 1 :] + seq[: ell - 1], len(seq) - ell + 2)
+    rows = col.rows
+    blue_led = _other_lead(seq, ell)
     frames = ((seq, ell), _reversed_frame(seq, ell), blue_led, _reversed_frame(*blue_led))
     for eff_red, (fseq, fell) in zip((RED, RED, BLUE, BLUE), frames):
         own, opp = (q0, q1) if col.side(fseq[0]) == 0 else (q1, q0)
         for x1, y1 in ((own[0], own[1]), (own[1], own[0])):
             for x2, y2 in ((opp[0], opp[1]), (opp[1], opp[0])):
                 if (
-                    cbit(x1, x2) == eff_red
-                    and cbit(y1, x2) != eff_red
-                    and ((cbit(x1, y2) == eff_red) != (cbit(y1, y2) == eff_red))
-                    and cbit(fseq[0], x2) == eff_red
+                    rows[x1][x2] == eff_red
+                    and rows[y1][x2] != eff_red
+                    and ((rows[x1][y2] == eff_red) != (rows[y1][y2] == eff_red))
+                    and rows[fseq[0]][x2] == eff_red
                 ):
                     return eff_red, fseq, fell, x1, y1, x2, y2
     raise ExtensionError("no admissible working frame")
@@ -393,27 +434,33 @@ def extend_good_cycle(col: PairColouring, cycle, quad):
     re-routing that is verified before being returned.
     """
     _require_bnn2(col)
-    cyc = list(cycle)
-    seq, ell = _frame(col, cyc, RED)
+    return _extend(col, _frame(col, list(cycle), RED), quad)[0]
+
+
+def _extend(col: PairColouring, frame, quad):
+    """`extend_good_cycle` on the good cycle with red-led frame `frame`,
+    which is not read again: (new cycle, its red-led frame)."""
+    seq, ell = frame
     if col.side(seq[0]) == col.side(seq[ell - 1]):
         raise ValueError("input cycle is not good")
     quad = list(quad)
-    if set(cyc) & set(quad):
+    on = set(seq)
+    if on & set(quad):
         raise ValueError("cycle and quad are not disjoint")
     q0 = sorted(u for u in quad if col.side(u) == 0)
     q1 = sorted(u for u in quad if col.side(u) == 1)
     if len(q0) != 2 or len(q1) != 2:
         raise ValueError("quad is not a C4 vertex set")
-    cbit = col.colour_bit
-    reds = sum(1 for a in q0 for b in q1 if cbit(a, b) == RED)
+    rows = col.rows
+    reds = sum(1 for a in q0 for b in q1 if rows[a][b] == RED)
     if reds != 2:
         raise ValueError("quad is not balanced")
-    allowed = set(cyc) | set(quad)
-    k = len(cyc)
+    allowed = on | set(quad)
+    k = len(seq)
     eff_red, seq, ell, x1, y1, x2, y2 = _working_frame(col, seq, ell, q0, q1)
 
     def R(u, v):
-        return cbit(u, v) == eff_red
+        return rows[u][v] == eff_red
 
     def v(i):
         return seq[i - 1]
@@ -475,6 +522,9 @@ class SpanningCycle:
     kind: str  # "mono" | "bicoloured"
     colour: Colour | None = None  # mono cycles only
     good: bool | None = None
+    # bicoloured cycles only: the red-led frame (seq, ell) read when the
+    # cycle was built, which the exchange loop starts from
+    frame: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def _interleave(left, right) -> list[int]:
@@ -485,17 +535,19 @@ def _interleave(left, right) -> list[int]:
     return out
 
 
-def _wrap_spanning(col: PairColouring, cyc) -> SpanningCycle:
+def _wrap_spanning(col: PairColouring, cyc, frame=None) -> SpanningCycle:
+    """The spanning cycle `cyc`, mono or bicoloured.  `frame` is its
+    red-led frame when the caller has read its colours already."""
     if sorted(cyc) != list(range(2 * col.n)):
         raise ValueError("cycle is not spanning")
-    kind, turns = cycle_profile(col, cyc)
-    if kind == "mono":
-        colour = Colour(col.colour_bit(cyc[0], cyc[1])) if len(cyc) >= 2 else None
-        return SpanningCycle(tuple(cyc), "mono", colour=colour)
-    if kind != "bicoloured":
-        raise ValueError("cycle has more than two colour runs")
-    good = col.side(turns[0]) != col.side(turns[1])
-    return SpanningCycle(tuple(cyc), "bicoloured", good=good)
+    if frame is None:
+        cols = _cycle_colours(col, cyc)
+        if cols.count(cols[0]) == len(cols):
+            return SpanningCycle(tuple(cyc), "mono", colour=Colour(cols[0]))
+        frame = _frame_of(cyc, cols, RED)
+    seq, ell = frame
+    good = col.side(seq[0]) != col.side(seq[ell - 1])
+    return SpanningCycle(tuple(cyc), "bicoloured", good=good, frame=frame)
 
 
 def spanning_bicoloured_or_mono_cycle(col: PairColouring):
@@ -519,38 +571,43 @@ def spanning_bicoloured_or_mono_cycle(col: PairColouring):
         red, blue = _v_two_cycles(col, verdict.vcol)
         return _wrap_spanning(col, list(red.vertices + blue.vertices))
 
+    # each cycle is read once, as it is built; its red-led frame goes on
     cyc = list(find_good_c4(col))
+    frame = _frame(col, cyc, RED)
     while True:
         on = set(cyc)
         rest0 = [u for u in range(n) if u not in on]
         rest1 = [u for u in range(n, 2 * n) if u not in on]
         if not rest0 and not rest1:
-            return _wrap_spanning(col, cyc)
+            return _wrap_spanning(col, cyc, frame)
         try:
             path, pcol = near_mono_spanning_path(col, rest0, rest1)
             break
         except BalancedC4Present as exc:
-            cyc = extend_good_cycle(col, cyc, exc.witness)
+            cyc, frame = _extend(col, frame, exc.witness)
 
-    cbit = col.colour_bit
+    # the attachment works in the frame led by the path's colour
+    seq, ell = frame if pcol == RED else _other_lead(*frame)
+    rows = col.rows
     while True:
-        seq, ell = _frame(col, cyc, pcol)
         assert col.side(seq[0]) != col.side(seq[ell - 1])
         if col.side(path[0]) != col.side(seq[0]):
             path = path[::-1]
         x1, xh = path[0], path[-1]
-        if cbit(seq[ell - 1], x1) == pcol:
+        if rows[seq[ell - 1]][x1] == pcol:
             return _wrap_spanning(col, seq[:ell] + path + seq[ell:])
-        if cbit(seq[0], xh) == pcol:
+        if rows[seq[0]][xh] == pcol:
             return _wrap_spanning(col, seq + path)
         # both attachment edges refuse: trade the leading run for the path
         new_cyc = [seq[0]] + path[::-1] + seq[ell - 1 :]
-        new_path = seq[1 : ell - 1]
+        path = seq[1 : ell - 1]
         before = len(seq) - ell + 1
-        _check_progress(col, before, new_cyc, other_colour(pcol), "attachment re-routing")
-        if not new_path:
-            return _wrap_spanning(col, new_cyc)
-        cyc, path = new_cyc, new_path
+        seq, ell = _check_progress(
+            col, before, new_cyc, other_colour(pcol), "attachment re-routing", pcol
+        )
+        if not path:
+            red_led = (seq, ell) if pcol == RED else _other_lead(seq, ell)
+            return _wrap_spanning(col, new_cyc, red_led)
 
 
 # ---------------------------------------------------------------------------
@@ -580,17 +637,16 @@ def partition_path_cycle(col: PairColouring):
         c = res.colour if res.colour is not None else RED
         return _pieces_result((), other_colour(c), res.vertices, c)
 
-    cyc = list(res.vertices)
-    cbit = col.colour_bit
+    seq, ell = res.frame
+    rows = col.rows
     while True:
-        seq, ell = _frame(col, cyc, RED)
         if col.side(seq[0]) != col.side(seq[ell - 1]):
-            if cbit(seq[0], seq[ell - 1]) == RED:
+            if rows[seq[0]][seq[ell - 1]] == RED:
                 return _pieces_result(seq[ell:], BLUE, seq[:ell], RED)
             return _pieces_result(seq[1 : ell - 1], RED, [seq[0]] + seq[ell - 1 :], BLUE)
-        if cbit(seq[0], seq[ell]) != RED:
+        if rows[seq[0]][seq[ell]] != RED:
             return _pieces_result(seq[1:ell], RED, [seq[0]] + seq[ell:], BLUE)
-        cyc = _red_exchange(col, seq, ell)
+        seq, ell = _red_exchange(col, seq, ell)
 
 
 def partition_path_cycle_coloured(col: PairColouring, cycle):
@@ -605,13 +661,13 @@ def partition_path_cycle_coloured(col: PairColouring, cycle):
     if col.side(seq[0]) != col.side(seq[ell - 1]):
         raise ValueError("cycle must not be good")
 
-    cbit = col.colour_bit
+    rows = col.rows
     while True:
-        if cbit(seq[0], seq[ell]) == BLUE:
+        if rows[seq[0]][seq[ell]] == BLUE:
             return _pieces_result(seq[1:ell], RED, [seq[0]] + seq[ell:], BLUE)
-        if cbit(seq[ell - 1], seq[-1]) == BLUE:
+        if rows[seq[ell - 1]][seq[-1]] == BLUE:
             return _pieces_result(seq[: ell - 1], RED, [seq[ell - 1]] + seq[ell:][::-1], BLUE)
-        seq, ell = _frame(col, _red_exchange(col, seq, ell), RED)
+        seq, ell = _red_exchange(col, seq, ell)
         assert col.side(seq[0]) == col.side(seq[ell - 1])
 
 

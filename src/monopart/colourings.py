@@ -15,6 +15,13 @@ Vertices are dense integers.  For ``bnn`` the global ids are 0..n-1
 (class 0) and n..2n-1 (class 1); for ``rxn`` class i occupies
 [i*n, (i+1)*n).
 
+Colour reads come in two kinds.  ``colour_bit`` validates its vertex ids;
+``check_certificate`` reads through it, and the structure witnesses compare
+rows of the canonical ``entries``.  The solvers' loops read a pair host
+through its raw view ``PairColouring.rows`` instead: one unchecked byte per
+ordered pair, built on the first read (at most 3n^2 bytes for bnn, n^2 for
+kn).
+
 File format: a header line ``<kind> <n> [r] [palette]`` followed by one
 body line.  For materialized colourings the body is an ASCII string over
 ``{0,1}`` (two colours) or ``{0,1,2}`` (three colours) in canonical edge
@@ -143,6 +150,19 @@ def _n_edges(kind: str, n: int, r: int | None = None) -> int:
     raise ValueError(f"unknown host kind {kind!r}")
 
 
+# Largest h3, kn or bnn host that is generated or parsed, in edges: an h3
+# host of n = 1000 (166,167,000 triples) fits, a bnn host of n = 16,384 just
+# fits.
+EDGE_CAP = 1 << 28
+
+
+def _check_edge_cap(kind: str, n: int) -> None:
+    """Raise ValueError, before anything is allocated, if the h3, kn or bnn
+    host on n vertices (per class for bnn) has more than EDGE_CAP edges."""
+    if _n_edges(kind, n) > EDGE_CAP:
+        raise ValueError(f"{kind} host with n={n} exceeds the edge cap {EDGE_CAP}")
+
+
 def _pair_edges(kind: str, n: int):
     """The edges of a kn or bnn host, as global-id pairs, in the order of
     `PairColouring.entries`."""
@@ -227,14 +247,30 @@ class TripleColouring:
         return f"TripleColouring(n={self.n})"
 
 
+# Byte of the raw view at a position that is not an edge: the diagonal, and
+# a class-0 vertex's own class.  It equals no colour.
+NO_EDGE = 255
+
+
 class PairColouring:
     """Colouring of a complete (kn) or complete bipartite (bnn) graph.
 
     Entries are one byte per edge in canonical order.  For bipartite hosts
     vertex ids are global: class 0 is 0..n-1, class 1 is n..2n-1.
+
+    `rows` is the raw colour view the solvers read: `rows[u][v]` is the
+    colour of edge uv, for global ids, with no check.  It is built on the
+    first read and kept out of `==`, `hash` and the text form.  For kn,
+    each of the n rows has n bytes, with NO_EDGE on the diagonal.  For bnn,
+    a class-0 row has 2n bytes, NO_EDGE over its own class; a class-1 row
+    has the n bytes towards class 0 only, so a same-class read there falls
+    off its end: 3n^2 bytes in all.  The view checks nothing, so only the
+    solvers in `bipartite` and `threecolour` read it; `check_certificate`
+    and the structure witnesses read the validated `colour_bit` and
+    `entries`, and share no code with it.
     """
 
-    __slots__ = ("kind", "n", "palette", "entries")
+    __slots__ = ("kind", "n", "palette", "entries", "_rows")
 
     def __init__(self, kind: str, n: int, palette: int, entries: bytes):
         if kind not in ("kn", "bnn"):
@@ -252,10 +288,32 @@ class PairColouring:
         self.n = n
         self.palette = palette
         self.entries = bytes(entries)
+        self._rows = None
 
     @property
     def n_edges(self) -> int:
         return len(self.entries)
+
+    @property
+    def rows(self) -> list[bytes]:
+        """The raw colour view (see the class docstring)."""
+        if self._rows is None:
+            self._rows = self._build_rows()
+        return self._rows
+
+    def _build_rows(self) -> list[bytes]:
+        n, entries = self.n, self.entries
+        pad = bytes([NO_EDGE])
+        if self.kind == "bnn":
+            return [pad * n + entries[a * n : (a + 1) * n] for a in range(n)] + [
+                entries[b::n] for b in range(n)
+            ]
+        # kn: in colex order vertex u's edges to v < u are one slice; its
+        # edges to v > u are column u of the lower triangle, padded to a
+        # square, read from the diagonal down
+        low = [entries[v * (v - 1) // 2 : v * (v + 1) // 2] for v in range(n)]
+        square = b"".join(row + pad * (n - v) for v, row in enumerate(low))
+        return [low[u] + square[u * (n + 1) :: n] for u in range(n)]
 
     @property
     def n_vertices(self) -> int:
@@ -476,14 +534,16 @@ class SplitStructure:
             return False
         if sorted(self.b1 + self.b2) != list(range(n, 2 * n)):
             return False
-        in_a1 = set(self.a1)
+        # the row of an a1 vertex is red (0) towards b1 and blue towards b2;
+        # an a2 vertex's row is its complement
         in_b1 = set(self.b1)
-        for a in range(n):
-            for b in range(n, 2 * n):
-                want_red = (a in in_a1) == (b in in_b1)
-                if (col.colour_bit(a, b) == 0) != want_red:
-                    return False
-        return True
+        row1 = bytes(0 if b in in_b1 else 1 for b in range(n, 2 * n))
+        row2 = bytes(1 - c for c in row1)
+        in_a1 = set(self.a1)
+        entries = col.entries
+        return all(
+            entries[a * n : (a + 1) * n] == (row1 if a in in_a1 else row2) for a in range(n)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +598,12 @@ def parse_colouring(text: str):
         _check_materializable(n, r)
     elif kind != "h3" and len(head) > 2:
         palette = int(head[2])
+    if n < 1:
+        raise ValueError("n must be positive")
+    if kind == "h3" and n < 3:
+        raise ValueError("triple colouring needs n >= 3 for any edge to exist")
+    if kind != "rxn":
+        _check_edge_cap(kind, n)
     values = _parse_digits(body, palette, _n_edges(kind, n, r))
     if kind == "h3":
         return TripleColouring.from_digits(n, values)

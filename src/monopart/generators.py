@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
+# EDGE_CAP is re-exported: the generators and the parser share the cap
 from .colourings import (
+    EDGE_CAP,
     PairColouring,
     SplitStructure,
     TransversalColouring,
     TripleColouring,
+    _check_edge_cap,
     _check_materializable,
     _n_edges,
 )
@@ -69,18 +72,6 @@ def splitmix64_stream(seed: int, count: int, palette: int) -> bytes:
             vals = (z % np.uint64(palette)).astype(np.uint8)
         out[start:stop] = vals.tobytes()
     return bytes(out)
-
-
-# Largest h3, kn or bnn host the generators build, in edges: an h3 host of
-# n = 1000 (166,167,000 triples) fits, a bnn host of n = 16,384 just fits.
-EDGE_CAP = 1 << 28
-
-
-def _check_edge_cap(kind: str, n: int) -> None:
-    """Raise ValueError, before anything is allocated, if the h3, kn or bnn
-    host on n vertices (per class for bnn) has more than EDGE_CAP edges."""
-    if _n_edges(kind, n) > EDGE_CAP:
-        raise ValueError(f"{kind} host with n={n} exceeds the edge cap {EDGE_CAP}")
 
 
 def gen_random(kind: str, n: int, palette: int = 2, seed: int = 0, r: int | None = None):

@@ -300,7 +300,11 @@ _REAL_TO_LOCAL = {BLUE: 0, GREEN: 1}
 
 def _induced_block(col: PairColouring, left, right) -> PairColouring:
     """2-coloured view of the block's cross edges, blue as local red and
-    green as local blue."""
+    green as local blue.
+
+    Each host edge is read once here, so it goes through the validated
+    `colour_bit`: the raw view would be built, and kept, on every host for
+    that one pass."""
     left, right = sorted(left), sorted(right)
     m = len(left)
     entries = bytearray(m * m)
@@ -385,16 +389,16 @@ def _wipe_path_into(col: PairColouring, part0, part1, anchor, colour, ending: bo
     part0/part1 are the block's class-0/class-1 parts; the anchor lies in
     part0 for ending paths and in part1 for starting ones.
     """
-    cbit = col.colour_bit
+    rows = col.rows
     if ending:
-        q1 = [z for z in part1 if cbit(anchor, z) == colour]
-        q0 = [x for x in part0 if cbit(x, q1[0]) == colour]
+        q1 = [z for z in part1 if rows[anchor][z] == colour]
+        q0 = [x for x in part0 if rows[x][q1[0]] == colour]
         t = min(len(q0), len(q1))
         xs = [x for x in q0 if x != anchor][: t - 1] + [anchor]
         zs = q1[:t]
     else:
-        q0 = [x for x in part0 if cbit(x, anchor) == colour]
-        q1 = [z for z in part1 if cbit(q0[0], z) == colour]
+        q0 = [x for x in part0 if rows[x][anchor] == colour]
+        q1 = [z for z in part1 if rows[q0[0]][z] == colour]
         t = min(len(q0), len(q1))
         zs = [anchor] + [z for z in q1 if z != anchor][: t - 1]
         xs = q0[:t]
@@ -477,11 +481,11 @@ def partition3_bipartite(col: PairColouring) -> PartitionCertificate:
 def _find_non_carved_cross(col: PairColouring, block_a, block_b):
     """First non-carved edge between one block's class-0 side and the other
     block's class-1 side, with the blocks oriented to it."""
-    cbit = col.colour_bit
+    rows = col.rows
     for p_block, q_block in ((block_a, block_b), (block_b, block_a)):
         for u in sorted(p_block.side1):
             for w in sorted(q_block.side2):
-                c = cbit(u, w)
+                c = rows[u][w]
                 if c != RED:
                     return u, w, c, p_block, q_block
     return None

@@ -7,6 +7,7 @@ import monopart.bipartite as bp
 from monopart.bipartite import (
     BalancedC4Present,
     SplitDetected,
+    VColStructure,
     classify_bipartite,
     convert_paths_to_cycle,
     extend_good_cycle,
@@ -22,7 +23,7 @@ from monopart.bipartite import (
     v_two_cycles,
 )
 from monopart.certificates import PartitionCertificate, Piece, check_certificate
-from monopart.colourings import BLUE, RED, PairColouring
+from monopart.colourings import BLUE, RED, PairColouring, SplitStructure
 from monopart.generators import (
     gen_random,
     gen_recoloured_split,
@@ -71,6 +72,94 @@ def test_classify_matches_scan_exhaustive(n):
             assert verdict.split.verify(col)
         if verdict.kind == "vcol":
             assert verdict.vcol.verify(col)
+
+
+def _split_holds(col, s):
+    """Per edge: the parts partition the classes, and an edge is red
+    exactly when it joins a1 to b1 or a2 to b2."""
+    n = col.n
+    if sorted(s.a1 + s.a2) != list(range(n)) or sorted(s.b1 + s.b2) != list(range(n, 2 * n)):
+        return False
+    return all(
+        (col.colour_bit(a, b) == RED) == ((a in s.a1) == (b in s.b1))
+        for a in range(n)
+        for b in range(n, 2 * n)
+    )
+
+
+def _vcol_holds(col, v):
+    """Per edge: the arms partition the other class, and each vertex of the
+    bichromatic class is red to the red arm and blue to the blue arm."""
+    if v.bichro_class not in (0, 1) or not v.red_arm or not v.blue_arm:
+        return False
+    opp = list(col.class_vertices(1 - v.bichro_class))
+    if sorted(v.red_arm + v.blue_arm) != opp:
+        return False
+    return all(
+        col.colour_bit(u, w) == (RED if w in v.red_arm else BLUE)
+        for u in col.class_vertices(v.bichro_class)
+        for w in opp
+    )
+
+
+def _proper_subsets(vertices):
+    return [c for m in range(1, len(vertices)) for c in itertools.combinations(vertices, m)]
+
+
+def _moved(parts):
+    """`parts` with one vertex moved to another part, each way."""
+    for i, part in enumerate(parts):
+        for x in part:
+            for j in range(len(parts)):
+                if j != i:
+                    new = [list(p) for p in parts]
+                    new[i].remove(x)
+                    new[j].append(x)
+                    yield tuple(tuple(sorted(p)) for p in new)
+
+
+def _split_candidates(col, verdict):
+    n = col.n
+    zero, one = range(n), range(n, 2 * n)
+    out = [(a1, tuple(a for a in zero if a not in a1), b1, tuple(b for b in one if b not in b1))
+           for a1 in _proper_subsets(zero) for b1 in _proper_subsets(one)]
+    if verdict.kind == "split":
+        s = verdict.split
+        out += _moved((s.a1, s.a2, s.b1, s.b2))
+    return [SplitStructure(*parts) for parts in out if all(parts)]
+
+
+def _vcol_candidates(col, verdict):
+    out = []
+    for side in (0, 1):
+        opp = col.class_vertices(1 - side)
+        # every split of the other class into arms, an empty arm included
+        out += [(side, red, tuple(w for w in opp if w not in red))
+                for m in range(len(opp) + 1) for red in itertools.combinations(opp, m)]
+    if verdict.kind == "vcol":
+        v = verdict.vcol
+        own = list(col.class_vertices(v.bichro_class))
+        out.append((1 - v.bichro_class, v.red_arm, v.blue_arm))
+        out += [(v.bichro_class, red, blue) for red, blue in _moved((v.red_arm, v.blue_arm))]
+        # one arm vertex swapped for a vertex of the bichromatic class
+        for i in range(len(v.red_arm)):
+            out += [(v.bichro_class, v.red_arm[:i] + (u,) + v.red_arm[i + 1 :], v.blue_arm)
+                    for u in own]
+    return [VColStructure(*parts) for parts in out]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_structure_witnesses_match_the_per_edge_rule(n):
+    checked = 0
+    for idx, col in all_bnn_colourings(n):
+        verdict = classify_bipartite(col)
+        for s in _split_candidates(col, verdict):
+            assert s.verify(col) == _split_holds(col, s), (idx, s)
+            checked += 1
+        for v in _vcol_candidates(col, verdict):
+            assert v.verify(col) == _vcol_holds(col, v), (idx, v)
+            checked += 1
+    assert checked > 1 << (n * n)
 
 
 def test_good_c4_none_for_structured():
@@ -137,16 +226,35 @@ def _off_edge(n):
     return PairColouring("bnn", n, 2, bytes(entries))
 
 
+class _CountingRow:
+    """A row of the raw colour view that counts its reads."""
+
+    def __init__(self, row, calls):
+        self.row = row
+        self.calls = calls
+
+    def __getitem__(self, v):
+        self.calls[0] += 1
+        return self.row[v]
+
+
 def _count_lookups(monkeypatch) -> list[int]:
-    """Count `PairColouring.colour_bit` calls in the returned one-item list."""
+    """Count colour reads of `PairColouring` hosts in the returned one-item
+    list: reads through the raw view `rows` and validated `colour_bit`
+    calls alike."""
     calls = [0]
     lookup = PairColouring.colour_bit
+    view = PairColouring.rows.fget
 
     def counting(self, u, v):
         calls[0] += 1
         return lookup(self, u, v)
 
+    def counting_rows(self):
+        return [_CountingRow(row, calls) for row in view(self)]
+
     monkeypatch.setattr(PairColouring, "colour_bit", counting)
+    monkeypatch.setattr(PairColouring, "rows", property(counting_rows))
     return calls
 
 
@@ -403,14 +511,36 @@ def test_bnn2_certificates_pinned(hosts, variant):
     assert _solve_digest(_PINNED_HOSTS[hosts](), variant) == _PINNED_DIGESTS[hosts, variant]
 
 
-@pytest.mark.parametrize("hosts, bound", [("random-256", 2.5), ("off-edge-64", 1.5)])
+@pytest.mark.parametrize("hosts, bound", [("random-256", 1.1), ("off-edge-64", 1.5)])
 def test_bnn2_solve_lookups(monkeypatch, hosts, bound):
-    # one colour read per cycle and per remainder: a frame is read once and
-    # a balanced-C4-free remainder is counted once
+    # one colour read per cycle and per remainder: each cycle's colours are
+    # read once, as it is built, and a balanced-C4-free remainder is
+    # counted once (random-256 reads 1.01 n^2 colours)
     (col,) = _PINNED_HOSTS[hosts]()
     calls = _count_lookups(monkeypatch)
     solve(col)
     assert calls[0] <= bound * col.n**2
+
+
+def test_each_built_cycle_is_read_once(monkeypatch):
+    # the growth, attach and exchange loops hand each cycle's frame on, so
+    # no cycle's colours are read a second time, in any rotation or
+    # direction
+    reads = {}
+    cycle_colours = bp._cycle_colours
+
+    def recording(col, cyc):
+        edges = frozenset(frozenset(e) for e in zip(cyc, cyc[1:] + cyc[:1]))
+        reads[edges] = reads.get(edges, 0) + 1
+        return cycle_colours(col, cyc)
+
+    monkeypatch.setattr(bp, "_cycle_colours", recording)
+    col = gen_random("bnn", 128, 2, seed=128)
+    path_p, cyc_p = partition_path_cycle(col)
+    verified(col, [path_p, cyc_p])
+    # an extension adds at most the quad's four vertices
+    assert len(reads) >= (2 * col.n - 4) // 4
+    assert max(reads.values()) == 1
 
 
 # -- split fallbacks and V constructions --------------------------------

@@ -59,6 +59,33 @@ def test_oversized_rxn_header_is_one_line(tmp_path, capsys):
     assert err.startswith("cannot read inputs: n**r exceeds") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("bnn 100000\n0", "bnn host with n=100000 exceeds the edge cap 268435456"),
+    ("bnn -1\n", "n must be positive"),
+])
+def test_bad_pair_header_is_one_line(tmp_path, capsys, text, message):
+    _, cert = _solved_bnn(tmp_path)
+    col = tmp_path / "bad.bnn"
+    col.write_text(text)
+    code, out, err = run(["solve", str(col)], capsys)
+    assert (code, out, err) == (1, "", f"cannot read colouring: {message}\n")
+    code, out, err = run(["verify", str(col), str(cert)], capsys)
+    assert (code, out, err) == (1, "", f"cannot read inputs: {message}\n")
+
+
+def test_python_m_monopart_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "monopart", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: monopart")
+
+
 def test_verify_rejects_tampered_cert(tmp_path, capsys):
     col, cert = _solved_bnn(tmp_path)
     obj = json.loads(cert.read_text())

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from monopart.colourings import (
     BLUE,
     GREEN,
+    NO_EDGE,
     RED,
     Colour,
     HyperSplitSizes,
@@ -224,3 +226,123 @@ def test_parse_canonical_text_raises_or_serialises_to_itself(text):
     except ValueError:
         return
     assert serialize_colouring(col) == text
+
+
+# -- header checks -------------------------------------------------------
+
+
+@pytest.mark.parametrize("text, message", [
+    ("bnn -1\n", "n must be positive"),
+    ("kn 0\n", "n must be positive"),
+    ("h3 2\n", "n >= 3"),
+    ("bnn 100000\n0", "exceeds the edge cap 268435456"),
+    ("kn 23171 3\n0", "exceeds the edge cap"),
+    ("h3 1174\n0", "exceeds the edge cap"),
+])
+def test_parse_checks_the_header_before_the_body(monkeypatch, text, message):
+    import monopart.colourings as colourings
+
+    def unread(*args):
+        raise AssertionError("the body was decoded")
+
+    monkeypatch.setattr(colourings, "_parse_digits", unread)
+    with pytest.raises(ValueError, match=message):
+        parse_colouring(text)
+
+
+def test_edge_cap_is_shared_by_the_parser_and_the_generators():
+    import monopart.colourings as colourings
+    import monopart.generators as generators
+
+    assert generators.EDGE_CAP == colourings.EDGE_CAP == 1 << 28
+    # the largest bnn host under the cap parses up to its body
+    with pytest.raises(ValueError, match="body length 1 != 268435456 edges"):
+        parse_colouring("bnn 16384\n0")
+
+
+# -- the raw colour view --------------------------------------------------
+
+
+def _pair_hosts(kind, n, palette):
+    """Every colouring of the host when there are at most 2^16 of them,
+    otherwise 200 seeded random ones."""
+    m = n * (n - 1) // 2 if kind == "kn" else n * n
+    if palette**m <= 1 << 16:
+        for values in itertools.product(range(palette), repeat=m):
+            yield PairColouring(kind, n, palette, bytes(values))
+    else:
+        for seed in range(200):
+            yield gen_random(kind, n, palette, seed)
+
+
+@pytest.mark.parametrize("kind", ["kn", "bnn"])
+@pytest.mark.parametrize("palette", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_raw_view_agrees_with_colour_bit(kind, palette, n):
+    if kind == "kn":
+        edges = list(itertools.combinations(range(n), 2))
+        non_edges = [(u, u) for u in range(n)]
+        lengths, size = [n] * n, n * n
+    else:
+        edges = [(a, b) for a in range(n) for b in range(n, 2 * n)]
+        non_edges = list(itertools.product(range(n), repeat=2))
+        lengths, size = [2 * n] * n + [n] * n, 3 * n * n
+    for col in _pair_hosts(kind, n, palette):
+        rows = col.rows
+        assert [len(row) for row in rows] == lengths and sum(lengths) == size
+        want = [col.colour_bit(u, v) for u, v in edges]
+        assert [rows[u][v] for u, v in edges] == want
+        assert [rows[v][u] for u, v in edges] == want
+        assert all(rows[u][v] == NO_EDGE for u, v in non_edges)
+
+
+def test_raw_view_is_built_only_by_a_solver(monkeypatch):
+    from monopart.bipartite import classify_bipartite
+    from monopart.certificates import PartitionCertificate, check_certificate
+    from monopart.generators import gen_split_bipartite, gen_v_colouring
+    from monopart.solve import solve
+
+    solvable = [gen_random(kind, 6, palette, seed=7)
+                for kind, palette in (("kn", 3), ("bnn", 2), ("bnn", 3))]
+    solved = [(serialize_colouring(col), solve(col)[0].to_text()) for col in solvable]
+    split_col, split = gen_split_bipartite(6, 2, 3)
+    v_col = gen_v_colouring(6, 2)
+    witnesses = [(serialize_colouring(split_col), split),
+                 (serialize_colouring(v_col), classify_bipartite(v_col).vcol)]
+
+    def unbuilt(self):
+        raise AssertionError("the raw view was built")
+
+    monkeypatch.setattr(PairColouring, "_build_rows", unbuilt)
+    for kind in ("kn", "bnn"):
+        for palette in (2, 3):
+            col = gen_random(kind, 6, palette, seed=7)
+            assert parse_colouring(serialize_colouring(col)) == col
+    for text, cert in solved:
+        assert check_certificate(parse_colouring(text), PartitionCertificate.from_text(cert)).ok
+    for text, structure in witnesses:
+        assert structure.verify(parse_colouring(text))
+
+
+@pytest.mark.parametrize("kind, palette", [("bnn", 2), ("bnn", 3), ("kn", 3)])
+def test_certificate_check_ignores_a_lying_view(monkeypatch, kind, palette):
+    from monopart.certificates import PartitionCertificate, Piece, check_certificate
+    from monopart.solve import solve
+
+    col = gen_random(kind, 8, palette, seed=5)
+    cert = solve(col)[0]
+    piece = next(p for p in cert.pieces if len(p.vertices) >= 3)
+    # the wrong piece carries the colour the lying view below reports
+    wrong = PartitionCertificate(cert.host, tuple(
+        Piece(p.kind, Colour((p.colour + 1) % palette), p.vertices) if p is piece else p
+        for p in cert.pieces
+    ))
+    # every colour of the view moves to the next one
+    shift = bytes((c + 1) % palette if c < palette else c for c in range(256))
+    truth = PairColouring.rows.fget
+    monkeypatch.setattr(PairColouring, "rows",
+                        property(lambda self: [row.translate(shift) for row in truth(self)]))
+    assert col.rows[0] != truth(col)[0]
+    assert check_certificate(col, cert).ok
+    res = check_certificate(col, wrong)
+    assert not res.ok and res.reason == "monochromaticity"
