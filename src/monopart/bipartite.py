@@ -15,8 +15,10 @@ fallbacks.  All constructions are verified before being returned.
 
 The solvers read colours through the unchecked view `PairColouring.rows`,
 and each cycle the growth, attach and exchange loops build is read once:
-its frame is handed on to the next step.  The structure witnesses'
-`verify` methods compare rows of the validated `entries` instead.
+its frame is handed on to the next step.  The growth and V steps go
+through their public entries, `extend_good_cycle` and `v_two_cycles`.
+The structure witnesses' `verify` methods compare rows of the validated
+`entries` instead.
 """
 
 from __future__ import annotations
@@ -308,30 +310,37 @@ def _red_exchange(col: PairColouring, seq, ell):
     return _check_progress(col, ell - 1, new_cyc, RED, "red-exchange", RED)
 
 
-def _run_starts(cols) -> list[int]:
-    """Indices i of a cyclic colour sequence at which a run starts."""
-    return [i for i in range(len(cols)) if cols[i] != cols[i - 1]]
-
-
 def cycle_profile(col: PairColouring, cyc):
-    """(kind, turning vertices) of a cycle: 'mono', 'bicoloured' or 'poly'.
+    """(kind, turning points) of a cycle: 'mono', 'bicoloured' or 'poly'.
 
-    Turning vertices are where the two colour runs meet (bicoloured only).
-    Cycles on at most two vertices count as mono.
+    A bicoloured cycle's turning points are the two ends of the leading
+    run of its red-led frame; the other kinds have none.  Cycles on at
+    most two vertices count as mono and are not read.
     """
     if len(cyc) <= 2:
         return "mono", ()
-    turns = tuple(cyc[i] for i in _run_starts(_cycle_colours(col, cyc)))
-    if not turns:
+    cols = _cycle_colours(col, cyc)
+    if cols.count(cols[0]) == len(cols):
         return "mono", ()
-    if len(turns) == 2:
-        return "bicoloured", turns
-    return "poly", turns
+    try:
+        seq, ell = _frame_of(cyc, cols, RED)
+    except ValueError:
+        return "poly", ()
+    return "bicoloured", (seq[0], seq[ell - 1])
 
 
 def is_good_cycle(col: PairColouring, cyc) -> bool:
+    """Whether `cyc` has two colour runs whose turning points lie in
+    distinct classes."""
     kind, turns = cycle_profile(col, cyc)
-    return kind == "bicoloured" and col.side(turns[0]) != col.side(turns[1])
+    # the turning points, in order, are the two-vertex frame (turns, 2)
+    return kind == "bicoloured" and _is_good(col, turns, 2)
+
+
+def _is_good(col: PairColouring, seq, ell) -> bool:
+    """Whether the turning points seq[0] and v_ell = seq[ell - 1] of the
+    frame (seq, ell) lie in distinct partition classes."""
+    return col.side(seq[0]) != col.side(seq[ell - 1])
 
 
 def _frame_of(cyc, cols, lead):
@@ -378,7 +387,7 @@ class ExtensionError(RuntimeError):
 
 
 def _checked_extension(col, cand, old_len, allowed):
-    """(cand, its red-led frame), from one read of its colours; raises
+    """The red-led frame of `cand`, from one read of its colours; raises
     ExtensionError unless `cand` is a good cycle on more than `old_len`
     distinct vertices of `allowed`."""
     vertices = set(cand)
@@ -389,13 +398,12 @@ def _checked_extension(col, cand, old_len, allowed):
     if len(cand) <= old_len:
         raise ExtensionError("extension did not grow the cycle")
     try:
-        seq, ell = _frame(col, cand, RED)
-        good = col.side(seq[0]) != col.side(seq[ell - 1])
+        frame = _frame(col, cand, RED)
     except ValueError:  # not bicoloured
-        good = False
-    if not good:
+        frame = None
+    if frame is None or not _is_good(col, *frame):
         raise ExtensionError(f"extension is not a good cycle: {cand}")
-    return list(cand), (seq, ell)
+    return frame
 
 
 def _working_frame(col: PairColouring, seq, ell, q0, q1):
@@ -424,24 +432,20 @@ def _working_frame(col: PairColouring, seq, ell, q0, q1):
     raise ExtensionError("no admissible working frame")
 
 
-def extend_good_cycle(col: PairColouring, cycle, quad):
-    """Strictly longer good cycle from a good cycle and a disjoint balanced
-    C4, using only their vertices.
+def extend_good_cycle(col: PairColouring, frame, quad):
+    """The red-led frame of a strictly longer good cycle, from the red-led
+    frame (seq, ell) of a good cycle and a disjoint balanced C4, using only
+    their vertices.
 
-    The cycle and quad are brought into a working frame (choice of leading
-    turning point, colour-role swap and quad labelling) in which the probe
-    edges of the case tree are defined; each branch ends in an explicit
-    re-routing that is verified before being returned.
+    The frame is not read again.  The cycle and quad are brought into a
+    working frame (choice of leading turning point, colour-role swap and
+    quad labelling) in which the probe edges of the case tree are defined;
+    each branch ends in an explicit re-routing that is verified before its
+    frame is returned.
     """
     _require_bnn2(col)
-    return _extend(col, _frame(col, list(cycle), RED), quad)[0]
-
-
-def _extend(col: PairColouring, frame, quad):
-    """`extend_good_cycle` on the good cycle with red-led frame `frame`,
-    which is not read again: (new cycle, its red-led frame)."""
     seq, ell = frame
-    if col.side(seq[0]) == col.side(seq[ell - 1]):
+    if not _is_good(col, seq, ell):
         raise ValueError("input cycle is not good")
     quad = list(quad)
     on = set(seq)
@@ -545,9 +549,7 @@ def _wrap_spanning(col: PairColouring, cyc, frame=None) -> SpanningCycle:
         if cols.count(cols[0]) == len(cols):
             return SpanningCycle(tuple(cyc), "mono", colour=Colour(cols[0]))
         frame = _frame_of(cyc, cols, RED)
-    seq, ell = frame
-    good = col.side(seq[0]) != col.side(seq[ell - 1])
-    return SpanningCycle(tuple(cyc), "bicoloured", good=good, frame=frame)
+    return SpanningCycle(tuple(cyc), "bicoloured", good=_is_good(col, *frame), frame=frame)
 
 
 def spanning_bicoloured_or_mono_cycle(col: PairColouring):
@@ -568,29 +570,28 @@ def spanning_bicoloured_or_mono_cycle(col: PairColouring):
     if verdict.kind == "split":
         return SplitDetected(verdict.split)
     if verdict.kind == "vcol":
-        red, blue = _v_two_cycles(col, verdict.vcol)
+        red, blue = v_two_cycles(col, verdict.vcol)
         return _wrap_spanning(col, list(red.vertices + blue.vertices))
 
     # each cycle is read once, as it is built; its red-led frame goes on
-    cyc = list(find_good_c4(col))
-    frame = _frame(col, cyc, RED)
+    frame = _frame(col, list(find_good_c4(col)), RED)
     while True:
-        on = set(cyc)
+        on = set(frame[0])
         rest0 = [u for u in range(n) if u not in on]
         rest1 = [u for u in range(n, 2 * n) if u not in on]
         if not rest0 and not rest1:
-            return _wrap_spanning(col, cyc, frame)
+            return _wrap_spanning(col, frame[0], frame)
         try:
             path, pcol = near_mono_spanning_path(col, rest0, rest1)
             break
         except BalancedC4Present as exc:
-            cyc, frame = _extend(col, frame, exc.witness)
+            frame = extend_good_cycle(col, frame, exc.witness)
 
     # the attachment works in the frame led by the path's colour
     seq, ell = frame if pcol == RED else _other_lead(*frame)
     rows = col.rows
     while True:
-        assert col.side(seq[0]) != col.side(seq[ell - 1])
+        assert _is_good(col, seq, ell)
         if col.side(path[0]) != col.side(seq[0]):
             path = path[::-1]
         x1, xh = path[0], path[-1]
@@ -640,7 +641,7 @@ def partition_path_cycle(col: PairColouring):
     seq, ell = res.frame
     rows = col.rows
     while True:
-        if col.side(seq[0]) != col.side(seq[ell - 1]):
+        if _is_good(col, seq, ell):
             if rows[seq[0]][seq[ell - 1]] == RED:
                 return _pieces_result(seq[ell:], BLUE, seq[:ell], RED)
             return _pieces_result(seq[1 : ell - 1], RED, [seq[0]] + seq[ell - 1 :], BLUE)
@@ -658,7 +659,7 @@ def partition_path_cycle_coloured(col: PairColouring, cycle):
     if sorted(cyc) != list(range(2 * col.n)):
         raise ValueError("cycle is not spanning")
     seq, ell = _frame(col, cyc, RED)
-    if col.side(seq[0]) != col.side(seq[ell - 1]):
+    if _is_good(col, seq, ell):
         raise ValueError("cycle must not be good")
 
     rows = col.rows
@@ -668,7 +669,7 @@ def partition_path_cycle_coloured(col: PairColouring, cycle):
         if rows[seq[ell - 1]][seq[-1]] == BLUE:
             return _pieces_result(seq[: ell - 1], RED, [seq[ell - 1]] + seq[ell:][::-1], BLUE)
         seq, ell = _red_exchange(col, seq, ell)
-        assert col.side(seq[0]) == col.side(seq[ell - 1])
+        assert not _is_good(col, seq, ell)
 
 
 def two_paths(col: PairColouring):
@@ -730,21 +731,17 @@ def convert_paths_to_cycle(col: PairColouring, p1, p2):
     raise ValueError("no endpoint pairing joins the paths across classes")
 
 
-def v_two_cycles(col: PairColouring):
+def v_two_cycles(col: PairColouring, structure: VColStructure | None):
     """Two monochromatic vertex-disjoint cycles of distinct colours covering
-    a V-coloured host (degenerate cycles allowed)."""
-    verdict = classify_bipartite(col)
-    if verdict.kind != "vcol":
+    a V-coloured host (degenerate cycles allowed), given the structure
+    `classify_bipartite(col).vcol`: the red and blue zig-zags of the
+    bichromatic class in order, first against the red arm, then the blue.
+    Raises ValueError when the structure is None (not a V-colouring)."""
+    if structure is None:
         raise ValueError("colouring is not a V-colouring")
-    return _v_two_cycles(col, verdict.vcol)
-
-
-def _v_two_cycles(col: PairColouring, v: VColStructure):
-    """The red and blue zig-zags of a V-colouring with structure `v`: the
-    bichromatic class in order, first against the red arm, then the blue."""
-    own = list(col.class_vertices(v.bichro_class))
-    p = len(v.red_arm)
+    own = list(col.class_vertices(structure.bichro_class))
+    p = len(structure.red_arm)
     return (
-        Piece("cycle", RED, tuple(_interleave(own[:p], v.red_arm))),
-        Piece("cycle", BLUE, tuple(_interleave(own[p:], v.blue_arm))),
+        Piece("cycle", RED, tuple(_interleave(own[:p], structure.red_arm))),
+        Piece("cycle", BLUE, tuple(_interleave(own[p:], structure.blue_arm))),
     )

@@ -27,7 +27,6 @@ from .generators import (
     gen_v_colouring,
 )
 from .multipartite import (
-    DEFAULT_COVER_CAP,
     ExceedsCap,
     check_side_consistency,
     min_cover_exact,
@@ -114,16 +113,14 @@ def _solve_rxn(col: TransversalColouring, args) -> int:
             if check_side_consistency(col.rule, path):
                 consistent += 1
         lines.append(f"side-consistency: {consistent}/{samples} sampled paths consistent")
-    if r * n <= DEFAULT_COVER_CAP:
-        try:
-            k, witness = min_cover_exact(col)
-            lines.append(f"min-cover: {k} pieces")
-            for seq, colour in witness:
-                lines.append(f"  {colour.letter} path {list(seq)}")
-        except ExceedsCap:
-            lines.append("min-cover: exceeds search cap")
-    else:
+    try:
+        k, witness = min_cover_exact(col)
+    except ExceedsCap:
         lines.append("min-cover: exceeds search cap")
+    else:
+        lines.append(f"min-cover: {k} pieces")
+        for seq, colour in witness:
+            lines.append(f"  {colour.letter} path {list(seq)}")
     print("\n".join(lines))
     return EXIT_OK
 

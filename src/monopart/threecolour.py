@@ -18,8 +18,8 @@ from .bipartite import (
     classify_bipartite,
     partition_path_cycle,
     split_three_paths,
+    v_two_cycles,
     _interleave,
-    _v_two_cycles,
 )
 from .certificates import PartitionCertificate, Piece, check_certificate
 from .colourings import BLUE, GREEN, RED, Colour, PairColouring, _pair_edges
@@ -198,9 +198,10 @@ def _two_block_split(r0, r1, red):
 # carved-path searches
 
 
-def _search_path(candidates_start, neighbours, feasible):
+def _search_path(candidates_start, red, feasible):
     """Depth-first search over carved-colour paths, shortest-first, in
-    canonical order.
+    canonical order: a path goes on from u to the vertices of `red[u]` in
+    increasing order.
 
     `feasible(used, seq)` returns the block payload when the remainder
     splits; the first hit wins.  States are memoized on (last vertex,
@@ -226,7 +227,7 @@ def _search_path(candidates_start, neighbours, feasible):
             payload = feasible(used, seq)
             if payload is not None:
                 return seq, payload
-            stack.append(iter(neighbours(w)))
+            stack.append(iter(sorted(red[w])))
             break
         else:
             stack.pop()
@@ -251,10 +252,7 @@ def path_and_balanced_block(col: PairColouring):
         rest = [v for v in range(n) if v not in used]
         return _half_split(rest, red)
 
-    def neighbours(u):
-        return sorted(red[u])
-
-    out = _search_path(range(n), neighbours, feasible)
+    out = _search_path(range(n), red, feasible)
     if out is None:
         raise RuntimeError("carved-path search failed; host is not complete?")
     seq, (x, y) = out
@@ -277,10 +275,7 @@ def path_and_two_balanced_blocks(col: PairColouring):
         r1 = [v for v in range(n, 2 * n) if v not in used]
         return _two_block_split(r0, r1, red)
 
-    def neighbours(u):
-        return sorted(red[u])
-
-    out = _search_path(range(2 * n), neighbours, feasible)
+    out = _search_path(range(2 * n), red, feasible)
     if out is None:
         raise RuntimeError("carved-path search failed; host is not complete bipartite?")
     seq, ((a1, a2), (b1, b2)) = out
@@ -417,7 +412,7 @@ def _remainder_cycles(col: PairColouring, left, right) -> list[Piece]:
         piece = Piece("cycle", verdict.colour, tuple(cyc))
         return [_lift_piece(piece, left, right)]
     if verdict.kind == "vcol":
-        pieces = _v_two_cycles(local, verdict.vcol)
+        pieces = v_two_cycles(local, verdict.vcol)
         return [_lift_piece(p, left, right) for p in pieces if p.vertices]
     raise RuntimeError(f"remainder block is not V-coloured or mono: {verdict.kind}")
 

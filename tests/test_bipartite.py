@@ -318,10 +318,11 @@ def test_extension_stays_inside_and_grows(rng):
             for q in quads:
                 if set(g) & set(q):
                     continue
-                out = extend_good_cycle(col, g, set(q))
-                assert is_good_cycle(col, out)
-                assert len(out) > len(g)
-                assert set(out) <= set(g) | set(q)
+                seq, ell = extend_good_cycle(col, bp._frame(col, list(g), RED), set(q))
+                assert is_good_cycle(col, seq)
+                assert (seq, ell) == bp._frame(col, seq, RED)
+                assert len(seq) > len(g)
+                assert set(seq) <= set(g) | set(q)
 
 
 def test_spanning_cycle_mono():
@@ -543,6 +544,66 @@ def test_each_built_cycle_is_read_once(monkeypatch):
     assert max(reads.values()) == 1
 
 
+def test_growth_and_v_steps_go_through_public_entries(monkeypatch):
+    # a tracer rebinds the public names in every module that holds them, so
+    # the solvers must call the growth and V steps by those names
+    import monopart.threecolour as tc
+    from monopart.generators import gen_three_colour_split
+    from monopart.threecolour import partition3_bipartite
+
+    calls = {"extend_good_cycle": 0, "v_two_cycles": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (bp, tc):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+
+    partition_path_cycle(gen_random("bnn", 64, 2, seed=64))
+    assert calls["extend_good_cycle"] >= 1
+    partition_path_cycle(gen_v_colouring(8, 3))
+    assert calls["v_two_cycles"] == 1
+    partition3_bipartite(gen_three_colour_split((1, 2, 2), (2, 2, 1)))
+    assert calls["v_two_cycles"] == 2
+
+
+def _brute_runs(col, cyc):
+    """(number of run starts, turning vertices) of the cyclic colour
+    sequence of `cyc`, read edge by edge through the validated lookup."""
+    cols = [col.colour_bit(u, v) for u, v in zip(cyc, cyc[1:] + cyc[:1])]
+    turns = [cyc[i] for i in range(len(cols)) if cols[i] != cols[i - 1]]
+    return len(turns), turns
+
+
+def test_cycle_profile_matches_a_run_count():
+    # the frame is the only two-run detector: its kind and goodness must
+    # agree with counting the runs of the colour sequence directly
+    seen = {"mono": 0, "bicoloured": 0, "poly": 0}
+    for _, col in all_bnn_colourings(3):
+        for cyc in _spanning_interleavings(3):
+            starts, turns = _brute_runs(col, cyc)
+            kind, got = bp.cycle_profile(col, cyc)
+            want = "mono" if starts == 0 else "bicoloured" if starts == 2 else "poly"
+            assert kind == want
+            seen[kind] += 1
+            if kind == "bicoloured":
+                assert set(got) == set(turns)
+            good = starts == 2 and col.side(turns[0]) != col.side(turns[1])
+            assert is_good_cycle(col, cyc) == good
+        # cycles on one or two vertices are not read: a one-vertex class-1
+        # cycle, or two class-1 vertices, would index past a raw-view row
+        for cyc in [[u] for u in range(6)] + [list(p) for p in itertools.permutations(range(6), 2)]:
+            assert bp.cycle_profile(col, cyc) == ("mono", ())
+            assert not is_good_cycle(col, cyc)
+    assert min(seen.values()) > 0
+
+
 # -- split fallbacks and V constructions --------------------------------
 
 
@@ -601,17 +662,21 @@ def test_convert_two_path_outputs(rng):
         assert cyc.kind in ("mono", "bicoloured")
 
 
+def _v_pieces(col):
+    return v_two_cycles(col, classify_bipartite(col).vcol)
+
+
 def test_v_two_cycles():
-    pieces = v_two_cycles(gen_v_colouring(2, 1))
+    pieces = _v_pieces(gen_v_colouring(2, 1))
     assert {p.vertices for p in pieces} == {(0, 2), (1, 3)}
     col = gen_v_colouring(4, 2)
-    pieces = v_two_cycles(col)
+    pieces = _v_pieces(col)
     verified(col, pieces)
     for cut in (1, 2, 3):
         col = gen_v_colouring(4, cut)
-        verified(col, v_two_cycles(col))
+        verified(col, _v_pieces(col))
 
 
 def test_v_two_cycles_rejects_non_v():
     with pytest.raises(ValueError):
-        v_two_cycles(PairColouring.constant("bnn", 3, 2, 0))
+        _v_pieces(PairColouring.constant("bnn", 3, 2, 0))

@@ -127,6 +127,16 @@ def test_rxn_report(tmp_path, capsys):
     assert "side-consistency: 50/50" in out
 
 
+def test_rxn_report_over_the_cover_cap(tmp_path, capsys):
+    # r * n = 16 vertices: the exact cover search refuses, the report goes on
+    col = tmp_path / "big.rxn"
+    assert main(["gen", "--kind", "rxn", "--n", "8", "--r", "2", "--split", "1,1",
+                 "--out", str(col)]) == 0
+    code, out, _ = run(["solve", str(col), "--samples", "50"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "min-cover: exceeds search cap"
+
+
 def test_enumerate_command(capsys):
     code, out, _ = run(["enumerate", "--suite", "near-mono-equiv", "--n", "3"], capsys)
     assert code == 0

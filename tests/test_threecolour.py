@@ -141,14 +141,12 @@ def test_partition3_rejects_wrong_palette():
 def test_search_path_has_no_depth_limit():
     # the only hit is the whole 5,000-vertex chain, far past the recursion limit
     n = 5000
-
-    def neighbours(u):
-        return [w for w in (u - 1, u + 1) if 0 <= w < n]
+    red = [{w for w in (u - 1, u + 1) if 0 <= w < n} for u in range(n)]
 
     def feasible(used, seq):
         return "whole" if len(seq) == n else None
 
-    seq, payload = _search_path(range(n), neighbours, feasible)
+    seq, payload = _search_path(range(n), red, feasible)
     assert seq == list(range(n)) and payload == "whole"
 
 
