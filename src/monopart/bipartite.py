@@ -5,7 +5,9 @@ Colourings of bnn hosts fall into four classes: monochromatic, split
 V-coloured (each colour spans a single complete bipartite graph), or
 everything else -- and the last case is exactly the colourings containing
 a *good* 4-cycle, one whose two colour runs meet at vertices in distinct
-partition classes.
+partition classes.  `classify_bipartite` reads the class from the class-0
+rows (a good C4 exists iff some row is neither row 0 nor its complement),
+and its witness, the lexicographically first good C4, starts the growth.
 
 Non-split colourings admit a spanning cycle that is monochromatic or
 bicoloured, which is then exchanged into a partition into one
@@ -17,8 +19,8 @@ The solvers read colours through the unchecked view `PairColouring.rows`,
 and each cycle the growth, attach and exchange loops build is read once:
 its frame is handed on to the next step.  The growth and V steps go
 through their public entries, `extend_good_cycle` and `v_two_cycles`.
-The structure witnesses' `verify` methods compare rows of the validated
-`entries` instead.
+`classify_bipartite` and the structure witnesses' `verify` methods compare
+rows of the validated `entries` instead.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "SplitDetected",
     "BalancedC4Present",
     "classify_bipartite",
-    "find_good_c4",
     "find_balanced_c4",
     "near_mono_spanning_path",
     "extend_good_cycle",
@@ -111,88 +112,44 @@ def classify_bipartite(col: PairColouring) -> Classification:
     """Mono / Split / VCol verdict with verified structure, or Other with a
     good C4 witness.
 
-    One bichromatic vertex determines candidate parts from its red and blue
-    neighbourhoods; any vertex of its class that disagrees with those parts
-    yields a good C4 directly.
+    Read by class-0 rows R_a: the C4 (a, b, a2, b2) is good iff R_a xor
+    R_a2 differs at b and b2, so a good C4 exists iff some row is neither
+    R_0 nor its complement.  The witness is then the lexicographically
+    first good C4, (0, n, a2, b2) with a2 the first such row and b2 the
+    first column where R_0 xor R_a2 differs from its value at column 0.
+    Otherwise whether R_0 is constant and whether its complement occurs
+    tell mono, V on class 1, V on class 0 and split apart.
     """
     _require_bnn2(col)
-    n = col.n
-    rows = col.rows
-
-    pivot = None
-    for u in range(2 * n):
-        opp = col.class_vertices(1 - col.side(u))
-        if len(set(map(rows[u].__getitem__, opp))) == 2:
-            pivot = u
-            break
-    if pivot is None:
-        return Classification("mono", colour=Colour(rows[0][n]))
-
-    side = col.side(pivot)
-    opp = list(col.class_vertices(1 - side))
-    row = rows[pivot]
-    xr = [w for w in opp if row[w] == RED]
-    xb = [w for w in opp if row[w] == BLUE]
-
-    like_pivot: list[int] = []
-    anti_pivot: list[int] = []
-    for u in col.class_vertices(side):
-        row = rows[u]
-        fr = set(map(row.__getitem__, xr))
-        if len(fr) == 2:
-            x = next(w for w in xr if row[w] == RED)
-            x2 = next(w for w in xr if row[w] == BLUE)
-            return Classification("other", good_c4=(pivot, x, u, x2))
-        fb = set(map(row.__getitem__, xb))
-        if len(fb) == 2:
-            x = next(w for w in xb if row[w] == RED)
-            x2 = next(w for w in xb if row[w] == BLUE)
-            return Classification("other", good_c4=(pivot, x, u, x2))
-        fr, fb = fr.pop(), fb.pop()
-        if fr == fb:
-            # u is monochromatic towards the whole opposite class
-            return Classification("other", good_c4=(pivot, xr[0], u, xb[0]))
-        (like_pivot if fr == RED else anti_pivot).append(u)
-
-    if not anti_pivot:
-        vcol = VColStructure(side, tuple(xr), tuple(xb))
-        assert vcol.verify(col)
-        return Classification("vcol", vcol=vcol)
-
-    if side == 0:
-        structure = SplitStructure(
-            a1=tuple(like_pivot), a2=tuple(anti_pivot), b1=tuple(xr), b2=tuple(xb)
-        )
-    else:
-        structure = SplitStructure(
-            a1=tuple(xr), a2=tuple(xb), b1=tuple(like_pivot), b2=tuple(anti_pivot)
-        )
-    assert structure.verify(col)
-    return Classification("split", split=structure)
-
-
-def find_good_c4(col: PairColouring):
-    """Lexicographically first good C4 by full scan, or None.
-
-    A 4-cycle is good exactly when one colour appears on precisely one of
-    its four edges (two runs of odd length).
-    """
-    _require_bnn2(col)
-    n = col.n
-    rows = col.rows
+    n, entries = col.n, col.entries
+    r0 = entries[:n]
+    flip = bytes(1 - c for c in r0)
+    like, anti = [], []
     for a in range(n):
-        for b in range(n, 2 * n):
-            for a2 in range(a + 1, n):
-                for b2 in range(b + 1, 2 * n):
-                    reds = (
-                        (rows[a][b] == 0)
-                        + (rows[a2][b] == 0)
-                        + (rows[a][b2] == 0)
-                        + (rows[a2][b2] == 0)
-                    )
-                    if reds in (1, 3):
-                        return (a, b, a2, b2)
-    return None
+        row = entries[a * n : (a + 1) * n]
+        if row == r0:
+            like.append(a)
+        elif row == flip:
+            anti.append(a)
+        else:
+            b2 = next(b for b in range(1, n) if r0[b] ^ row[b] != r0[0] ^ row[0])
+            return Classification("other", good_c4=(0, n, a, n + b2))
+
+    like, anti = tuple(like), tuple(anti)
+    red = tuple(n + b for b in range(n) if r0[b] == RED)
+    blue = tuple(n + b for b in range(n) if r0[b] == BLUE)
+    if red and blue and anti:
+        structure = SplitStructure(like, anti, red, blue)
+        assert structure.verify(col)
+        return Classification("split", split=structure)
+    if red and blue:
+        vcol = VColStructure(0, red, blue)
+    elif anti:
+        vcol = VColStructure(1, *((like, anti) if red else (anti, like)))
+    else:
+        return Classification("mono", colour=Colour(r0[0]))
+    assert vcol.verify(col)
+    return Classification("vcol", vcol=vcol)
 
 
 def find_balanced_c4(col: PairColouring, subset0, subset1):
@@ -561,12 +518,10 @@ def spanning_bicoloured_or_mono_cycle(col: PairColouring):
     turning point, re-routing through a cycle with strictly more
     off-colour edges whenever both attachment edges refuse.
     """
-    _require_bnn2(col)
     n = col.n
-    verdict = classify_bipartite(col)
+    verdict = classify_bipartite(col)  # raises unless col is a 2-coloured bnn host
     if verdict.kind == "mono":
-        cyc = _interleave(range(n), range(n, 2 * n))
-        return _wrap_spanning(col, cyc)
+        return _wrap_spanning(col, _interleave(range(n), range(n, 2 * n)))
     if verdict.kind == "split":
         return SplitDetected(verdict.split)
     if verdict.kind == "vcol":
@@ -574,7 +529,7 @@ def spanning_bicoloured_or_mono_cycle(col: PairColouring):
         return _wrap_spanning(col, list(red.vertices + blue.vertices))
 
     # each cycle is read once, as it is built; its red-led frame goes on
-    frame = _frame(col, list(find_good_c4(col)), RED)
+    frame = _frame(col, list(verdict.good_c4), RED)
     while True:
         on = set(frame[0])
         rest0 = [u for u in range(n) if u not in on]
@@ -635,8 +590,7 @@ def partition_path_cycle(col: PairColouring):
     if isinstance(res, SplitDetected):
         return res
     if res.kind == "mono":
-        c = res.colour if res.colour is not None else RED
-        return _pieces_result((), other_colour(c), res.vertices, c)
+        return _pieces_result((), other_colour(res.colour), res.vertices, res.colour)
 
     seq, ell = res.frame
     rows = col.rows

@@ -1,8 +1,8 @@
 """Command-line surface: gen | solve | verify | enumerate | bench.
 
-Exit codes: 0 success, 1 usage or I/O error (or no solver for the host, or
-out of memory), 2 split colouring detected, 3 certificate violation or
-solver failure (or enumeration failures).
+Exit codes: 0 success, 1 usage or I/O error (a bad command line included,
+or no solver for the host, or out of memory), 2 split colouring detected,
+3 certificate violation or solver failure (or enumeration failures).
 """
 
 from __future__ import annotations
@@ -40,6 +40,20 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SPLIT = 2
 EXIT_VIOLATION = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line on one stderr line, exit EXIT_USAGE."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    """A count option's value: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -183,9 +197,9 @@ def _cmd_enumerate(args) -> int:
 def _cmd_bench(args) -> int:
     t_total = 0.0
     for i in range(args.count):
-        col = gen_random(args.kind, args.n, args.palette, seed=args.seed + i)
-        t0 = time.perf_counter()
         try:
+            col = gen_random(args.kind, args.n, args.palette, seed=args.seed + i)
+            t0 = time.perf_counter()
             solve(col)
         except (ValueError, RuntimeError) as exc:
             return _solver_error(exc)
@@ -196,7 +210,7 @@ def _cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="monopart")
+    ap = _Parser(prog="monopart")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="write a colouring file")
@@ -218,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out")
     s.add_argument("--two-paths", action="store_true")
     s.add_argument("--force-red-path", action="store_true")
-    s.add_argument("--samples", type=int, default=1000, help="rxn property samples")
+    s.add_argument("--samples", type=_count, default=1000, help="rxn property samples")
     s.set_defaults(fn=_cmd_solve)
 
     v = sub.add_parser("verify", help="check a certificate against a colouring")
@@ -236,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--kind", required=True, choices=["h3", "bnn", "kn"])
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--palette", type=int, default=2, choices=[2, 3])
-    b.add_argument("--count", type=int, default=10)
+    b.add_argument("--count", type=_count, default=10)
     b.add_argument("--seed", type=int, default=0)
     b.set_defaults(fn=_cmd_bench)
     return ap

@@ -504,6 +504,15 @@ class TransversalColouring:
             out[idx] = self.rule.colour_bit(edge)
         return TransversalColouring(r, n, entries=bytes(out))
 
+    def __eq__(self, other):
+        """Value equality; a rule-backed host differs from its materialised form."""
+        return isinstance(other, TransversalColouring) and (
+            (self.r, self.n, self.rule, self.entries) == (other.r, other.n, other.rule, other.entries)
+        )
+
+    def __hash__(self):
+        return hash((self.r, self.n, self.rule, self.entries))
+
     def __repr__(self):
         backing = "rule" if self.rule is not None else "materialized"
         return f"TransversalColouring(r={self.r}, n={self.n}, {backing})"

@@ -1,8 +1,10 @@
 """Brute-force oracles and the exhaustive enumeration harness.
 
 Oracles are independent of the solvers they validate: spanning bicoloured
-tight paths are sought by pruned permutation search, and partition shapes
-by exhaustive search over piece assignments.  The enumeration harness
+tight paths are sought by pruned permutation search, partition shapes by
+exhaustive search over piece assignments, and good 4-cycles by the quartic
+scan `find_good_c4`, the brute-force reference for `classify_bipartite`'s
+witness.  The enumeration harness
 iterates all colourings of a host (indices decode to bitstrings), shards
 index ranges across worker processes and merges reports deterministically;
 failures carry the reconstructible colouring index.
@@ -13,12 +15,13 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 
-from .bipartite import classify_bipartite, find_balanced_c4, find_good_c4, is_good_cycle
+from .bipartite import _require_bnn2, classify_bipartite, find_balanced_c4, is_good_cycle
 from .colourings import RED, Colour, PairColouring, TripleColouring, _n_edges
 from .solve import solve
 from .tightpaths import classify_tight_path
 
 __all__ = [
+    "find_good_c4",
     "oracle_spanning_bipath_exists",
     "ShapeSpec",
     "oracle_partition_exists",
@@ -31,6 +34,30 @@ __all__ = [
 PERMUTATION_LIMIT = 9
 PARTITION_VERTEX_LIMIT = 14
 ENUMERATION_GUARD = 1 << 32
+
+
+def find_good_c4(col: PairColouring):
+    """Lexicographically first good C4 by full scan, or None.
+
+    A 4-cycle is good exactly when one colour appears on precisely one of
+    its four edges (two runs of odd length).
+    """
+    _require_bnn2(col)
+    n = col.n
+    rows = col.rows
+    for a in range(n):
+        for b in range(n, 2 * n):
+            for a2 in range(a + 1, n):
+                for b2 in range(b + 1, 2 * n):
+                    reds = (
+                        (rows[a][b] == 0)
+                        + (rows[a2][b] == 0)
+                        + (rows[a][b2] == 0)
+                        + (rows[a2][b2] == 0)
+                    )
+                    if reds in (1, 3):
+                        return (a, b, a2, b2)
+    return None
 
 
 def oracle_spanning_bipath_exists(col: TripleColouring):
@@ -83,10 +110,6 @@ class ShapeSpec:
 
     pieces: tuple[tuple[str, Colour | None], ...]
     distinct_colours: bool = False
-
-
-def _vertex_ids(col) -> list[int]:
-    return list(range(col.n_vertices))
 
 
 def _mono_path_masks(col, allowed: list[int]):
@@ -166,14 +189,12 @@ def _piece_candidates(col, allowed: list[int], kind: str):
 def oracle_partition_exists(col, shape: ShapeSpec):
     """Exhaustive search for a partition matching the shape; returns
     (exists, witness pieces or None)."""
-    vertices = _vertex_ids(col)
+    vertices = list(range(col.n_vertices))
     if len(vertices) > PARTITION_VERTEX_LIMIT:
         raise ValueError("host too large for the partition oracle")
     if isinstance(col, TripleColouring):
         raise ValueError("partition oracle serves pair hosts")
-    full = 0
-    for v in vertices:
-        full |= 1 << v
+    full = (1 << len(vertices)) - 1
 
     n_pieces = len(shape.pieces)
     failed: set = set()
@@ -219,7 +240,7 @@ def oracle_partition_exists(col, shape: ShapeSpec):
 def oracle_min_pieces(col):
     """Exact minimum number of monochromatic paths/cycles (degenerate forms
     allowed) partitioning the host's vertices."""
-    vertices = _vertex_ids(col)
+    vertices = list(range(col.n_vertices))
     total = len(vertices)
     if total > PARTITION_VERTEX_LIMIT:
         raise ValueError("host too large for the partition oracle")
@@ -306,8 +327,8 @@ def _check_classify_goodc4(n: int, idx: int) -> str | None:
     col = PairColouring.from_int("bnn", n, idx)
     verdict = classify_bipartite(col)
     witness = find_good_c4(col)
-    if (verdict.kind == "other") != (witness is not None):
-        return f"classification {verdict.kind} disagrees with good-C4 scan"
+    if verdict.good_c4 != witness:
+        return f"{verdict.kind} witness {verdict.good_c4} is not the first good C4 {witness}"
     if verdict.kind == "split" and not verdict.split.verify(col):
         return "split structure fails verification"
     if verdict.kind == "vcol" and not verdict.vcol.verify(col):

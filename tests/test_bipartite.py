@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -12,7 +13,6 @@ from monopart.bipartite import (
     convert_paths_to_cycle,
     extend_good_cycle,
     find_balanced_c4,
-    find_good_c4,
     is_good_cycle,
     near_mono_spanning_path,
     partition_path_cycle,
@@ -30,6 +30,7 @@ from monopart.generators import (
     gen_split_bipartite,
     gen_v_colouring,
 )
+from monopart.oracles import find_good_c4
 from monopart.solve import solve
 from monopart.threecolour import _split_cycles
 from tests.conftest import all_bnn_colourings
@@ -72,6 +73,85 @@ def test_classify_matches_scan_exhaustive(n):
             assert verdict.split.verify(col)
         if verdict.kind == "vcol":
             assert verdict.vcol.verify(col)
+
+
+def _relabelled(col, p0, p1):
+    """`col` with class-0 local id a renamed p0[a] and class-1 local id b
+    renamed p1[b]."""
+    n, e = col.n, col.entries
+    out = bytearray(n * n)
+    for a in range(n):
+        for b in range(n):
+            out[p0[a] * n + p1[b]] = e[a * n + b]
+    return PairColouring("bnn", n, 2, bytes(out))
+
+
+def _shuffled(col, rng):
+    """`col` with the ids inside each class shuffled by `rng`."""
+    n = col.n
+    return _relabelled(col, rng.sample(range(n), n), rng.sample(range(n), n))
+
+
+def _transposed(col):
+    """`col` with its two classes swapped."""
+    n = col.n
+    return PairColouring("bnn", n, 2, b"".join(col.entries[b::n] for b in range(n)))
+
+
+def _classify_hosts():
+    """Every bnn colouring with n <= 3, then for each n up to 24 seeded
+    mono, split, V (on both classes), recoloured-split and random hosts,
+    the structured ones with shuffled vertex ids."""
+    rng = random.Random(24)
+    for n in (1, 2, 3):
+        for _, col in all_bnn_colourings(n):
+            yield col
+    for n in range(2, 25):
+        a1, b1 = rng.randrange(1, n), rng.randrange(1, n)
+        yield PairColouring.constant("bnn", n, 2, rng.randrange(2))
+        yield _shuffled(gen_split_bipartite(n, a1, b1)[0], rng)
+        v = gen_v_colouring(n, rng.randrange(1, n))
+        yield _shuffled(v, rng)
+        yield _shuffled(_transposed(v), rng)
+        which = (rng.randrange(a1), rng.randrange(b1))
+        yield _shuffled(gen_recoloured_split(n, a1, b1, which), rng)
+        yield gen_random("bnn", n, 2, seed=n)
+
+
+def _verdict_digest(cols):
+    """sha256 over (kind, colour, split, vcol) of each verdict, one line
+    each."""
+    h = hashlib.sha256()
+    for col in cols:
+        v = classify_bipartite(col)
+        colour = None if v.colour is None else int(v.colour)
+        split = None if v.split is None else (v.split.a1, v.split.a2, v.split.b1, v.split.b2)
+        vcol = None if v.vcol is None else (v.vcol.bichro_class, v.vcol.red_arm, v.vcol.blue_arm)
+        h.update(f"{v.kind} {colour} {split} {vcol}\n".encode())
+    return h.hexdigest()
+
+
+def test_classify_verdicts_pinned():
+    # a rewrite of classify_bipartite keeps every kind and structure
+    assert _verdict_digest(_classify_hosts()) == (
+        "f35c00b47d03c7eacd9985aff3f8b663a68a3a1c788ce3b84236023279ad947c"
+    )
+
+
+def _perturbed_class1_v():
+    """Every one-bit change of every class-1 V colouring with n <= 6."""
+    for n in range(2, 7):
+        for cut in range(1, n):
+            base = _transposed(gen_v_colouring(n, cut)).entries
+            for i in range(n * n):
+                flipped = bytearray(base)
+                flipped[i] ^= 1
+                yield PairColouring("bnn", n, 2, bytes(flipped))
+
+
+def test_classify_witness_is_the_first_good_c4():
+    for col in itertools.chain(_classify_hosts(), _perturbed_class1_v()):
+        assert classify_bipartite(col).good_c4 == find_good_c4(col), col.entries
 
 
 def _split_holds(col, s):

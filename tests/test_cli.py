@@ -154,8 +154,29 @@ def test_gen_deterministic(tmp_path):
 def test_bench_runs(capsys):
     code, out, _ = run(["bench", "--kind", "bnn", "--n", "8", "--count", "3"], capsys)
     assert code == 0 and "solves in" in out
-    with pytest.raises(SystemExit):  # --r: no bench kind has a uniformity
+    # a host gen_random refuses is a usage error too, not a traceback
+    code, out, err = run(["bench", "--kind", "bnn", "--n", "0", "--count", "1"], capsys)
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    with pytest.raises(SystemExit) as exc:  # --r: no bench kind has a uniformity
         main(["bench", "--kind", "bnn", "--n", "8", "--r", "3"])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["gen", "--kind", "bnn", "--n", "x"],
+    ["solve", "c.rxn", "--samples", "-5"],
+    ["bench", "--kind", "bnn", "--n", "8", "--count", "-3"],
+    ["bench", "--kind", "bnn", "--n", "8", "--count", "x"],
+])
+def test_bad_command_line_exits_1_with_one_line(argv, capsys):
+    # exit 2 is kept for a split colouring; negative counts are refused
+    # before any file is read
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out.out == "" and len(out.err.splitlines()) == 1
 
 
 def test_usage_error_on_missing_file(capsys):

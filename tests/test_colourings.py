@@ -110,13 +110,17 @@ def test_roundtrip_pairs(kind, n, palette, seed):
 @given(st.integers(1, 3), st.integers(2, 4), st.integers(0, 2**16))
 def test_roundtrip_rxn_materialized(r, n, seed):
     col = gen_random("rxn", n, 2, seed, r=r)
-    assert parse_colouring(serialize_colouring(col)).entries == col.entries
+    back = parse_colouring(serialize_colouring(col))
+    assert back.entries == col.entries
+    assert back == col and hash(back) == hash(col)
 
 
 def test_roundtrip_rxn_rule():
     col = TransversalColouring(3, 9, rule=HyperSplitSizes(3, 9, (1, 4, 8)))
     back = parse_colouring(serialize_colouring(col))
     assert back.rule == col.rule
+    assert back == col and hash(back) == hash(col)
+    assert col != col.materialize()
 
 
 def test_rule_matches_materialized():

@@ -1,6 +1,6 @@
 import pytest
 
-from monopart.bipartite import classify_bipartite, find_good_c4, is_good_cycle
+from monopart.bipartite import classify_bipartite, is_good_cycle
 from monopart.colourings import BLUE, GREEN, RED
 from monopart.generators import (
     EDGE_CAP,
@@ -12,6 +12,7 @@ from monopart.generators import (
     splitmix64,
     splitmix64_stream,
 )
+from monopart.oracles import find_good_c4
 
 
 def test_random_deterministic():
