@@ -56,6 +56,13 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    """A worker count's value: a positive integer."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.replace("/", ",").split(",") if t != "")
 
@@ -243,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("enumerate", help="run an exhaustive suite")
     e.add_argument("--suite", required=True, choices=sorted(SUITES))
     e.add_argument("--n", type=int, required=True)
-    e.add_argument("--jobs", type=int, default=1)
+    e.add_argument("--jobs", type=_positive, default=1)
     e.set_defaults(fn=_cmd_enumerate)
 
     b = sub.add_parser("bench", help="time solves over a seeded corpus")

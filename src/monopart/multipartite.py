@@ -12,6 +12,7 @@ Vertices are global ids with class i occupying [i*n, (i+1)*n).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .colourings import Colour, HyperSplitSizes, TransversalColouring
@@ -131,10 +132,26 @@ def min_cover_exact(col: TransversalColouring):
     """Exact minimum number of disjoint monochromatic tight paths covering
     all vertices, with a witness.
 
-    Exhaustive search over piece sequences with memoized infeasible
-    (covered-set, budget) states; pieces are enumerated with increasing
-    minima and a fixed orientation, so results are deterministic.  Pieces
-    shorter than r carry no edges and count as degenerate tight paths.
+    Pieces shorter than r carry no edges and count as degenerate tight
+    paths.  The search is a DFS over piece sequences in a fixed order, so
+    results are deterministic; it returns the first cover that order meets
+    with the fewest pieces.  Three rules cut it down without changing that
+    cover:
+
+    - Each piece holds the lowest vertex not yet covered, checked before
+      recursing.  The pieces of any cover, taken in order of their lowest
+      vertex, meet it, so the rule drops only reorderings.
+    - `failed` maps a covered set (mask) to the largest budget proven too
+      small for the rest; any smaller budget is too small as well, so one
+      memo serves every k.  A state enters it only when its whole search
+      found no cover, never for breaking the rule above, so no cover is
+      lost to it.
+    - For r = 2, the last piece must take every uncovered vertex.  So with
+      budget 1, a piece that has its colour c is dropped, and not extended,
+      unless every vertex left is reached from its end along colour-c
+      edges through vertices left.  No cover extends a dropped piece, and
+      an equal (covered, tail, colour) state is dropped the same way.  For
+      r >= 3 the rule is not applied.
     """
     r, n = col.r, col.n
     total = r * n
@@ -152,18 +169,29 @@ def min_cover_exact(col: TransversalColouring):
             c = colours[window] = col.colour_bit(window)
         return c
 
-    def search(mask: int, budget: int, last_min: int, failed: set):
+    def reaches_rest(mask: int, end: int, colour: int) -> bool:
+        """r = 2: every vertex outside `mask` is reached from `end` along
+        `colour` edges through vertices outside `mask`."""
+        todo = [end]
+        while todo:
+            u = todo.pop()
+            first = (1 - classes[u]) * n
+            for w in range(first, first + n):
+                if not (mask >> w) & 1 and window_colour((u, w)) == colour:
+                    mask |= 1 << w
+                    todo.append(w)
+        return mask == full
+
+    failed: dict[int, int] = {}
+
+    def search(mask: int, budget: int):
         if mask == full:
             return []
-        if budget == 0:
-            return None
-        key = (mask, budget)
-        if key in failed:
+        if budget <= failed.get(mask, 0):
             return None
         uncovered = [u for u in range(total) if not (mask >> u) & 1]
-        if uncovered[0] < last_min:
-            failed.add(key)
-            return None
+        lowest = 1 << uncovered[0]
+        last_piece = budget == 1 and r == 2
 
         # piece DFS over states (covered, tail window, colour): sequences
         # sharing a state are interchangeable for extension and recursion
@@ -173,10 +201,11 @@ def min_cover_exact(col: TransversalColouring):
             stack.append(([start], 1 << start, None))
         while stack:
             seq, pmask, colour = stack.pop()
-            sub = search(mask | pmask, budget - 1, min(seq), failed)
-            if sub is not None:
-                piece_colour = Colour(colour) if colour is not None else Colour.RED
-                return [(tuple(seq), piece_colour)] + sub
+            if pmask & lowest:
+                sub = search(mask | pmask, budget - 1)
+                if sub is not None:
+                    piece_colour = Colour(colour) if colour is not None else Colour.RED
+                    return [(tuple(seq), piece_colour)] + sub
             tail = tuple(seq[-(r - 1) :]) if r > 1 else ()
             tail_classes = {classes[u] for u in tail}
             for w in uncovered:
@@ -198,12 +227,14 @@ def min_cover_exact(col: TransversalColouring):
                 if state in seen_states:
                     continue
                 seen_states.add(state)
+                if last_piece and ncolour is not None and not reaches_rest(mask | nmask, w, ncolour):
+                    continue
                 stack.append((seq + [w], nmask, ncolour))
-        failed.add(key)
+        failed[mask] = budget
         return None
 
     for k in range(1, total + 1):
-        witness = search(0, k, -1, set())
+        witness = search(0, k)
         if witness is not None:
             return k, witness
     raise AssertionError("unreachable: singleton pieces always cover")
@@ -215,30 +246,29 @@ def random_mono_tight_path(sizes: HyperSplitSizes, rng):
     It starts with one vertex of each class in random order, so it has at
     least one edge (length >= r) and its colour is determined; it then grows
     towards a random target length until no vertex extends it.  Used by
-    property sweeps.
+    property sweeps.  A sample makes r*n + r reads of the half table; a
+    step is one `rng.choice` and one list deletion.
     """
     r, n = sizes.r, sizes.n
     order = list(range(r))
     rng.shuffle(order)
-    path = []
-    used = set()
-    for cls_ in order:
-        v = cls_ * n + rng.randrange(n)
-        path.append(v)
-        used.add(v)
+    path = [cls_ * n + rng.randrange(n) for cls_ in order]
     colour = sizes.colour_bit(path)
     half = sizes.half
     target = rng.randint(r, r * n)
+    # the last window has `colour`, so the new window keeps it iff the new
+    # vertex lies on the same side of its class as path[-r], the vertex it
+    # replaces; so every vertex of a class keeps its start vertex's side,
+    # and the candidates are the unused vertices of that side, ascending
+    options = {}
+    for v in path:
+        first, side = v // n * n, half[v]
+        options[v // n] = [u for u in range(first, first + n) if u != v and half[u] == side]
     while len(path) < target:
-        # the last window has `colour`, so the new window keeps it iff the
-        # new vertex lies on the same side of its class as path[-r], the
-        # vertex it replaces
-        first = path[-r] // n * n
-        want = half[path[-r]]
-        options = [v for v in range(first, first + n) if v not in used and half[v] == want]
-        if not options:
+        free = options[path[-r] // n]
+        if not free:
             break
-        v = rng.choice(options)
+        v = rng.choice(free)
+        del free[bisect_left(free, v)]
         path.append(v)
-        used.add(v)
     return path, Colour(colour)

@@ -371,6 +371,9 @@ SUITES = {
     "path-cycle-partition": ("bnn", _check_path_cycle),
 }
 
+# smallest n whose host has an edge to colour
+_MIN_N = {"h3": 3, "bnn": 1}
+
 
 def _run_chunk(args):
     suite, n, lo, hi = args
@@ -392,6 +395,8 @@ def enumerate_all(suite: str, n: int, jobs: int = 1) -> OracleReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; known: {sorted(SUITES)}")
     kind, _ = SUITES[suite]
+    if n < _MIN_N[kind]:
+        raise ValueError(f"suite {suite!r} needs n >= {_MIN_N[kind]}, got {n}")
     total = 1 << _n_edges(kind, n)
     if total > ENUMERATION_GUARD:
         raise ValueError(f"{total} colourings exceed the enumeration guard")

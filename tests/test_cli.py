@@ -143,6 +143,26 @@ def test_enumerate_command(capsys):
     assert "512 checked, 0 failures" in out
 
 
+@pytest.mark.parametrize("suite, n", [
+    ("classify-goodc4-equiv", "0"),
+    ("near-mono-equiv", "-3"),
+    ("spanning-path-total", "2"),
+])
+def test_enumerate_refuses_n_below_the_host_minimum(suite, n, capsys):
+    # a usage error, not every instance failing with a certificate-violation exit
+    code, out, err = run(["enumerate", "--suite", suite, "--n", n], capsys)
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_enumerate_refuses_a_non_positive_jobs_count(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--suite", "near-mono-equiv", "--n", "2", "--jobs", jobs])
+    out = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out.out == "" and len(out.err.splitlines()) == 1
+
+
 def test_gen_deterministic(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

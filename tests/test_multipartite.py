@@ -11,6 +11,7 @@ from monopart.colourings import (
     BLUE,
     RED,
     HyperSplitSizes,
+    PairColouring,
     TransversalColouring,
     parse_colouring,
     serialize_colouring,
@@ -25,6 +26,7 @@ from monopart.multipartite import (
     validate_transversal_tight_path,
     verify_counting,
 )
+from monopart.oracles import oracle_min_pieces
 
 
 def test_edge_colour_parity():
@@ -155,6 +157,17 @@ def test_min_cover_matches_block_analysis():
         assert sum(len(m) for m in masks) == 2 * n
 
 
+def test_min_cover_matches_the_partition_oracle():
+    # an r = 2 host is a 2-coloured bipartite host with entry (a, b) the
+    # colour of the window (a, n + b); a monochromatic cycle opens into a
+    # path, so the oracle's minimum over paths and cycles is the cover's
+    for n in range(1, 6):
+        for seed in range(40):
+            col = gen_random("rxn", n, 2, seed=seed, r=2)
+            bnn = PairColouring.from_function("bnn", n, 2, lambda u, v: col.colour_bit((u, v)))
+            assert min_cover_exact(col)[0] == oracle_min_pieces(bnn), (n, seed)
+
+
 def test_min_cover_cap():
     col = TransversalColouring(2, 8, rule=HyperSplitSizes(2, 8, (1, 1)))
     with pytest.raises(ExceedsCap):
@@ -241,6 +254,34 @@ def test_random_mono_tight_path_reads_colours_from_the_table(monkeypatch):
     path, _colour = random_mono_tight_path(sizes, random.Random(3))
     assert len(path) > 2 * sizes.r
     assert calls[0] <= sizes.r + 1
+
+
+class _CountingTable:
+    """A half table that counts its reads."""
+
+    def __init__(self, table: bytes):
+        self.table = table
+        self.reads = 0
+
+    def __getitem__(self, u: int) -> int:
+        self.reads += 1
+        return self.table[u]
+
+
+def test_random_mono_tight_path_reads_each_table_entry_once(monkeypatch):
+    sizes = HyperSplitSizes(2, 60, (20, 30))
+    table = _CountingTable(sizes.half)
+    monkeypatch.setattr(HyperSplitSizes, "half", property(lambda self: table))
+    rng = random.Random(5)
+    longest = 0
+    for _ in range(20):
+        table.reads = 0
+        path, _colour = random_mono_tight_path(sizes, rng)
+        longest = max(longest, len(path))
+        # one read per vertex of the host and per vertex of the path; a
+        # scan of the next class at each step makes O(n) per step
+        assert table.reads <= sizes.r * sizes.n + len(path)
+    assert longest > sizes.n
 
 
 def test_split_colour_bit_matches_definition():
