@@ -399,6 +399,11 @@ def extend_good_cycle(col: PairColouring, frame, quad):
     quad labelling) in which the probe edges of the case tree are defined;
     each branch ends in an explicit re-routing that is verified before its
     frame is returned.
+
+    The new cycle need not keep every old-cycle vertex: the re-routing
+    `seq[: k - 1] + [y2, x1, x2]`, for one, drops v(k), which goes back to
+    the remainder.  So a caller cannot get the new remainder by taking the
+    quad's four vertices off the old one; it has to read it off the cycle.
     """
     _require_bnn2(col)
     seq, ell = frame

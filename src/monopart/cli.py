@@ -27,6 +27,7 @@ from .generators import (
     gen_v_colouring,
 )
 from .multipartite import (
+    SAMPLE_WORK_CAP,
     ExceedsCap,
     check_side_consistency,
     min_cover_exact,
@@ -128,6 +129,13 @@ def _solve_rxn(col: TransversalColouring, args) -> int:
             lines.append(f"  {iq.label}: {iq.lhs} vs {iq.rhs} holds={iq.holds} slack={iq.slack}")
         rng = random.Random(0)
         samples = min(args.samples, 10000)
+        reads = r * n + r  # half-table reads of one sample
+        if samples * reads > SAMPLE_WORK_CAP:
+            fit = SAMPLE_WORK_CAP // reads
+            done = f"reduced to {fit}" if fit else "skipped"
+            lines.append(f"side-consistency: sampling {done}: {samples} samples of {reads} "
+                         f"half-table reads exceed SAMPLE_WORK_CAP = {SAMPLE_WORK_CAP}")
+            samples = fit
         consistent = 0
         for _ in range(samples):
             path, _colour = random_mono_tight_path(col.rule, rng)

@@ -29,6 +29,10 @@ __all__ = [
 ]
 
 DEFAULT_COVER_CAP = 14
+# Half-table reads one side-consistency report may spend on sampling: a
+# sample makes r*n + r of them (see random_mono_tight_path), so samples
+# past this many reads are dropped.  That is 1-2 s on a 2-core Xeon VM.
+SAMPLE_WORK_CAP = 1 << 20
 
 
 class ExceedsCap(RuntimeError):

@@ -12,6 +12,7 @@ paths and two cycles, or two paths and four cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .bipartite import (
     SplitDetected,
@@ -22,7 +23,7 @@ from .bipartite import (
     _interleave,
 )
 from .certificates import PartitionCertificate, Piece, check_certificate
-from .colourings import BLUE, GREEN, RED, Colour, PairColouring, _pair_edges
+from .colourings import BLUE, GREEN, RED, Colour, PairColouring
 
 __all__ = [
     "BalancedBipBlock",
@@ -56,20 +57,41 @@ class BalancedBipBlock:
 # remainder feasibility
 
 
+_IS_RED = bytes(c == RED for c in range(256))  # translate table: red -> 1
+
+
 def _red_neighbours(col: PairColouring) -> list[set[int]]:
-    """Each vertex's red neighbours, read once from the edge colours."""
+    """Each vertex's red neighbours, read once from the edge colours.
+
+    Each vertex's slice of `entries` is masked to its red edges in C, so
+    Python touches only red edges: in colex order a kn vertex u's edges to
+    the ids below it are one slice, and a bnn class-0 vertex's edges to
+    class 1 are one row.  No raw `rows` view is built."""
+    n, entries, kn = col.n, col.entries, col.kind == "kn"
     red: list[set[int]] = [set() for _ in range(col.n_vertices)]
-    for (u, v), c in zip(_pair_edges(col.kind, col.n), col.entries):
-        if c == RED:
-            red[u].add(v)
-            red[v].add(u)
+    for u in range(n):
+        start = u * (u - 1) // 2 if kn else u * n
+        width, first = (u, 0) if kn else (n, n)
+        mask = entries[start : start + width].translate(_IS_RED)
+        found = list(compress(range(first, first + width), mask))
+        red[u].update(found)
+        for w in found:
+            red[w].add(u)
     return red
 
 
 def _red_components(vertices, red):
     """Connected components of the carved-colour graph on `vertices`, with
-    `red` from _red_neighbours, canonically sorted."""
+    `red` from _red_neighbours, canonically sorted; None as soon as one
+    component holds more than half of `vertices`.
+
+    Neither caller can place such a component, so the scan stops there:
+    _half_split puts each component inside a half of |vertices|/2, and
+    _two_block_split puts a component (c0, c1) across two blocks, so that
+    |c0| + |c1| <= |A1| + |B1| = |vertices|/2.
+    """
     fresh = set(vertices)
+    half = len(fresh) // 2
     comps = []
     for v in sorted(vertices):
         if v not in fresh:
@@ -82,18 +104,23 @@ def _red_components(vertices, red):
                 fresh.discard(w)
                 comp.append(w)
                 queue.append(w)
+            if len(comp) > half:
+                return None
         comps.append(sorted(comp))
     return comps
 
 
 def _half_split(vertices, red):
     """Equal halves of `vertices` with no carved-colour edge between them,
-    or None.  Components must not straddle the halves."""
+    or None.  Components must not straddle the halves, so a component
+    larger than a half rules the split out before the scan ends."""
     vertices = sorted(vertices)
     if len(vertices) % 2:
         return None
     target = len(vertices) // 2
     comps = _red_components(vertices, red)
+    if comps is None:
+        return None
     sizes = [len(c) for c in comps]
     # suffix-achievable sums for greedy lexicographic reconstruction
     achievable = [set() for _ in range(len(sizes) + 1)]
@@ -118,10 +145,14 @@ def _half_split(vertices, red):
 
 def _bip_components(r0, r1, red):
     """Carved-colour components across the class split; isolated vertices
-    are returned separately."""
+    are returned separately.  None when a component holds more than half
+    of r0 + r1 (see _red_components)."""
     side0 = set(r0)
     comps = []
-    for c in _red_components(list(r0) + list(r1), red):
+    whole = _red_components(list(r0) + list(r1), red)
+    if whole is None:
+        return None
+    for c in whole:
         if len(c) > 1:
             comps.append(([u for u in c if u in side0], [u for u in c if u not in side0]))
     iso0 = sorted(set(r0) - {u for c0, _ in comps for u in c0})
@@ -135,12 +166,18 @@ def _two_block_split(r0, r1, red):
     |A| <= |B|; None when impossible.
 
     Every carved-colour component must put its class-0 vertices in one
-    block and its class-1 vertices in the other.
+    block and its class-1 vertices in the other.  A component (c0, c1)
+    with c0 in A1 and c1 in B2 has |c0| + |c1| <= |A1| + |B1| = |r0| (and
+    alike the other way round), so one larger than |r0| rules the split
+    out before the scan ends.
     """
     r0, r1 = sorted(r0), sorted(r1)
     if len(r0) != len(r1):
         return None
-    comps, iso0, iso1 = _bip_components(r0, r1, red)
+    parts = _bip_components(r0, r1, red)
+    if parts is None:
+        return None
+    comps, iso0, iso1 = parts
     f0, f1 = len(iso0), len(iso1)
     # DP over components; state (diff, a1) = (|A1| - |A2| counting only
     # component vertices, |A1| from components), with parent pointers
@@ -207,6 +244,13 @@ def _search_path(candidates_start, red, feasible):
     splits; the first hit wins.  States are memoized on (last vertex,
     covered set).  The stack is explicit, so path length is not bounded by
     the recursion limit.
+
+    On random hosts the first descent walks a path through almost every
+    vertex, so the search makes about one feasibility check per vertex; a
+    check costs O(n) once its component scan stops at the first component
+    larger than half of the remainder, and the search O(n^2).  Structured
+    hosts can backtrack far more (two disjoint red cliques make it
+    exponential).
     """
     used: set = set()
     seq: list = []

@@ -603,6 +603,28 @@ def test_bnn2_solve_lookups(monkeypatch, hosts, bound):
     assert calls[0] <= bound * col.n**2
 
 
+def test_extension_may_drop_an_old_cycle_vertex(monkeypatch):
+    # a re-routing such as seq[:k-1] + [y2, x1, x2] leaves v(k) out of the
+    # grown cycle; the vertex goes back to the remainder, and the partition
+    # still covers it
+    dropped = []
+
+    def recording(col, frame, quad):
+        out = extend_good_cycle(col, frame, quad)
+        dropped.extend(set(frame[0]) - set(out[0]))
+        return out
+
+    monkeypatch.setattr(bp, "extend_good_cycle", recording)
+    for n in (8, 16, 32):
+        for seed in range(40):
+            col = gen_random("bnn", n, 2, seed=seed)
+            pieces = partition_path_cycle(col)
+            if dropped:
+                verified(col, list(pieces))
+                return
+    pytest.fail("no extension dropped an old-cycle vertex")
+
+
 def test_each_built_cycle_is_read_once(monkeypatch):
     # the growth, attach and exchange loops hand each cycle's frame on, so
     # no cycle's colours are read a second time, in any rotation or

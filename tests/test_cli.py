@@ -1,10 +1,12 @@
 import json
+import time
 
 import pytest
 
 import monopart.cli as cli
 import monopart.generators as gen
 from monopart.cli import main
+from monopart.multipartite import SAMPLE_WORK_CAP
 
 
 def run(argv, capsys):
@@ -135,6 +137,35 @@ def test_rxn_report_over_the_cover_cap(tmp_path, capsys):
     code, out, _ = run(["solve", str(col), "--samples", "50"], capsys)
     assert code == 0
     assert out.splitlines()[-1] == "min-cover: exceeds search cap"
+
+
+def test_rxn_sampling_bounded_on_huge_rule_host(tmp_path, capsys):
+    # one sample would read a 2 * 10**12 entry half table: the report skips
+    # sampling on one line naming the limit, and finishes at once
+    col = tmp_path / "huge.rxn"
+    col.write_text("rxn 1000000000000 2\nsplit 1 1\n")
+    assert col.stat().st_size == 30
+    start = time.perf_counter()
+    code, out, _ = run(["solve", str(col)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    lines = out.splitlines()
+    assert [line for line in lines if "SAMPLE_WORK_CAP" in line] == [
+        "side-consistency: sampling skipped: 1000 samples of 2000000000002 half-table reads "
+        f"exceed SAMPLE_WORK_CAP = {SAMPLE_WORK_CAP}"
+    ]
+    assert lines[-1] == "min-cover: exceeds search cap"
+
+
+def test_rxn_sampling_reduced_to_the_work_cap(tmp_path, capsys):
+    n = 2 * SAMPLE_WORK_CAP // 1000  # 1,000 samples of 2n + 2 reads overshoot the cap
+    col = tmp_path / "big.rxn"
+    col.write_text(f"rxn {n} 2\nsplit 1 1\n")
+    code, out, _ = run(["solve", str(col), "--samples", "1000"], capsys)
+    fit = SAMPLE_WORK_CAP // (2 * n + 2)
+    assert code == 0 and 0 < fit < 1000
+    assert f"side-consistency: sampling reduced to {fit}: " in out
+    assert f"side-consistency: {fit}/{fit} sampled paths consistent" in out
 
 
 def test_enumerate_command(capsys):

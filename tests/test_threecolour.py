@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -188,3 +189,131 @@ def test_red_neighbours_match_colour_lookups(kind, n):
     for u in range(col.n_vertices):
         others = range(col.n_vertices) if kind == "kn" else col.class_vertices(1 - col.side(u))
         assert red[u] == {w for w in others if w != u and col.colour_bit(u, w) == RED}, u
+
+
+def _brute_half_split_exists(vertices, red):
+    if len(vertices) % 2:
+        return False
+    for x in itertools.combinations(vertices, len(vertices) // 2):
+        y = set(vertices) - set(x)
+        if not any(red[u] & y for u in x):
+            return True
+    return False
+
+
+def _brute_two_block_split_exists(r0, r1, red):
+    if len(r0) != len(r1):
+        return False
+    for k in range(len(r0) + 1):
+        for a1 in itertools.combinations(r0, k):
+            b1 = set(r0) - set(a1)
+            for a2 in itertools.combinations(r1, k):
+                b2 = set(r1) - set(a2)
+                if not any(red[u] & set(a2) for u in a1) and not any(red[u] & b2 for u in b1):
+                    return True
+    return False
+
+
+def _largest_component(vertices, red):
+    left, largest = set(vertices), 0
+    while left:
+        comp, todo = set(), [left.pop()]
+        while todo:
+            u = todo.pop()
+            comp.add(u)
+            todo.extend(red[u] & left)
+            left -= red[u]
+        largest = max(largest, len(comp))
+    return largest
+
+
+def _random_red_graph(rng, ids, pairs):
+    # edge density from sparse to dense, so that some remainders have a
+    # component larger than half of them and some split
+    p = rng.choice([0.1, 0.25, 0.5, 0.8])
+    red = [set() for _ in ids]
+    for u, w in pairs:
+        if rng.random() < p:
+            red[u].add(w)
+            red[w].add(u)
+    return red
+
+
+def test_half_split_early_exit_matches_brute_force():
+    rng = random.Random(13)
+    ids = range(10)
+    pairs = list(itertools.combinations(ids, 2))
+    seen = {"exit": 0, "split": 0}
+    for _ in range(1500):
+        red = _random_red_graph(rng, ids, pairs)
+        vertices = sorted(rng.sample(ids, rng.randint(0, 10)))
+        even = len(vertices) % 2 == 0
+        seen["exit"] += even and 2 * _largest_component(vertices, red) > len(vertices) > 0
+        got = tc._half_split(vertices, red)
+        assert (got is not None) == _brute_half_split_exists(vertices, red), (vertices, red)
+        if got is not None:
+            seen["split"] += 1
+            x, y = got
+            assert x == sorted(x) and y == sorted(y) and len(x) == len(y)
+            assert sorted(x + y) == vertices
+            assert not any(red[u] & set(y) for u in x)
+    assert seen["exit"] > 100 and seen["split"] > 100, seen
+
+
+def test_two_block_split_early_exit_matches_brute_force():
+    rng = random.Random(17)
+    n = 5
+    ids = range(2 * n)
+    pairs = [(a, n + b) for a in range(n) for b in range(n)]
+    seen = {"exit": 0, "split": 0}
+    for _ in range(1500):
+        red = _random_red_graph(rng, ids, pairs)
+        size = rng.randint(0, n)
+        r0 = sorted(rng.sample(range(n), size))
+        r1 = sorted(rng.sample(range(n, 2 * n), size if rng.random() < 0.9 else rng.randint(0, n)))
+        seen["exit"] += 2 * _largest_component(r0 + r1, red) > len(r0 + r1) > 0
+        got = tc._two_block_split(r0, r1, red)
+        assert (got is not None) == _brute_two_block_split_exists(r0, r1, red), (r0, r1, red)
+        if got is not None:
+            seen["split"] += 1
+            (a1, a2), (b1, b2) = got
+            assert len(a1) == len(a2) and len(b1) == len(b2) and len(a1) <= len(b1)
+            assert sorted(a1 + b1) == r0 and sorted(a2 + b2) == r1
+            assert not any(red[u] & set(a2) for u in a1)
+            assert not any(red[u] & set(b2) for u in b1)
+    assert seen["exit"] > 100 and seen["split"] > 100, seen
+
+
+class _CountingList(list):
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("solve, kind, n", [
+    (partition3_complete, "kn", 256),
+    (partition3_bipartite, "bnn", 128),
+], ids=["kn-256", "bnn-128"])
+def test_carved_path_search_adjacency_reads(monkeypatch, solve, kind, n):
+    # the search reads a vertex's red neighbours once as it extends the
+    # path, and each feasibility check stops its component scan once a
+    # component holds more than half of the remainder: after two or three
+    # vertices on a random host (scanning the whole remainder reads about
+    # 65 per host vertex at these sizes)
+    made = []
+
+    def counting(col):
+        made.append(_CountingList(red_neighbours(col)))
+        return made[-1]
+
+    red_neighbours = tc._red_neighbours
+    monkeypatch.setattr(tc, "_red_neighbours", counting)
+    for seed in range(3):
+        made.clear()
+        col = gen_random(kind, n, 3, seed=seed)
+        solve(col)
+        assert made and sum(r.reads for r in made) <= 4 * col.n_vertices, seed
