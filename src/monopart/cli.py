@@ -1,13 +1,15 @@
 """Command-line surface: gen | solve | verify | enumerate | bench.
 
 Exit codes: 0 success, 1 usage or I/O error (a bad command line included,
-or no solver for the host, or out of memory), 2 split colouring detected,
-3 certificate violation or solver failure (or enumeration failures).
+or no solver for the host, or out of memory, or standard output closed by
+its reader), 2 split colouring detected, 3 certificate violation or solver
+failure (or enumeration failures).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -128,7 +130,7 @@ def _solve_rxn(col: TransversalColouring, args) -> int:
         for iq in report.inequalities:
             lines.append(f"  {iq.label}: {iq.lhs} vs {iq.rhs} holds={iq.holds} slack={iq.slack}")
         rng = random.Random(0)
-        samples = min(args.samples, 10000)
+        samples = args.samples
         reads = r * n + r  # half-table reads of one sample
         if samples * reads > SAMPLE_WORK_CAP:
             fit = SAMPLE_WORK_CAP // reads
@@ -274,9 +276,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except MemoryError:
         print(f"{args.command}: out of memory", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered, and the flush at
+        # interpreter exit, to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"{args.command}: output closed before it was written", file=sys.stderr)
         return EXIT_USAGE
 
 

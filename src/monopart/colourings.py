@@ -15,12 +15,14 @@ Vertices are dense integers.  For ``bnn`` the global ids are 0..n-1
 (class 0) and n..2n-1 (class 1); for ``rxn`` class i occupies
 [i*n, (i+1)*n).
 
-Colour reads come in two kinds.  ``colour_bit`` validates its vertex ids;
-``check_certificate`` reads through it, and the structure witnesses compare
-rows of the canonical ``entries``.  The solvers' loops read a pair host
-through its raw view ``PairColouring.rows`` instead: one unchecked byte per
-ordered pair, built on the first read (at most 3n^2 bytes for bnn, n^2 for
-kn).
+Colour reads follow one rule.  The pair-host solvers in ``bipartite`` and
+``threecolour`` read colours only through the raw view
+``PairColouring.rows``: one unchecked byte per ordered pair, built on the
+first read (at most 3n^2 bytes for bnn, n^2 for kn).  ``classify_bipartite``
+alone compares whole class-0 rows of ``entries``, which already have that
+layout.  ``check_certificate``, the structure witnesses and the oracles read
+only the validated ``colour_bit`` or the canonical ``entries``, never the
+view, so a wrong view cannot make them agree with a wrong solver.
 
 File format: a header line ``<kind> <n> [r] [palette]`` followed by one
 body line.  For materialized colourings the body is an ASCII string over
@@ -264,10 +266,11 @@ class PairColouring:
     each of the n rows has n bytes, with NO_EDGE on the diagonal.  For bnn,
     a class-0 row has 2n bytes, NO_EDGE over its own class; a class-1 row
     has the n bytes towards class 0 only, so a same-class read there falls
-    off its end: 3n^2 bytes in all.  The view checks nothing, so only the
-    solvers in `bipartite` and `threecolour` read it; `check_certificate`
-    and the structure witnesses read the validated `colour_bit` and
-    `entries`, and share no code with it.
+    off its end: 3n^2 bytes in all.  The view checks nothing.  It is the
+    only way the solvers in `bipartite` and `threecolour` read colours, and
+    `check_certificate`, the structure witnesses and the oracles never read
+    it: they read the validated `colour_bit` and `entries`, and share no
+    code with it.
     """
 
     __slots__ = ("kind", "n", "palette", "entries", "_rows")

@@ -44,16 +44,16 @@ def find_good_c4(col: PairColouring):
     """
     _require_bnn2(col)
     n = col.n
-    rows = col.rows
+    cbit = col.colour_bit
     for a in range(n):
         for b in range(n, 2 * n):
             for a2 in range(a + 1, n):
                 for b2 in range(b + 1, 2 * n):
                     reds = (
-                        (rows[a][b] == 0)
-                        + (rows[a2][b] == 0)
-                        + (rows[a][b2] == 0)
-                        + (rows[a2][b2] == 0)
+                        (cbit(a, b) == 0)
+                        + (cbit(a2, b) == 0)
+                        + (cbit(a, b2) == 0)
+                        + (cbit(a2, b2) == 0)
                     )
                     if reds in (1, 3):
                         return (a, b, a2, b2)

@@ -61,23 +61,9 @@ _IS_RED = bytes(c == RED for c in range(256))  # translate table: red -> 1
 
 
 def _red_neighbours(col: PairColouring) -> list[set[int]]:
-    """Each vertex's red neighbours, read once from the edge colours.
-
-    Each vertex's slice of `entries` is masked to its red edges in C, so
-    Python touches only red edges: in colex order a kn vertex u's edges to
-    the ids below it are one slice, and a bnn class-0 vertex's edges to
-    class 1 are one row.  No raw `rows` view is built."""
-    n, entries, kn = col.n, col.entries, col.kind == "kn"
-    red: list[set[int]] = [set() for _ in range(col.n_vertices)]
-    for u in range(n):
-        start = u * (u - 1) // 2 if kn else u * n
-        width, first = (u, 0) if kn else (n, n)
-        mask = entries[start : start + width].translate(_IS_RED)
-        found = list(compress(range(first, first + width), mask))
-        red[u].update(found)
-        for w in found:
-            red[w].add(u)
-    return red
+    """Each vertex's red neighbours, read once from the raw view: each row
+    is masked to its red bytes in C, so Python touches only red edges."""
+    return [set(compress(range(len(row)), row.translate(_IS_RED))) for row in col.rows]
 
 
 def _red_components(vertices, red):
@@ -334,26 +320,18 @@ def path_and_two_balanced_blocks(col: PairColouring):
 # merged-palette plumbing
 
 _LOCAL_TO_REAL = {RED: BLUE, BLUE: GREEN}
-_REAL_TO_LOCAL = {BLUE: 0, GREEN: 1}
+# translate table of the inverse map: host blue/green -> local red/blue
+_TO_LOCAL = bytes.maketrans(bytes(_LOCAL_TO_REAL.values()), bytes(_LOCAL_TO_REAL))
 
 
 def _induced_block(col: PairColouring, left, right) -> PairColouring:
     """2-coloured view of the block's cross edges, blue as local red and
-    green as local blue.
-
-    Each host edge is read once here, so it goes through the validated
-    `colour_bit`: the raw view would be built, and kept, on every host for
-    that one pass."""
-    left, right = sorted(left), sorted(right)
-    m = len(left)
-    entries = bytearray(m * m)
-    for i, u in enumerate(left):
-        for j, w in enumerate(right):
-            c = col.colour_bit(u, w)
-            if c not in (BLUE, GREEN):
-                raise ValueError("block contains a carved-colour edge")
-            entries[i * m + j] = _REAL_TO_LOCAL[Colour(c)]
-    return PairColouring("bnn", m, 2, bytes(entries))
+    green as local blue."""
+    rows, right = col.rows, sorted(right)
+    block = b"".join(bytes(map(rows[u].__getitem__, right)) for u in sorted(left))
+    if RED in block:
+        raise ValueError("block contains a carved-colour edge")
+    return PairColouring("bnn", len(right), 2, block.translate(_TO_LOCAL))
 
 
 def _lift_piece(piece: Piece, left, right) -> Piece:

@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -782,3 +784,25 @@ def test_v_two_cycles():
 def test_v_two_cycles_rejects_non_v():
     with pytest.raises(ValueError):
         _v_pieces(PairColouring.constant("bnn", 3, 2, 0))
+
+
+def test_every_extension_exit_fires(monkeypatch):
+    # each `return done(...)` line of extend_good_cycle is one re-routing of
+    # the case tree; the spy records the line that handed over a candidate
+    lines, start = inspect.getsourcelines(extend_good_cycle)
+    sites = {start + i for i, line in enumerate(lines) if "return done(" in line}
+    code = extend_good_cycle.__code__
+    fired = set()
+    checked = bp._checked_extension
+
+    def spy(col, cand, old_len, allowed):
+        frame = sys._getframe(1)
+        while frame.f_code is not code:
+            frame = frame.f_back
+        fired.add(frame.f_lineno)
+        return checked(col, cand, old_len, allowed)
+
+    monkeypatch.setattr(bp, "_checked_extension", spy)
+    for i in range(1000):
+        partition_path_cycle(gen_random("bnn", 5 + i % 8, 2, seed=i))
+    assert fired == sites, sorted(sites - fired)

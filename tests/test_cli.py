@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -75,17 +78,33 @@ def test_bad_pair_header_is_one_line(tmp_path, capsys, text, message):
     assert (code, out, err) == (1, "", f"cannot read inputs: {message}\n")
 
 
-def test_python_m_monopart_runs_the_cli():
-    import os
-    import subprocess
-    import sys
-
+def python_m_monopart(argv, **kwargs):
+    """`python -m monopart argv` in a new process, with this checkout's sources."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-m", "monopart", "--help"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "monopart", *argv], text=True, env=env,
+                          timeout=60, **kwargs)
+
+
+def test_python_m_monopart_runs_the_cli():
+    proc = python_m_monopart(["--help"], capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: monopart")
+
+
+def test_closed_output_pipe_is_one_line(tmp_path):
+    col = tmp_path / "small.rxn"
+    assert main(["gen", "--kind", "rxn", "--n", "4", "--r", "2", "--split", "1,2",
+                 "--out", str(col)]) == 0
+    # the read end is closed before the command starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = python_m_monopart(["solve", str(col), "--samples", "2000"],
+                                 stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "solve: output closed before it was written\n")
 
 
 def test_verify_rejects_tampered_cert(tmp_path, capsys):
@@ -127,6 +146,14 @@ def test_rxn_report(tmp_path, capsys):
     assert code == 0
     assert "min-cover: 2 pieces" in out
     assert "side-consistency: 50/50" in out
+
+
+def test_rxn_samples_are_bounded_only_by_the_work_cap(tmp_path, capsys):
+    col = tmp_path / "q.rxn"
+    main(["gen", "--kind", "rxn", "--n", "6", "--r", "2", "--split", "1,2", "--out", str(col)])
+    code, out, _ = run(["solve", str(col), "--samples", "20000"], capsys)
+    assert code == 0 and "SAMPLE_WORK_CAP" not in out
+    assert "side-consistency: 20000/20000 sampled paths consistent" in out
 
 
 def test_rxn_report_over_the_cover_cap(tmp_path, capsys):

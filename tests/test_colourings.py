@@ -304,6 +304,7 @@ def test_raw_view_is_built_only_by_a_solver(monkeypatch):
     from monopart.bipartite import classify_bipartite
     from monopart.certificates import PartitionCertificate, check_certificate
     from monopart.generators import gen_split_bipartite, gen_v_colouring
+    from monopart.oracles import find_good_c4
     from monopart.solve import solve
 
     solvable = [gen_random(kind, 6, palette, seed=7)
@@ -326,6 +327,9 @@ def test_raw_view_is_built_only_by_a_solver(monkeypatch):
         assert check_certificate(parse_colouring(text), PartitionCertificate.from_text(cert)).ok
     for text, structure in witnesses:
         assert structure.verify(parse_colouring(text))
+    # the oracle, on the random bnn2 host and the V-coloured one
+    assert find_good_c4(parse_colouring(solved[1][0])) is not None
+    assert find_good_c4(parse_colouring(witnesses[1][0])) is None
 
 
 @pytest.mark.parametrize("kind, palette", [("bnn", 2), ("bnn", 3), ("kn", 3)])

@@ -317,3 +317,47 @@ def test_carved_path_search_adjacency_reads(monkeypatch, solve, kind, n):
         col = gen_random(kind, n, 3, seed=seed)
         solve(col)
         assert made and sum(r.reads for r in made) <= 4 * col.n_vertices, seed
+
+
+def _block_by_lookups(col, left, right):
+    """The block's local 2-colouring read edge by edge through colour_bit."""
+    local = {BLUE: 0, GREEN: 1}
+    right = sorted(right)
+    return PairColouring("bnn", len(right), 2, bytes(
+        local[col.colour_bit(u, w)] for u in sorted(left) for w in right
+    ))
+
+
+def _carved_blocks(col):
+    if col.kind == "kn":
+        return [path_and_balanced_block(col)[1]]
+    return list(path_and_two_balanced_blocks(col)[1:])
+
+
+@pytest.mark.parametrize("kind", ["kn", "bnn"])
+def test_induced_block_matches_colour_lookups(kind):
+    rng = random.Random(11)
+    checked = 0
+    for seed in range(40):
+        col = gen_random(kind, 4 + seed % 9, 3, seed=seed)
+        for block in _carved_blocks(col):
+            m = len(block.side1)
+            # the carved block and equal-size sub-blocks of it: none has a red edge
+            for size in sorted(s for s in {m, m - 1, m // 2} if s > 0):
+                left = rng.sample(block.side1, size)
+                right = rng.sample(block.side2, size)
+                assert tc._induced_block(col, left, right) == _block_by_lookups(col, left, right)
+                checked += 1
+    assert checked >= 60
+
+
+@pytest.mark.parametrize("kind", ["kn", "bnn"])
+def test_induced_block_refuses_a_red_edge(kind):
+    col = gen_random(kind, 6, 3, seed=4)
+    left = range(col.n) if kind == "bnn" else range(3)
+    right = range(col.n, 2 * col.n) if kind == "bnn" else range(3, 6)
+    u, w = next((u, w) for u in left for w in right if col.colour_bit(u, w) == RED)
+    with pytest.raises(ValueError, match="block contains a carved-colour edge"):
+        tc._induced_block(col, [u], [w])
+    with pytest.raises(ValueError, match="block contains a carved-colour edge"):
+        tc._induced_block(col, left, right)

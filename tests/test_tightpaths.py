@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -226,3 +228,30 @@ def test_split_rejects_non_spanning():
     col = TripleColouring.constant(5, 0)
     with pytest.raises(ValueError):
         split_into_two_mono(col, BicolouredTightPath((0, 1, 2), 2))
+
+
+def test_every_augment_rerouting_fires():
+    # each `blocks = (` line of augment is one of its five re-routings; a
+    # line tracer confined to augment's frames records which ones run
+    lines, start = inspect.getsourcelines(augment)
+    sites = {start + i for i, line in enumerate(lines) if "blocks = (" in line}
+    code = augment.__code__
+    fired = set()
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            fired.add(frame.f_lineno)
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        return trace_lines if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        for i in range(300):
+            spanning_bicoloured_path(gen_random("h3", 6 + i % 7, 2, seed=i))
+    finally:
+        sys.settrace(previous)
+    assert len(sites) == 5
+    assert sites <= fired, sorted(sites - fired)
