@@ -14,7 +14,7 @@ import random
 import sys
 import time
 
-from .certificates import PartitionCertificate, check_certificate
+from .certificates import PartitionCertificate, Piece, check_certificate
 from .colourings import (
     HyperSplitSizes,
     TransversalColouring,
@@ -149,6 +149,10 @@ def _solve_rxn(col: TransversalColouring, args) -> int:
     except ExceedsCap:
         lines.append("min-cover: exceeds search cap")
     else:
+        pieces = [Piece("path", colour, tuple(seq)) for seq, colour in witness]
+        res = check_certificate(col, PartitionCertificate.for_colouring(col, pieces))
+        if not res.ok:
+            return _solver_error(RuntimeError(f"internal verification failed: {res.reason}"))
         lines.append(f"min-cover: {k} pieces")
         for seq, colour in witness:
             lines.append(f"  {colour.letter} path {list(seq)}")

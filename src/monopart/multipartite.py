@@ -52,18 +52,18 @@ def edge_colour_split(sizes: HyperSplitSizes, edge_locals) -> Colour:
 
 def validate_transversal_tight_path(r: int, n: int, seq) -> bool:
     """True iff the global-id sequence has distinct vertices and every
-    window of r consecutive vertices hits each class exactly once."""
+    window of r consecutive vertices hits each class exactly once.
+
+    Window i+1 is window i without classes[i] and with classes[i+r], so
+    every window does iff the first one does and the classes have period
+    r.  A sequence shorter than r has no window."""
     seq = list(seq)
     if len(set(seq)) != len(seq):
         return False
-    for u in seq:
-        if not 0 <= u < r * n:
-            return False
+    if seq and not (0 <= min(seq) and max(seq) < r * n):
+        return False
     classes = [u // n for u in seq]
-    for i in range(len(seq) - r + 1):
-        if sorted(classes[i : i + r]) != list(range(r)):
-            return False
-    return True
+    return len(seq) < r or (sorted(classes[:r]) == list(range(r)) and classes[r:] == classes[:-r])
 
 
 def check_side_consistency(sizes: HyperSplitSizes, path) -> bool:
@@ -71,20 +71,21 @@ def check_side_consistency(sizes: HyperSplitSizes, path) -> bool:
 
     The path must be a monochromatic tight path of the split rule; every
     such path satisfies the property, which this operation computes rather
-    than assumes.
+    than assumes.  It reads the half table once per vertex, as h: window
+    i+1's colour is window i's xor h[i] xor h[i+r], so the path is
+    monochromatic iff h has period r, and a transversal path of r or more
+    vertices holds class path[j] // n at positions j, j + r, ...
     """
     path = list(path)
     r, n = sizes.r, sizes.n
     if not validate_transversal_tight_path(r, n, path):
         raise ValueError("not a transversal tight path")
-    colours = {sizes.colour_bit(path[i : i + r]) for i in range(len(path) - r + 1)}
-    if len(colours) > 1:
+    h = bytes(map(sizes.half.__getitem__, path))
+    if h[r:] != h[:-r]:
         raise ValueError("path is not monochromatic")
-    for i in range(r):
-        sides = {(u % n) < sizes.s[i] for u in path if u // n == i}
-        if len(sides) > 1:
-            return False
-    return True
+    if len(path) < r:  # no window, so a class may repeat
+        return len({(u // n, b) for u, b in zip(path, h)}) == len({u // n for u in path})
+    return all(len(set(h[j::r])) <= 1 for j in range(r))
 
 
 @dataclass(frozen=True)

@@ -806,3 +806,48 @@ def test_every_extension_exit_fires(monkeypatch):
     for i in range(1000):
         partition_path_cycle(gen_random("bnn", 5 + i % 8, 2, seed=i))
     assert fired == sites, sorted(sites - fired)
+
+
+def _return_sites(fn, marker, after=None):
+    """Line numbers of the `marker` lines of fn's source, past the first
+    line containing `after` when given."""
+    lines, start = inspect.getsourcelines(fn)
+    first = next(i for i, line in enumerate(lines) if after in line) if after else 0
+    return {start + i for i, line in enumerate(lines) if i > first and marker in line}
+
+
+def test_every_exchange_and_attachment_exit_fires(monkeypatch):
+    # each return of the exchange loops and of the attachment loop is one
+    # case of the exchange steps; the spies record the line that returned
+    sites = {
+        partition_path_cycle.__code__: _return_sites(partition_path_cycle, "return _pieces_result("),
+        partition_path_cycle_coloured.__code__: _return_sites(
+            partition_path_cycle_coloured, "return _pieces_result("
+        ),
+        spanning_bicoloured_or_mono_cycle.__code__: _return_sites(
+            spanning_bicoloured_or_mono_cycle, "return _wrap_spanning(", "# the attachment works"
+        ),
+    }
+    fired = {code: set() for code in sites}
+
+    def spying(real):
+        def spy(*args):
+            frame = sys._getframe(1)
+            fired.get(frame.f_code, set()).add(frame.f_lineno)
+            return real(*args)
+
+        return spy
+
+    monkeypatch.setattr(bp, "_pieces_result", spying(bp._pieces_result))
+    monkeypatch.setattr(bp, "_wrap_spanning", spying(bp._wrap_spanning))
+    hosts = [gen_random("bnn", 3 + i % 10, 2, seed=i) for i in range(400)]
+    hosts += [PairColouring.constant("bnn", n, 2, c) for n in (1, 4) for c in (RED, BLUE)]
+    for col in hosts:
+        res = partition_path_cycle(col)
+        if not isinstance(res, SplitDetected):
+            verified(col, res)
+        cyc = spanning_bicoloured_or_mono_cycle(col)
+        if not isinstance(cyc, SplitDetected) and cyc.kind == "bicoloured" and not cyc.good:
+            verified(col, partition_path_cycle_coloured(col, list(cyc.vertices)))
+    for code, lines in sites.items():
+        assert lines and lines <= fired[code], (code.co_name, sorted(lines - fired[code]))

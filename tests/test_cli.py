@@ -352,6 +352,21 @@ def test_failed_split_fallback_check_exits_3(tmp_path, capsys, monkeypatch):
     assert err.startswith("solver failed: internal verification failed: coverage")
 
 
+def test_unverified_min_cover_witness_exits_3(tmp_path, capsys, monkeypatch):
+    col = tmp_path / "q.rxn"
+    main(["gen", "--kind", "rxn", "--n", "4", "--r", "2", "--split", "1,2", "--out", str(col)])
+    real = cli.min_cover_exact
+
+    def short_witness(c):
+        k, witness = real(c)
+        return k, witness[:-1]  # leaves the last piece's vertices uncovered
+
+    monkeypatch.setattr(cli, "min_cover_exact", short_witness)
+    code, out, err = run(["solve", str(col), "--samples", "5"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "solver failed: internal verification failed: coverage\n"
+
+
 def test_force_red_path_writes_split_fallback(tmp_path, capsys):
     col = tmp_path / "s.bnn"
     cert = tmp_path / "fallback.json"

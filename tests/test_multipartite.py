@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from monopart.certificates import PartitionCertificate, Piece, check_certificate
 from monopart.colourings import (
@@ -83,6 +84,114 @@ def test_side_consistency_random_paths(rng):
         sizes = HyperSplitSizes(r, n, tuple(rng.randint(1, n - 1) for _ in range(r)))
         path, _colour = random_mono_tight_path(sizes, rng)
         assert check_side_consistency(sizes, path)
+
+
+def test_short_path_with_a_repeated_class_is_not_consistent():
+    # no window, so the class halves are read directly: 3 and 5 are both
+    # in class 1, on different sides
+    assert not check_side_consistency(HyperSplitSizes(3, 3, (1, 1, 1)), [3, 5])
+    assert check_side_consistency(HyperSplitSizes(3, 3, (1, 1, 1)), [4, 5])
+
+
+def _validate_per_window(r, n, seq):
+    # reference: sort every window against range(r)
+    seq = list(seq)
+    if len(set(seq)) != len(seq) or any(not 0 <= u < r * n for u in seq):
+        return False
+    classes = [u // n for u in seq]
+    return all(sorted(classes[i : i + r]) == list(range(r)) for i in range(len(seq) - r + 1))
+
+
+def _side_consistency_per_window(sizes, path):
+    # reference: one colour read per window, one scan of the path per class
+    path = list(path)
+    r, n = sizes.r, sizes.n
+    if not _validate_per_window(r, n, path):
+        raise ValueError("not a transversal tight path")
+    if len({sizes.colour_bit(path[i : i + r]) for i in range(len(path) - r + 1)}) > 1:
+        raise ValueError("path is not monochromatic")
+    return all(len({u % n < sizes.s[i] for u in path if u // n == i}) <= 1 for i in range(r))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _assert_linear_checks_match(sizes, seq):
+    r, n = sizes.r, sizes.n
+    assert validate_transversal_tight_path(r, n, seq) == _validate_per_window(r, n, seq), seq
+    got = _outcome(check_side_consistency, sizes, seq)
+    assert got == _outcome(_side_consistency_per_window, sizes, seq), seq
+    return got
+
+
+def _periodic(r, n, order, length, locs):
+    # classes repeat with period r; locals as given (repeats allowed)
+    return [order[i % r] * n + locs[i] % n for i in range(length)]
+
+
+def _near_tight_paths(sizes, rng):
+    r, n = sizes.r, sizes.n
+    path, _colour = random_mono_tight_path(sizes, rng)
+    yield path
+    yield path[: rng.randint(0, len(path))]
+    order = rng.sample(range(r), r)
+    k = rng.randint(0, 3 * r)
+    per_class = [rng.sample(range(n), n) for _ in range(r)]
+    yield [order[i % r] * n + per_class[order[i % r]][(i // r) % n] for i in range(k)]  # mixed
+    yield _periodic(r, n, order, k, [rng.randrange(n) for _ in range(k)])  # may repeat
+    for _ in range(3):
+        bad = list(path)
+        i = rng.randrange(len(bad))
+        how = rng.randrange(3)
+        if how == 0:
+            bad[i] = rng.randrange(-1, r * n + 1)  # any id, out of range included
+        elif how == 1:
+            j = rng.randrange(len(bad))
+            bad[i], bad[j] = bad[j], bad[i]  # a class repeat inside a window
+        else:
+            bad.insert(i, bad[rng.randrange(len(bad))])  # a repeated vertex
+        yield bad
+    yield [rng.randrange(r * n) for _ in range(rng.randint(0, r))]  # short, classes may repeat
+    yield [rng.randrange(-1, r * n + 1) for _ in range(rng.randint(0, 3 * r))]
+
+
+def test_linear_checks_match_per_window_definitions():
+    rng = random.Random(15)
+    seen = {}
+    for trial in range(4000):
+        r = 1 + trial % 4
+        n = rng.randint(2, 6)
+        sizes = HyperSplitSizes(r, n, tuple(rng.randint(1, n - 1) for _ in range(r)))
+        for seq in _near_tight_paths(sizes, rng):
+            got = _assert_linear_checks_match(sizes, seq)
+            seen.setdefault(r, set()).add(got)
+    every = {True, "ValueError: not a transversal tight path", "ValueError: path is not monochromatic"}
+    for r in (1, 2, 3, 4):
+        assert every <= seen[r], (r, seen[r])
+    for r in (3, 4):
+        assert False in seen[r]  # a path shorter than r with a class on both sides
+
+
+@st.composite
+def _split_and_sequence(draw):
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 5))
+    sizes = HyperSplitSizes(r, n, tuple(draw(st.integers(1, n - 1)) for _ in range(r)))
+    locs = st.lists(st.integers(0, n - 1), max_size=3 * r + 2)
+    seq = draw(st.one_of(
+        st.lists(st.integers(-1, r * n), max_size=3 * r + 2),
+        st.builds(lambda order, ls: _periodic(r, n, order, len(ls), ls), st.permutations(range(r)), locs),
+    ))
+    return sizes, seq
+
+
+@given(_split_and_sequence())
+def test_linear_checks_match_per_window_definitions_property(case):
+    _assert_linear_checks_match(*case)
 
 
 def test_counting_report_values():
@@ -282,6 +391,21 @@ def test_random_mono_tight_path_reads_each_table_entry_once(monkeypatch):
         # scan of the next class at each step makes O(n) per step
         assert table.reads <= sizes.r * sizes.n + len(path)
     assert longest > sizes.n
+
+
+def test_side_consistency_reads_each_vertex_once(monkeypatch):
+    sizes = HyperSplitSizes(3, 40, (10, 20, 30))
+    rng = random.Random(9)
+    paths = [random_mono_tight_path(sizes, rng)[0] for _ in range(10)]
+    paths.append(paths[0][:2] + paths[1][2:])  # not monochromatic in general
+    table = _CountingTable(sizes.half)
+    monkeypatch.setattr(HyperSplitSizes, "half", property(lambda self: table))
+    calls = _count_lookups(monkeypatch, HyperSplitSizes)
+    for path in paths:
+        table.reads = 0
+        _outcome(check_side_consistency, sizes, path)
+        assert table.reads <= len(path)
+    assert calls[0] == 0  # one colour read per window would make len(path) - r + 1
 
 
 def test_split_colour_bit_matches_definition():
