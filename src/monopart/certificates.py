@@ -24,7 +24,7 @@ from .colourings import (
     colour_from_name,
 )
 
-__all__ = ["Piece", "PartitionCertificate", "CheckResult", "check_certificate"]
+__all__ = ["Piece", "PartitionCertificate", "CheckResult", "check_certificate", "certify"]
 
 
 @dataclass(frozen=True)
@@ -146,6 +146,15 @@ def check_certificate(col, cert: PartitionCertificate) -> CheckResult:
         missing = sorted(set(range(n_vertices)) - seen)
         return _bad("coverage", None, tuple(missing[:8]))
     return _OK
+
+
+def certify(col, pieces) -> PartitionCertificate:
+    """Checked certificate of a solver's pieces; RuntimeError on a violation."""
+    cert = PartitionCertificate.for_colouring(col, pieces)
+    res = check_certificate(col, cert)
+    if not res.ok:
+        raise RuntimeError(f"internal verification failed: {res.reason}")
+    return cert
 
 
 def _check_piece(col, piece: Piece, idx: int) -> CheckResult:

@@ -14,7 +14,7 @@ import random
 import sys
 import time
 
-from .certificates import PartitionCertificate, Piece, check_certificate
+from .certificates import PartitionCertificate, check_certificate
 from .colourings import (
     HyperSplitSizes,
     TransversalColouring,
@@ -32,7 +32,6 @@ from .multipartite import (
     SAMPLE_WORK_CAP,
     ExceedsCap,
     check_side_consistency,
-    min_cover_exact,
     random_mono_tight_path,
     verify_counting,
 )
@@ -145,17 +144,14 @@ def _solve_rxn(col: TransversalColouring, args) -> int:
                 consistent += 1
         lines.append(f"side-consistency: {consistent}/{samples} sampled paths consistent")
     try:
-        k, witness = min_cover_exact(col)
+        cert, _ = solve(col)
     except ExceedsCap:
         lines.append("min-cover: exceeds search cap")
+    except RuntimeError as exc:
+        return _solver_error(exc)
     else:
-        pieces = [Piece("path", colour, tuple(seq)) for seq, colour in witness]
-        res = check_certificate(col, PartitionCertificate.for_colouring(col, pieces))
-        if not res.ok:
-            return _solver_error(RuntimeError(f"internal verification failed: {res.reason}"))
-        lines.append(f"min-cover: {k} pieces")
-        for seq, colour in witness:
-            lines.append(f"  {colour.letter} path {list(seq)}")
+        lines.append(f"min-cover: {len(cert.pieces)} pieces")
+        lines.extend(f"  {p.colour.letter} path {list(p.vertices)}" for p in cert.pieces)
     print("\n".join(lines))
     return EXIT_OK
 

@@ -202,8 +202,8 @@ def min_cover_exact(col: TransversalColouring):
         # sharing a state are interchangeable for extension and recursion
         seen_states: set = set()
         stack = []
-        for start in reversed(uncovered):
-            stack.append(([start], 1 << start, None))
+        for start in reversed(uncovered):  # for r = 1 a vertex is a window
+            stack.append(([start], 1 << start, window_colour((start,)) if r == 1 else None))
         while stack:
             seq, pmask, colour = stack.pop()
             if pmask & lowest:

@@ -1,5 +1,6 @@
-"""The single solve entry point: pick the solver for a host, assemble its
-certificate and verify it.
+"""The single solve entry point for h3, kn, bnn and rxn hosts: pick the
+solver, assemble its certificate and verify it with `certificates.certify`.
+An rxn host past the exact cover search's cap raises `ExceedsCap`.
 
 Solvers are called through their modules (``tp.spanning_bicoloured_path``)
 rather than imported by name, so that a function rebound on its module,
@@ -10,9 +11,10 @@ from __future__ import annotations
 
 from . import bipartite as bp
 from . import certificates as ce
+from . import multipartite as mp
 from . import threecolour as tc
 from . import tightpaths as tp
-from .colourings import PairColouring, SplitStructure, TripleColouring
+from .colourings import PairColouring, SplitStructure, TransversalColouring, TripleColouring
 
 __all__ = ["VARIANTS", "solve"]
 
@@ -30,11 +32,12 @@ def solve(
     3-coloured kn and bnn hosts the 3-colour partitions, which verify their
     own output.  2-coloured bnn hosts get, by `variant`, a path and a cycle
     ("path-cycle"), two paths ("two-paths"), or a red path and a blue cycle
-    from a spanning bicoloured cycle that is not good ("red-path").
+    from a spanning bicoloured cycle that is not good ("red-path").  rxn
+    hosts get a minimum cover by monochromatic tight paths.
 
     Raises ValueError when no solver serves the host or the variant's
-    precondition fails, and RuntimeError when a solver fails or its
-    certificate does not verify.
+    precondition fails, and RuntimeError (ExceedsCap past the rxn search
+    cap) when a solver fails or its certificate does not verify.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; known: {list(VARIANTS)}")
@@ -50,15 +53,13 @@ def solve(
         if isinstance(pieces, bp.SplitDetected):
             split = pieces.structure
             pieces = bp.split_three_paths(col, split)
+    elif isinstance(col, TransversalColouring):
+        pieces = [ce.Piece("path", c, seq) for seq, c in mp.min_cover_exact(col)[1]]
     elif isinstance(col, PairColouring):
         raise ValueError("2-coloured complete hosts have no solver surface")
     else:
         raise ValueError(f"no solver for {col!r}")
-    cert = ce.PartitionCertificate.for_colouring(col, pieces)
-    res = ce.check_certificate(col, cert)
-    if not res.ok:
-        raise RuntimeError(f"internal verification failed: {res.reason}")
-    return cert, split
+    return ce.certify(col, pieces), split
 
 
 def _bnn2_pieces(col: PairColouring, variant: str):

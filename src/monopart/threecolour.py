@@ -22,7 +22,7 @@ from .bipartite import (
     v_two_cycles,
     _interleave,
 )
-from .certificates import PartitionCertificate, Piece, check_certificate
+from .certificates import PartitionCertificate, Piece, certify
 from .colourings import BLUE, GREEN, RED, Colour, PairColouring
 
 __all__ = [
@@ -376,10 +376,7 @@ def _block_pieces(left, right, solved, blue_path_first: bool = False) -> list[Pi
 def _finish(col: PairColouring, pieces, limits) -> PartitionCertificate:
     """Certificate of the non-empty pieces, verified and within one of the
     (paths, cycles) limits."""
-    cert = PartitionCertificate.for_colouring(col, [p for p in pieces if p.vertices])
-    res = check_certificate(col, cert)
-    if not res.ok:
-        raise RuntimeError(f"certificate failed verification: {res}")
+    cert = certify(col, [p for p in pieces if p.vertices])
     np_, nc = cert.nonempty_shape()
     if not any(np_ <= lp and nc <= lc for lp, lc in limits):
         raise RuntimeError(f"unexpected piece shape {(np_, nc)}")

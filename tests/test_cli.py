@@ -353,18 +353,48 @@ def test_failed_split_fallback_check_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_unverified_min_cover_witness_exits_3(tmp_path, capsys, monkeypatch):
+    import monopart.multipartite as mp
+
     col = tmp_path / "q.rxn"
     main(["gen", "--kind", "rxn", "--n", "4", "--r", "2", "--split", "1,2", "--out", str(col)])
-    real = cli.min_cover_exact
+    real = mp.min_cover_exact
 
     def short_witness(c):
         k, witness = real(c)
         return k, witness[:-1]  # leaves the last piece's vertices uncovered
 
-    monkeypatch.setattr(cli, "min_cover_exact", short_witness)
+    monkeypatch.setattr(mp, "min_cover_exact", short_witness)
     code, out, err = run(["solve", str(col), "--samples", "5"], capsys)
     assert (code, out) == (3, "")
     assert err == "solver failed: internal verification failed: coverage\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "h3", "--n", "6", "--seed", "1"],
+    ["--kind", "bnn", "--n", "4", "--seed", "1"],
+    ["--kind", "bnn", "--n", "4", "--split", "1,2"],  # the split fallback
+    ["--kind", "kn", "--n", "6", "--palette", "3", "--seed", "2"],
+    ["--kind", "bnn", "--n", "6", "--palette", "3", "--seed", "2"],
+    ["--kind", "rxn", "--n", "4", "--r", "2", "--split", "1,2"],
+], ids=["h3", "bnn2", "bnn2-split", "kn3", "bnn3", "rxn"])
+def test_every_host_kind_reports_a_failed_check_on_one_line(tmp_path, capsys, monkeypatch, args):
+    import monopart.certificates as ce
+
+    col = tmp_path / "c.txt"
+    assert main(["gen", *args, "--out", str(col)]) == 0
+    monkeypatch.setattr(ce, "check_certificate", lambda c, cert: ce.CheckResult(False, "coverage"))
+    code, out, err = run(["solve", str(col), "--samples", "5"], capsys)
+    assert (code, out, err) == (3, "", "solver failed: internal verification failed: coverage\n")
+
+
+def test_r1_rxn_cover_verifies(tmp_path, capsys):
+    # with r = 1 each vertex is an edge, so the red and the blue vertex
+    # need a piece each
+    col = tmp_path / "one.rxn"
+    col.write_text("rxn 2 1\n01\n")
+    code, out, err = run(["solve", str(col)], capsys)
+    assert (code, err) == (0, "")
+    assert out == "min-cover: 2 pieces\n  red path [0]\n  blue path [1]\n"
 
 
 def test_force_red_path_writes_split_fallback(tmp_path, capsys):

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from monopart.certificates import PartitionCertificate, Piece, check_certificate
+from monopart.certificates import PartitionCertificate, Piece, certify, check_certificate
 from monopart.colourings import (
     BLUE,
     RED,
@@ -313,14 +313,26 @@ def _cover_record(col):
 
 def test_min_cover_witnesses_pinned():
     # every rule-backed r = 2 host with n <= 7, and seeded materialised hosts
-    # with r * n <= 12; r = 3 hosts that reach a window repeating a class
-    # pin its error (the known r >= 3 defect)
+    # with r in (2, 3) and r * n <= 12; r = 3 hosts that reach a window
+    # repeating a class pin its error (the known r >= 3 defect).  The r = 1
+    # hosts are checked against their colour count below.
     rule = [[n, a, b, k, [[list(seq), int(c)] for seq, c in witness]]
             for (n, a, b), (k, witness) in _block_covers().items()]
     assert _digest(rule) == "8203002ae71698958cf521438f7645c8dafe6c260c783365ce093e977ef0db86"
     materialised = [[r, n, seed, _cover_record(gen_random("rxn", n, 2, seed=seed, r=r))]
-                    for r in (1, 2, 3) for n in range(1, 12 // r + 1) for seed in range(4)]
-    assert _digest(materialised) == "976aa18f995a4d4186f5d1ebca0310136e68fb2802c7867b4edfff71edfd0cb3"
+                    for r in (2, 3) for n in range(1, 12 // r + 1) for seed in range(4)]
+    assert _digest(materialised) == "1d7771484ce7194a89a793171ae3ec476c1c1419b34806793c96bd54e66081ff"
+
+
+def test_min_cover_r1_is_one_piece_per_colour():
+    # with r = 1 every vertex is an edge: a piece is any run of vertices of
+    # one colour, so the minimum is the number of colours present
+    for n in range(1, 13):
+        for seed in range(8):
+            col = gen_random("rxn", n, 2, seed=seed, r=1)
+            k, witness = min_cover_exact(col)
+            assert k == len(set(col.entries)), (n, seed)
+            certify(col, [Piece("path", c, seq) for seq, c in witness])
 
 
 def test_random_mono_tight_path_pinned_at_bench_sizes():
