@@ -45,7 +45,6 @@ __all__ = [
     "partition_path_cycle_coloured",
     "two_paths",
     "split_three_paths",
-    "convert_paths_to_cycle",
     "v_two_cycles",
 ]
 
@@ -668,26 +667,6 @@ def split_three_paths(col: PairColouring, structure: SplitStructure):
     if rem0:
         pieces.append(Piece("path", BLUE, tuple(_interleave(rem0, rem1))))
     return tuple(pieces)
-
-
-def convert_paths_to_cycle(col: PairColouring, p1, p2):
-    """Join two disjoint monochromatic spanning paths of distinct colours
-    into a spanning cycle that is bicoloured or monochromatic."""
-    _require_bnn2(col)
-    p1, p2 = list(p1), list(p2)
-    if sorted(p1 + p2) != list(range(2 * col.n)):
-        raise ValueError("paths do not partition the vertex set")
-    if len(p1) < len(p2):
-        p1, p2 = p2, p1
-    if not p2:
-        return _wrap_spanning(col, p1)
-    if len(p2) == 1:
-        return _wrap_spanning(col, p1 + p2)
-    for q1 in (p1, p1[::-1]):
-        for q2 in (p2, p2[::-1]):
-            if col.side(q1[0]) != col.side(q2[0]) and col.side(q1[-1]) != col.side(q2[-1]):
-                return _wrap_spanning(col, q1 + q2[::-1])
-    raise ValueError("no endpoint pairing joins the paths across classes")
 
 
 def v_two_cycles(col: PairColouring, structure: VColStructure | None):

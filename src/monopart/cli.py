@@ -69,9 +69,24 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.replace("/", ",").split(",") if t != "")
 
 
+# structured-host options of `gen`: at most one, each for kind bnn only
+# (--split for rxn too)
+_STRUCTURED = ("--split", "--v-cut", "--recolour", "--three-split")
+
+
 def _gen_colouring(args):
-    """The colouring `gen` was asked for; ValueError on bad arguments."""
+    """The colouring `gen` was asked for; ValueError on bad arguments,
+    including an option the requested host would not use."""
     kind = args.kind
+    given = [f for f in _STRUCTURED if getattr(args, f[2:].replace("-", "_")) is not None]
+    if len(given) > 1:
+        raise ValueError(f"{given[0]} and {given[1]} cannot be combined")
+    if kind == "rxn" and args.r is None:
+        raise ValueError("kind rxn needs --r")
+    if kind != "rxn" and args.r is not None:
+        raise ValueError("--r needs kind rxn")
+    if given and kind != "bnn" and given != ["--split"]:
+        raise ValueError(f"{given[0]} needs kind bnn")
     if args.split is not None:
         if kind == "bnn":
             a1, b1 = _ints(args.split)
@@ -88,6 +103,8 @@ def _gen_colouring(args):
         return gen_recoloured_split(args.n, a1, b1, (a, b))
     if args.three_split is not None:
         left, right = args.three_split.split("/")
+        if sum(_ints(left)) != args.n:
+            raise ValueError(f"--three-split blocks {left} do not sum to --n {args.n}")
         return gen_three_colour_split(_ints(left), _ints(right))
     return gen_random(kind, args.n, args.palette, args.seed, r=args.r)
 
@@ -107,6 +124,17 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_certificate(cert: PartitionCertificate, out: str | None) -> bool:
+    """Write the certificate's text to `out`, or standard output; False,
+    after one stderr line, when the file cannot be written."""
+    try:
+        _write(cert.to_text() + "\n", out)
+    except OSError as exc:
+        print(f"cannot write certificate: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _solver_error(exc: Exception) -> int:
@@ -150,6 +178,8 @@ def _solve_rxn(col: TransversalColouring, args) -> int:
     except RuntimeError as exc:
         return _solver_error(exc)
     else:
+        if args.out and not _write_certificate(cert, args.out):
+            return EXIT_USAGE
         lines.append(f"min-cover: {len(cert.pieces)} pieces")
         lines.extend(f"  {p.colour.letter} path {list(p.vertices)}" for p in cert.pieces)
     print("\n".join(lines))
@@ -163,18 +193,17 @@ def _cmd_solve(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read colouring: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    variant = "red-path" if args.force_red_path else "two-paths" if args.two_paths else "path-cycle"
+    if variant != "path-cycle" and (col.kind, col.palette) != ("bnn", 2):
+        print("--two-paths and --force-red-path need a 2-coloured bnn host", file=sys.stderr)
+        return EXIT_USAGE
     if isinstance(col, TransversalColouring):
         return _solve_rxn(col, args)
-    variant = "red-path" if args.force_red_path else "two-paths" if args.two_paths else "path-cycle"
     try:
         cert, split = solve(col, variant)
     except (ValueError, RuntimeError) as exc:
         return _solver_error(exc)
-    try:
-        if split is None or args.out:
-            _write(cert.to_text() + "\n", args.out)
-    except OSError as exc:
-        print(f"cannot write certificate: {exc}", file=sys.stderr)
+    if (split is None or args.out) and not _write_certificate(cert, args.out):
         return EXIT_USAGE
     if split is not None:
         print(f"split colouring: {split}", file=sys.stderr)

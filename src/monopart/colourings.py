@@ -15,6 +15,11 @@ Vertices are dense integers.  For ``bnn`` the global ids are 0..n-1
 (class 0) and n..2n-1 (class 1); for ``rxn`` class i occupies
 [i*n, (i+1)*n).
 
+The split rule (red iff an even number of the edge's vertices lie in the
+distinguished halves) lives in ``HyperSplitSizes``: ``colour_bit`` for one
+edge, ``table`` for all n**r, which both ``materialize`` and the bnn split
+generator use.  ``SplitStructure.verify`` checks a bnn split without it.
+
 Colour reads follow one rule.  The pair-host solvers in ``bipartite`` and
 ``threecolour`` read colours only through the raw view
 ``PairColouring.rows``: one unchecked byte per ordered pair, built on the
@@ -47,7 +52,6 @@ __all__ = [
     "GREEN",
     "triple_index",
     "pair_index",
-    "bipartite_index",
     "transversal_index",
     "TripleColouring",
     "PairColouring",
@@ -116,13 +120,6 @@ def pair_index(a: int, b: int) -> int:
     if a == b:
         raise ValueError(f"pair has repeated vertex: {a}")
     return b * (b - 1) // 2 + a
-
-
-def bipartite_index(n: int, a: int, b: int) -> int:
-    """Row-major rank of the pair (a in class 0, b in class 1), local ids."""
-    if not (0 <= a < n and 0 <= b < n):
-        raise ValueError(f"bipartite pair out of range for n={n}: ({a},{b})")
-    return a * n + b
 
 
 def transversal_index(n: int, r: int, locals_: tuple[int, ...]) -> int:
@@ -347,9 +344,6 @@ class PairColouring:
     def colour_bit(self, u: int, v: int) -> int:
         return self.entries[self.edge_ordinal(u, v)]
 
-    def colour(self, u: int, v: int) -> Colour:
-        return Colour(self.colour_bit(u, v))
-
     # -- constructors ---------------------------------------------------
     @classmethod
     def from_function(cls, kind: str, n: int, palette: int, fn) -> "PairColouring":
@@ -416,6 +410,16 @@ class HyperSplitSizes:
         (0) iff an even number of its vertices lie in the distinguished
         halves."""
         return sum(map(self.half.__getitem__, edge)) & 1
+
+    def table(self) -> bytes:
+        """The colours of all n**r transversal edges in mixed-radix order,
+        an xor of the half table over one class at a time; unchecked, so
+        callers bound n**r first."""
+        half = np.frombuffer(self.half, np.uint8).reshape(self.r, self.n)
+        t = half[0]
+        for row in half[1:]:
+            t = (t[:, None] ^ row).ravel()
+        return t.tobytes()
 
 
 MATERIALIZE_CAP = 1 << 24
@@ -496,16 +500,7 @@ class TransversalColouring:
         if self.entries is not None:
             return self
         _check_materializable(self.n, self.r)
-        n, r, m = self.n, self.r, self.n_edges
-        out = bytearray(m)
-        edge = [0] * r
-        for idx in range(m):
-            t = idx
-            for i in range(r - 1, -1, -1):
-                edge[i] = i * n + t % n
-                t //= n
-            out[idx] = self.rule.colour_bit(edge)
-        return TransversalColouring(r, n, entries=bytes(out))
+        return TransversalColouring(self.r, self.n, entries=self.rule.table())
 
     def __eq__(self, other):
         """Value equality; a rule-backed host differs from its materialised form."""

@@ -11,7 +11,10 @@ with canonical ordinal i is
     colour = z mod palette
 
 Structured generators place distinguished parts on the lowest-index
-vertices, so outputs are canonical and reproducible.
+vertices, so outputs are canonical and reproducible, and build their entries
+from a block pattern rather than edge by edge: the split is the r = 2 table
+of `HyperSplitSizes`, the V-colouring one class-0 row repeated, and the
+three-colour split the block-index sum mod 3.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 # EDGE_CAP is re-exported: the generators and the parser share the cap
 from .colourings import (
     EDGE_CAP,
+    HyperSplitSizes,
     PairColouring,
     SplitStructure,
     TransversalColouring,
@@ -95,18 +99,13 @@ def gen_split_bipartite(n: int, a1: int, b1: int) -> tuple[PairColouring, SplitS
     """Split colouring of bnn: edge (a, b) red iff the number of its
     endpoints inside the distinguished halves is even.
 
-    The halves are the a1 lowest class-0 and b1 lowest class-1 vertices.
+    The halves are the a1 lowest class-0 and b1 lowest class-1 vertices,
+    so the entries are the r = 2 split rule's table in row-major order.
     """
     if not (1 <= a1 <= n - 1 and 1 <= b1 <= n - 1):
         raise ValueError("split parts must leave both halves non-empty")
     _check_edge_cap("bnn", n)
-    entries = bytearray(n * n)
-    for a in range(n):
-        base = a * n
-        ina = a < a1
-        for b in range(n):
-            entries[base + b] = 0 if ina == (b < b1) else 1
-    col = PairColouring("bnn", n, 2, bytes(entries))
+    col = PairColouring("bnn", n, 2, HyperSplitSizes(2, n, (a1, b1)).table())
     structure = SplitStructure(
         a1=tuple(range(a1)),
         a2=tuple(range(a1, n)),
@@ -123,12 +122,7 @@ def gen_v_colouring(n: int, cut: int) -> PairColouring:
     if not 1 <= cut <= n - 1:
         raise ValueError("cut out of range")
     _check_edge_cap("bnn", n)
-    entries = bytearray(n * n)
-    for a in range(n):
-        base = a * n
-        for b in range(n):
-            entries[base + b] = 0 if b < cut else 1
-    return PairColouring("bnn", n, 2, bytes(entries))
+    return PairColouring("bnn", n, 2, (bytes(cut) + b"\x01" * (n - cut)) * n)
 
 
 def gen_recoloured_split(n: int, a1: int, b1: int, which: tuple[int, int]) -> PairColouring:
@@ -164,19 +158,6 @@ def gen_three_colour_split(
     if sum(class1_blocks) != n:
         raise ValueError("sides must sum to the same n")
     _check_edge_cap("bnn", n)
-
-    def block_of(sizes, v):
-        if v < sizes[0]:
-            return 0
-        if v < sizes[0] + sizes[1]:
-            return 1
-        return 2
-
-    entries = bytearray(n * n)
-    for a in range(n):
-        i = block_of(class0_blocks, a)
-        base = a * n
-        for b in range(n):
-            j = block_of(class1_blocks, b)
-            entries[base + b] = (i + j) % 3
-    return PairColouring("bnn", n, 3, bytes(entries))
+    i = np.repeat(np.arange(3, dtype=np.uint8), class0_blocks)
+    j = np.repeat(np.arange(3, dtype=np.uint8), class1_blocks)
+    return PairColouring("bnn", n, 3, ((i[:, None] + j) % 3).tobytes())

@@ -19,7 +19,6 @@ from .colourings import Colour, HyperSplitSizes, TransversalColouring
 
 __all__ = [
     "ExceedsCap",
-    "edge_colour_split",
     "validate_transversal_tight_path",
     "check_side_consistency",
     "CountingReport",
@@ -37,17 +36,6 @@ SAMPLE_WORK_CAP = 1 << 20
 
 class ExceedsCap(RuntimeError):
     """The instance is beyond the configured exhaustive-search bound."""
-
-
-def edge_colour_split(sizes: HyperSplitSizes, edge_locals) -> Colour:
-    """Colour of a transversal edge given local ids per class: red iff an
-    even number of its vertices lie in the distinguished halves."""
-    if len(edge_locals) != sizes.r:
-        raise ValueError(f"edge must have {sizes.r} vertices, one per class")
-    for v in edge_locals:
-        if not 0 <= v < sizes.n:
-            raise ValueError(f"local id {v} out of range")
-    return Colour(sizes.colour_bit([i * sizes.n + v for i, v in enumerate(edge_locals)]))
 
 
 def validate_transversal_tight_path(r: int, n: int, seq) -> bool:

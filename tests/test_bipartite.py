@@ -12,7 +12,6 @@ from monopart.bipartite import (
     SplitDetected,
     VColStructure,
     classify_bipartite,
-    convert_paths_to_cycle,
     extend_good_cycle,
     find_balanced_c4,
     is_good_cycle,
@@ -745,14 +744,6 @@ def test_unbalanced_split_needs_three_paths():
         assert len(split_three_paths(col, structure)) == 3
 
 
-def test_convert_paths_to_cycle_cases():
-    col = PairColouring.constant("bnn", 3, 2, 0)
-    res = convert_paths_to_cycle(col, [0, 3, 1, 4, 2, 5], [])
-    assert res.kind == "mono"
-    res = convert_paths_to_cycle(col, [0, 3, 1, 4, 2], [5])
-    assert sorted(res.vertices) == list(range(6))
-
-
 def test_convert_two_path_outputs(rng):
     for trial in range(300):
         n = rng.randint(1, 5)
@@ -761,9 +752,8 @@ def test_convert_two_path_outputs(rng):
         if isinstance(res, SplitDetected):
             continue
         p1, p2 = res
-        cyc = convert_paths_to_cycle(col, p1.vertices, p2.vertices)
-        assert sorted(cyc.vertices) == list(range(2 * n))
-        assert cyc.kind in ("mono", "bicoloured")
+        assert p1.kind == p2.kind == "path" and p1.colour != p2.colour
+        verified(col, [p1, p2])
 
 
 def _v_pieces(col):

@@ -161,9 +161,11 @@ def test_rxn_report_over_the_cover_cap(tmp_path, capsys):
     col = tmp_path / "big.rxn"
     assert main(["gen", "--kind", "rxn", "--n", "8", "--r", "2", "--split", "1,1",
                  "--out", str(col)]) == 0
-    code, out, _ = run(["solve", str(col), "--samples", "50"], capsys)
+    cert = tmp_path / "cover.json"
+    code, out, _ = run(["solve", str(col), "--samples", "50", "--out", str(cert)], capsys)
     assert code == 0
     assert out.splitlines()[-1] == "min-cover: exceeds search cap"
+    assert not cert.exists()  # no cover, so no certificate file
 
 
 def test_rxn_sampling_bounded_on_huge_rule_host(tmp_path, capsys):
@@ -311,7 +313,7 @@ def test_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch):
     ["--kind", "bnn", "--n", "16385", "--split", "1,1"],
     ["--kind", "bnn", "--n", "16385", "--v-cut", "1"],
     ["--kind", "bnn", "--n", "16385", "--recolour", "0,0"],
-    ["--kind", "bnn", "--three-split", "1,1,16383/1,1,16383", "--n", "1"],
+    ["--kind", "bnn", "--three-split", "1,1,16383/1,1,16383", "--n", "16385"],
 ], ids=["h3", "h3-huge", "kn", "bnn", "bnn-split", "bnn-v", "bnn-recoloured", "bnn-three"])
 def test_gen_refuses_hosts_over_the_edge_cap(capsys, monkeypatch, args):
     def no_stream(*args):
@@ -419,9 +421,17 @@ def test_force_red_path_writes_split_fallback(tmp_path, capsys):
     ["--kind", "bnn", "--n", "4", "--recolour", "1"],
     ["--kind", "bnn", "--n", "4", "--out", "{missing}"],
     ["--kind", "rxn", "--n", "3", "--r", "30000000"],
+    # options the requested host would not use
+    ["--kind", "h3", "--n", "6", "--v-cut", "1"],
+    ["--kind", "kn", "--n", "4", "--recolour", "0,0"],
+    ["--kind", "bnn", "--n", "4", "--split", "1,2", "--v-cut", "2"],
+    ["--kind", "bnn", "--n", "5", "--three-split", "1,1,2/2,1,1"],
+    ["--kind", "rxn", "--n", "4", "--split", "1,2"],
+    ["--kind", "bnn", "--n", "4", "--r", "2"],
 ], ids=["rxn-without-r", "h3-too-small", "bnn-empty", "split-too-big", "split-three-parts",
         "split-not-int", "split-on-kn", "v-cut-out-of-range", "recolour-one-end", "out-dir-missing",
-        "rxn-over-cap"])
+        "rxn-over-cap", "v-cut-on-h3", "recolour-on-kn", "split-and-v-cut", "three-split-off-n",
+        "rxn-split-without-r", "r-on-bnn"])
 def test_gen_rejects_bad_arguments(tmp_path, capsys, args):
     args = [a.replace("{missing}", str(tmp_path / "missing" / "c.bnn")) for a in args]
     code, out, err = run(["gen", *args], capsys)
@@ -442,3 +452,61 @@ def test_solve_reports_unwritable_out(tmp_path, capsys, gen_args, want):
                          capsys)
     assert code == 1 and out == ""
     assert err.startswith("cannot write certificate:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, head", [
+    (["--kind", "bnn", "--n", "6", "--v-cut", "2"], "bnn 6"),
+    (["--kind", "bnn", "--n", "4", "--three-split", "1,1,2/2,1,1"], "bnn 4 3"),
+], ids=["bnn-v-cut", "three-split"])
+def test_gen_accepts_each_structured_option_on_its_host(capsys, args, head):
+    code, out, err = run(["gen", *args], capsys)
+    assert (code, err) == (0, "") and out.splitlines()[0] == head
+
+
+@pytest.mark.parametrize("flag", ["--two-paths", "--force-red-path"])
+@pytest.mark.parametrize("args", [
+    ["--kind", "h3", "--n", "6", "--seed", "1"],
+    ["--kind", "kn", "--n", "6", "--palette", "3", "--seed", "2"],
+    ["--kind", "bnn", "--n", "6", "--palette", "3", "--seed", "2"],
+    ["--kind", "rxn", "--n", "4", "--r", "2", "--split", "1,2"],
+], ids=["h3", "kn3", "bnn3", "rxn"])
+def test_variant_flags_need_a_two_coloured_bnn_host(tmp_path, capsys, monkeypatch, args, flag):
+    col, cert = tmp_path / "c.txt", tmp_path / "cert.json"
+    assert main(["gen", *args, "--out", str(col)]) == 0
+
+    def no_solve(*a, **k):
+        raise AssertionError("solve ran")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    monkeypatch.setattr(cli, "verify_counting", no_solve)  # the rxn report's first line
+    code, out, err = run(["solve", str(col), flag, "--out", str(cert)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "--two-paths and --force-red-path need a 2-coloured bnn host\n"
+    assert not cert.exists()
+
+
+def test_rxn_out_writes_a_certificate_that_verifies(tmp_path, capsys):
+    col, cert = tmp_path / "q.rxn", tmp_path / "cover.json"
+    main(["gen", "--kind", "rxn", "--n", "4", "--r", "2", "--split", "1,2", "--out", str(col)])
+    code, report, _ = run(["solve", str(col), "--samples", "50"], capsys)
+    assert code == 0 and "min-cover: 2 pieces" in report
+    code, out, err = run(["solve", str(col), "--samples", "50", "--out", str(cert)], capsys)
+    assert (code, out, err) == (0, report, "")  # the report is unchanged by --out
+    pieces = json.loads(cert.read_text())["pieces"]
+    assert [p["kind"] for p in pieces] == ["path", "path"]
+    code, out, _ = run(["verify", str(col), str(cert)], capsys)
+    assert (code, out) == (0, "ok\n")
+    code, out, err = run(["solve", str(col), "--out", str(tmp_path / "missing" / "c.json")],
+                         capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("cannot write certificate:") and err.count("\n") == 1
+
+
+def test_rxn_out_leaves_the_r3_search_error_uncaught(tmp_path):
+    # the r >= 3 cover search still raises (a known defect); --out must not
+    # turn it into an exit code or a file
+    col, cert = tmp_path / "r3.rxn", tmp_path / "cover.json"
+    main(["gen", "--kind", "rxn", "--n", "4", "--r", "3", "--split", "1,2,2", "--out", str(col)])
+    with pytest.raises(ValueError, match="not a transversal edge"):
+        main(["solve", str(col), "--samples", "5", "--out", str(cert)])
+    assert not cert.exists()

@@ -14,7 +14,6 @@ from monopart.colourings import (
     PairColouring,
     TransversalColouring,
     TripleColouring,
-    bipartite_index,
     pair_index,
     parse_colouring,
     serialize_colouring,
@@ -37,12 +36,13 @@ def test_triple_index_colex():
 
 def test_pair_and_bipartite_index():
     assert pair_index(0, 1) == 0
-    assert bipartite_index(3, 2, 1) == 7
+    bnn = PairColouring.constant("bnn", 3, 2, 0)
+    assert bnn.edge_ordinal(2, 3 + 1) == bnn.edge_ordinal(3 + 1, 2) == 7
     assert transversal_index(3, 2, (2, 1)) == 7
     with pytest.raises(ValueError):
         triple_index(1, 1, 2)
     with pytest.raises(ValueError):
-        bipartite_index(3, 3, 0)
+        bnn.edge_ordinal(3, 3)
 
 
 def test_parse_examples():

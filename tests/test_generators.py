@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
 from monopart.bipartite import classify_bipartite, is_good_cycle
-from monopart.colourings import BLUE, GREEN, RED
+from monopart.colourings import BLUE, GREEN, RED, HyperSplitSizes, TransversalColouring
 from monopart.generators import (
     EDGE_CAP,
     gen_random,
@@ -149,3 +151,84 @@ def test_edge_cap_is_checked_before_the_stream(monkeypatch):
         with pytest.raises(_StreamReached) as reached:
             gen_random(kind, largest)
         assert reached.value.args[0] <= EDGE_CAP
+
+
+# -- the block-pattern generators against per-edge definitions ---------------
+
+
+def _compositions3(n):
+    """Every (l1, l2, l3) of positive block sizes summing to n."""
+    return [(a, b, n - a - b) for a in range(1, n - 1) for b in range(1, n - a)]
+
+
+def _rxn_size_tuples(r, n):
+    """Every split size tuple for r <= 3; for r = 4 each class takes 1,
+    n // 2 or n - 1, which keeps the per-edge reference under a second."""
+    choices = range(1, n) if r <= 3 else sorted({1, n // 2, n - 1})
+    return itertools.product(choices, repeat=r)
+
+
+def test_structured_generators_match_per_edge_definitions():
+    shapes = 0
+    for n in range(2, 9):
+        edges = [(a, b) for a in range(n) for b in range(n)]  # local ids, row-major
+        for a1 in range(1, n):
+            for b1 in range(1, n):
+                split = bytes(0 if (a < a1) == (b < b1) else 1 for a, b in edges)
+                assert gen_split_bipartite(n, a1, b1)[0].entries == split
+                for which in edges:
+                    if split[which[0] * n + which[1]] == 0:
+                        want = bytes(1 if e == which else c for e, c in zip(edges, split))
+                        assert gen_recoloured_split(n, a1, b1, which).entries == want
+                        shapes += 1
+                shapes += 1
+        for cut in range(1, n):
+            v = bytes(0 if b < cut else 1 for _, b in edges)
+            assert gen_v_colouring(n, cut).entries == v
+            shapes += 1
+        for left in _compositions3(n):
+            for right in _compositions3(n):
+                block0 = [i for i, s in enumerate(left) for _ in range(s)]
+                block1 = [j for j, s in enumerate(right) for _ in range(s)]
+                three = bytes((block0[a] + block1[b]) % 3 for a, b in edges)
+                col = gen_three_colour_split(left, right)
+                assert (col.n, col.palette, col.entries) == (n, 3, three)
+                shapes += 1
+    for r in range(1, 5):
+        for n in range(2, 9):
+            for sizes in _rxn_size_tuples(r, n):
+                rule = HyperSplitSizes(r, n, sizes)
+                want = bytes(
+                    sum(v < s for v, s in zip(locals_, sizes)) % 2
+                    for locals_ in itertools.product(range(n), repeat=r)
+                )
+                col = TransversalColouring(r, n, rule=rule).materialize()
+                assert (col.r, col.n, col.rule, col.entries) == (r, n, None, want)
+                assert rule.table() == want
+                shapes += 1
+    assert shapes > 5000
+
+
+def test_split_hosts_are_built_from_the_one_rule_table(monkeypatch):
+    calls = []
+    real = HyperSplitSizes.table
+
+    def table(self):
+        calls.append((self.r, self.n, self.s))
+        return real(self)
+
+    monkeypatch.setattr(HyperSplitSizes, "table", table)
+    gen_split_bipartite(5, 2, 3)
+    assert calls == [(2, 5, (2, 3))]
+    TransversalColouring(3, 4, rule=HyperSplitSizes(3, 4, (1, 2, 3))).materialize()
+    assert calls[1:] == [(3, 4, (1, 2, 3))]
+    gen_recoloured_split(4, 1, 1, (0, 0))
+    assert calls[2:] == [(2, 4, (1, 1))]
+
+    # with the table patched to a wrong rule both hosts change, so neither
+    # keeps a copy of its own
+    monkeypatch.setattr(HyperSplitSizes, "table", lambda self: bytes(self.n**self.r))
+    with pytest.raises(AssertionError):  # the independent structure check
+        gen_split_bipartite(4, 1, 1)
+    col = TransversalColouring(2, 3, rule=HyperSplitSizes(2, 3, (1, 1))).materialize()
+    assert col.entries == bytes(9)

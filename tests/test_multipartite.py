@@ -21,7 +21,6 @@ from monopart.generators import gen_random, gen_split_bipartite
 from monopart.multipartite import (
     ExceedsCap,
     check_side_consistency,
-    edge_colour_split,
     min_cover_exact,
     random_mono_tight_path,
     validate_transversal_tight_path,
@@ -31,12 +30,13 @@ from monopart.oracles import oracle_min_pieces
 
 
 def test_edge_colour_parity():
-    assert edge_colour_split(HyperSplitSizes(2, 2, (1, 1)), (0, 0)) == RED
+    # edges as global ids: class i holds [i*n, (i+1)*n)
+    assert HyperSplitSizes(2, 2, (1, 1)).colour_bit((0, 2)) == RED
     sizes = HyperSplitSizes(3, 2, (1, 1, 1))
-    assert edge_colour_split(sizes, (0, 0, 1)) == RED  # two inside: even
-    assert edge_colour_split(sizes, (0, 1, 1)) == BLUE  # one inside: odd
+    assert sizes.colour_bit((0, 2, 5)) == RED  # two inside: even
+    assert sizes.colour_bit((0, 3, 5)) == BLUE  # one inside: odd
     with pytest.raises(ValueError):
-        edge_colour_split(sizes, (0, 1))
+        TransversalColouring(3, 2, rule=sizes).colour_bit((0, 3))
 
 
 def test_rule_agrees_with_bipartite_generator():
@@ -46,8 +46,8 @@ def test_rule_agrees_with_bipartite_generator():
                 col, _ = gen_split_bipartite(n, a1, b1)
                 sizes = HyperSplitSizes(2, n, (a1, b1))
                 for a in range(n):
-                    for b in range(n):
-                        assert col.colour(a, n + b) == edge_colour_split(sizes, (a, b))
+                    for b in range(n, 2 * n):
+                        assert col.colour_bit(a, b) == sizes.colour_bit((a, b))
 
 
 def test_validate_windows():
