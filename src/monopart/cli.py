@@ -70,7 +70,7 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 # structured-host options of `gen`: at most one, each for kind bnn only
-# (--split for rxn too)
+# (--split for rxn too), and none with --palette or --seed
 _STRUCTURED = ("--split", "--v-cut", "--recolour", "--three-split")
 
 
@@ -87,6 +87,11 @@ def _gen_colouring(args):
         raise ValueError("--r needs kind rxn")
     if given and kind != "bnn" and given != ["--split"]:
         raise ValueError(f"{given[0]} needs kind bnn")
+    for flag, value in (("--palette", args.palette), ("--seed", args.seed)):
+        if given and value is not None:
+            raise ValueError(f"{flag} is not used with {given[0]}")
+    if args.recolour_base is not None and args.recolour is None:
+        raise ValueError("--recolour-base needs --recolour")
     if args.split is not None:
         if kind == "bnn":
             a1, b1 = _ints(args.split)
@@ -98,7 +103,7 @@ def _gen_colouring(args):
     if args.v_cut is not None:
         return gen_v_colouring(args.n, args.v_cut)
     if args.recolour is not None:
-        a1, b1 = _ints(args.recolour_base)
+        a1, b1 = _ints(args.recolour_base or "1,1")
         a, b = _ints(args.recolour)
         return gen_recoloured_split(args.n, a1, b1, (a, b))
     if args.three_split is not None:
@@ -106,7 +111,7 @@ def _gen_colouring(args):
         if sum(_ints(left)) != args.n:
             raise ValueError(f"--three-split blocks {left} do not sum to --n {args.n}")
         return gen_three_colour_split(_ints(left), _ints(right))
-    return gen_random(kind, args.n, args.palette, args.seed, r=args.r)
+    return gen_random(kind, args.n, args.palette or 2, args.seed or 0, r=args.r)
 
 
 def _cmd_gen(args) -> int:
@@ -263,12 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--kind", required=True, choices=["h3", "kn", "bnn", "rxn"])
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--r", type=int, default=None, help="uniformity for rxn")
-    g.add_argument("--palette", type=int, default=2, choices=[2, 3])
-    g.add_argument("--seed", type=int, default=0)
+    # None marks an option not given, which `_gen_colouring` tells apart
+    # from one given and refused
+    g.add_argument("--palette", type=int, default=None, choices=[2, 3], help="default 2")
+    g.add_argument("--seed", type=int, default=None, help="default 0")
     g.add_argument("--split", help="a1,b1 (bnn) or s_1,...,s_r (rxn)")
     g.add_argument("--v-cut", type=int, dest="v_cut")
     g.add_argument("--recolour", help="a,b red edge to flip blue")
-    g.add_argument("--recolour-base", default="1,1", help="a1,b1 of the base split")
+    g.add_argument("--recolour-base", help="a1,b1 of the base split (default 1,1)")
     g.add_argument("--three-split", help="l1,l2,l3/m1,m2,m3 block sizes")
     g.add_argument("--out")
     g.set_defaults(fn=_cmd_gen)

@@ -7,11 +7,16 @@ point.  The augmentation step below grows any bicoloured tight path by one
 uncovered vertex, which makes the spanning construction total: every
 2-colouring of every complete 3-uniform host admits a spanning bicoloured
 tight path, found here in exactly n-1 augmentations.
+
+Each augmentation makes O(1) colour lookups, an O(1) membership test on
+the path's vertex bitmask, and O(1) Python-level steps; only the C-level
+copy of the new vertex tuple grows with the path, so the spanning path's
+Python-level work is linear in n and its copying quadratic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .colourings import Colour, TripleColouring, other_colour
 
@@ -40,7 +45,7 @@ class TightPathClass:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BicolouredTightPath:
     """A valid bicoloured tight path with canonical turning point.
 
@@ -52,6 +57,18 @@ class BicolouredTightPath:
 
     vertices: tuple[int, ...]
     turn: int | None
+    # bit v set iff v is a vertex; not compared, hashed or shown.  0 on a
+    # hand-built path, whose mask `augment` rebuilds from `vertices`
+    mask: int = field(default=0, compare=False, repr=False)
+
+    def __init__(self, vertices: tuple[int, ...], turn: int | None, mask: int = 0):
+        # fills the instance dict directly: the generated frozen __init__
+        # makes one object.__setattr__ call per field, most of the cost of
+        # a short `augment` step
+        d = self.__dict__
+        d["vertices"] = vertices
+        d["turn"] = turn
+        d["mask"] = mask
 
     def __len__(self):
         return len(self.vertices)
@@ -105,63 +122,81 @@ def augment(col: TripleColouring, path: BicolouredTightPath, w: int) -> Bicolour
     `BicolouredTightPath` invariant), so the new turn is derived rather
     than found by reclassifying the path.  Short or monochromatic paths
     take w at the end, and the one new triple decides the turn.
-    Otherwise the path is put in a working frame (reversing it swaps the
-    roles of the two colour runs) so that the triple (turn, turn+1, w) has
-    the first-run colour, and one of five explicit re-routings applies.
-    Each re-routing splices w between at most four blocks of the old path,
-    kept or reversed; a triple inside a block keeps its known run colour,
-    so only the triples across a junction are looked up, and a profile of
-    more than two runs raises ValueError.
+    Otherwise the path is read in a working frame, forwards or backwards
+    (backwards swaps the roles of the two colour runs), so that the triple
+    (turn, turn+1, w) has the first-run colour, and one of five explicit
+    re-routings applies.  Each re-routing splices w between at most four
+    blocks of the old path, kept or reversed; a triple inside a block keeps
+    its known run colour, so only the triples across a junction are looked
+    up, and a profile of more than two runs raises ValueError.
+
+    Cost: O(1) colour lookups and O(1) Python-level work per call.  The
+    membership test reads the path's vertex bitmask, the working frame maps
+    its indices onto the stored tuple instead of reversing it, and the new
+    tuple is concatenated from at most four direct (reversed) slices of
+    the old one, so the only work linear in the path's length is C-level
+    copying.
     """
-    seq = tuple(path.vertices)
-    k = len(seq)
     if not 0 <= w < col.n:
         raise ValueError(f"vertex {w} out of range")
-    if w in seq:
+    seq, mask = path.vertices, path.mask
+    if not mask:  # a hand-built path: `augment` results carry their mask
+        seq = tuple(seq)
+        for v in seq:
+            mask |= 1 << v
+    if mask >> w & 1:
         raise ValueError(f"vertex {w} already on the path")
+    mask |= 1 << w
 
+    k = len(seq)
     cbit = col.colour_bit
     if k <= 2 or path.is_mono:
         if k == 0:
-            return BicolouredTightPath((w,), None)
+            return BicolouredTightPath((w,), None, mask)
         same = k <= 2 or cbit(seq[-2], seq[-1], w) == cbit(seq[0], seq[1], seq[2])
-        return BicolouredTightPath(seq + (w,), k if same else k - 1)
+        return BicolouredTightPath(seq + (w,), k if same else k - 1, mask)
 
     ell = path.turn
     first = cbit(seq[0], seq[1], seq[2])
-    if cbit(seq[ell - 1], seq[ell], w) != first:
-        seq = seq[::-1]
+    # frame index i is seq[i], or seq[k - 1 - i] when the frame reads the
+    # path backwards; v1, vk, u, x are the frame's 1-based vertices 1, k,
+    # ell + 1 and ell + 2
+    if cbit(seq[ell - 1], seq[ell], w) == first:
+        flip = False
+        v1, vk, u, x = seq[0], seq[-1], seq[ell], seq[ell + 1]
+    else:
+        flip = True
         ell = k - ell
         first = 1 - first
+        v1, vk, u, x = seq[-1], seq[0], seq[k - ell - 1], seq[k - ell - 2]
     second = 1 - first
-
-    def v(i: int) -> int:  # 1-based access, matching the turn convention
-        return seq[i - 1]
 
     # Blocks are 0-based index pairs (i, j) of the working frame, read from
     # i to j (reversed when i > j); None stands for w.
-    if cbit(v(ell + 1), w, v(ell + 2)) == first:
+    if cbit(u, w, x) == first:
         blocks = ((0, ell), None, (ell + 1, k - 1))
-    elif cbit(v(1), w, v(ell + 1)) == second:
+    elif cbit(v1, w, u) == second:
         blocks = ((ell - 1, 0), None, (ell, k - 1))
-    elif cbit(v(ell + 1), w, v(k)) == first:
+    elif cbit(u, w, vk) == first:
         blocks = ((0, ell), None, (k - 1, ell + 1))
-    elif cbit(v(1), w, v(k)) == first:
+    elif cbit(v1, w, vk) == first:
         blocks = ((1, ell), None, (0, 0), (k - 1, ell + 1))
     else:
         blocks = ((ell - 1, 0), (k - 1, k - 1), None, (ell, k - 2))
-    new = []
+    new = ()
     for b in blocks:
         if b is None:
-            new.append(w)
-        elif b[0] <= b[1]:
-            new += seq[b[0] : b[1] + 1]
-        else:
-            new += seq[b[1] : b[0] + 1][::-1]
-    return BicolouredTightPath(tuple(new), _spliced_turn(cbit, new, blocks, ell, first))
+            new += (w,)
+            continue
+        i, j = b
+        if flip:
+            i, j = k - 1 - i, k - 1 - j
+        # the tuple's own slice from index i to index j, both included
+        new += seq[i : j + 1] if i <= j else seq[i : j - 1 : -1] if j else seq[i::-1]
+    return BicolouredTightPath(new, _spliced_turn(cbit, new, blocks, ell, first), mask)
 
 
-def _spliced_turn(cbit, new: list[int], blocks, ell: int, first: int) -> int:
+def _spliced_turn(cbit, new: tuple[int, ...], blocks, ell: int, first: int) -> int:
     """Turn of `new`, spliced from `blocks` of a bicoloured working-frame
     path whose triples with 0-based middle below `ell` have colour `first`
     and the rest the other colour.
@@ -205,8 +240,9 @@ def _spliced_turn(cbit, new: list[int], blocks, ell: int, first: int) -> int:
 
 def spanning_bicoloured_path(col: TripleColouring) -> BicolouredTightPath:
     """Spanning bicoloured tight path, grown from vertex 0 by repeatedly
-    augmenting with the smallest uncovered vertex (n-1 augment calls)."""
-    path = BicolouredTightPath((0,), None)
+    augmenting with the smallest uncovered vertex (n-1 augment calls).
+    The path starts with its vertex bitmask, which each call passes on."""
+    path = BicolouredTightPath((0,), None, 1)
     for w in range(1, col.n):
         path = augment(col, path, w)
     return path

@@ -428,10 +428,19 @@ def test_force_red_path_writes_split_fallback(tmp_path, capsys):
     ["--kind", "bnn", "--n", "5", "--three-split", "1,1,2/2,1,1"],
     ["--kind", "rxn", "--n", "4", "--split", "1,2"],
     ["--kind", "bnn", "--n", "4", "--r", "2"],
+    ["--kind", "bnn", "--n", "4", "--palette", "3", "--split", "1,2"],
+    ["--kind", "bnn", "--n", "4", "--palette", "2", "--v-cut", "2"],
+    ["--kind", "bnn", "--n", "4", "--palette", "3", "--three-split", "1,1,2/2,1,1"],
+    ["--kind", "bnn", "--n", "4", "--seed", "1", "--recolour", "0,0"],
+    ["--kind", "rxn", "--n", "4", "--r", "2", "--split", "1,2", "--seed", "0"],
+    ["--kind", "kn", "--n", "4", "--recolour-base", "2,2"],
+    ["--kind", "bnn", "--n", "4", "--split", "1,2", "--recolour-base", "1,1"],
 ], ids=["rxn-without-r", "h3-too-small", "bnn-empty", "split-too-big", "split-three-parts",
         "split-not-int", "split-on-kn", "v-cut-out-of-range", "recolour-one-end", "out-dir-missing",
         "rxn-over-cap", "v-cut-on-h3", "recolour-on-kn", "split-and-v-cut", "three-split-off-n",
-        "rxn-split-without-r", "r-on-bnn"])
+        "rxn-split-without-r", "r-on-bnn", "palette-with-split", "palette-with-v-cut",
+        "palette-with-three-split", "seed-with-recolour", "seed-with-rxn-split",
+        "recolour-base-on-random-kn", "recolour-base-with-split"])
 def test_gen_rejects_bad_arguments(tmp_path, capsys, args):
     args = [a.replace("{missing}", str(tmp_path / "missing" / "c.bnn")) for a in args]
     code, out, err = run(["gen", *args], capsys)
@@ -457,7 +466,8 @@ def test_solve_reports_unwritable_out(tmp_path, capsys, gen_args, want):
 @pytest.mark.parametrize("args, head", [
     (["--kind", "bnn", "--n", "6", "--v-cut", "2"], "bnn 6"),
     (["--kind", "bnn", "--n", "4", "--three-split", "1,1,2/2,1,1"], "bnn 4 3"),
-], ids=["bnn-v-cut", "three-split"])
+    (["--kind", "bnn", "--n", "4", "--recolour", "0,0", "--recolour-base", "2,2"], "bnn 4"),
+], ids=["bnn-v-cut", "three-split", "recolour-with-base"])
 def test_gen_accepts_each_structured_option_on_its_host(capsys, args, head):
     code, out, err = run(["gen", *args], capsys)
     assert (code, err) == (0, "") and out.splitlines()[0] == head

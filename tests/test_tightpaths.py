@@ -67,6 +67,39 @@ def test_augment_rejects_covered_vertex():
         augment(col, BicolouredTightPath((0, 1, 2), 2), 2)
 
 
+def test_vertex_mask_keeps_the_membership_check():
+    # a hand-built path has no mask and augment rebuilds it; a path that
+    # augment returned carries one.  Either way a covered vertex is refused.
+    col = gen_random("h3", 12, 2, seed=3)
+    span = spanning_bicoloured_path(col).vertices
+    hand = _canonical(col, span[3:9])
+    assert hand.mask == 0
+    for w in span[4:8] + (span[3], span[8]):  # interior vertices, then endpoints
+        with pytest.raises(ValueError, match="already on the path"):
+            augment(col, hand, w)
+    path = BicolouredTightPath((0,), None, 1)
+    for w in range(1, 8):
+        path = augment(col, path, w)
+    assert path.mask == (1 << 8) - 1
+    for w in path.vertices:
+        with pytest.raises(ValueError, match="already on the path"):
+            augment(col, path, w)
+    with pytest.raises(ValueError, match="out of range"):
+        augment(col, path, 12)
+    assert augment(col, path, 8).mask == (1 << 9) - 1
+
+
+def test_vertex_mask_is_not_part_of_the_value():
+    col = gen_random("h3", 30, 2, seed=5)
+    grown = spanning_bicoloured_path(col)
+    hand = BicolouredTightPath(grown.vertices, grown.turn)
+    assert grown.mask == (1 << 30) - 1 and hand.mask == 0
+    assert grown == hand and hash(grown) == hash(hand) and repr(grown) == repr(hand)
+    assert repr(hand) == f"BicolouredTightPath(vertices={grown.vertices!r}, turn={grown.turn!r})"
+    with pytest.raises(AttributeError):
+        grown.mask = 0
+
+
 def _canonical(col, seq):
     """`seq` as a BicolouredTightPath with its canonical turn; None if invalid."""
     cls = classify_tight_path(col, seq)
@@ -132,6 +165,16 @@ def test_spanning_path_lookups_are_linear(monkeypatch):
     assert sorted(path.vertices) == list(range(n))
     assert path == _canonical(col, path.vertices)
     assert calls <= 16 * n
+
+
+def test_spanning_path_is_pinned_at_n1000():
+    # the host of the lookup test above; (vertices, turn) is pinned, not
+    # only its certificate, so a change inside augment cannot move the path
+    n = 1000
+    col = TripleColouring(n, random.Random(2026).randbytes((n * (n - 1) * (n - 2) // 6 + 7) // 8))
+    path = spanning_bicoloured_path(col)
+    digest = hashlib.sha256(repr((path.vertices, path.turn)).encode()).hexdigest()
+    assert digest == "e6a9f8956a5126d74feb72670ddce2f5ac1a00526517b0e0a49f276f45945497"
 
 
 def _h3_random(n, seed):
@@ -255,3 +298,41 @@ def test_every_augment_rerouting_fires():
         sys.settrace(previous)
     assert len(sites) == 5
     assert sites <= fired, sorted(sites - fired)
+
+
+def test_augment_at_long_paths():
+    # prefixes of spanning paths on seeded hosts, each augmented with every
+    # uncovered vertex; a line tracer records which of the five `blocks = (`
+    # re-routings runs in which frame orientation (forwards or backwards
+    # over the stored tuple)
+    lines, start = inspect.getsourcelines(augment)
+    sites = {start + i for i, line in enumerate(lines) if "blocks = (" in line}
+    code = augment.__code__
+    fired = set()
+
+    def trace_lines(frame, event, arg):
+        if event == "line" and frame.f_lineno in sites:
+            fired.add((frame.f_lineno, frame.f_locals["flip"]))
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        return trace_lines if frame.f_code is code else None
+
+    for n, seed in ((40, 1), (80, 2), (120, 3), (200, 4)):
+        col = gen_random("h3", n, 2, seed=seed)
+        span = spanning_bicoloured_path(col).vertices
+        for k in (n // 4, n // 2, 3 * n // 4, n - 2):
+            path = _canonical(col, span[:k])
+            covered = set(path.vertices)
+            previous = sys.gettrace()
+            sys.settrace(trace_calls)
+            try:
+                outs = [(w, augment(col, path, w)) for w in range(n) if w not in covered]
+            finally:
+                sys.settrace(previous)
+            for w, out in outs:
+                assert sorted(out.vertices) == sorted(covered | {w})
+                assert out == _canonical(col, out.vertices)
+    assert len(sites) == 5
+    missing = {(site, flip) for site in sites for flip in (False, True)} - fired
+    assert not missing, sorted(missing)
