@@ -15,16 +15,22 @@ monochromatic path and one monochromatic cycle of distinct colours.
 Split colourings are detected and served by explicit three-piece
 fallbacks.  All constructions are verified before being returned.
 
-The solvers read colours through the unchecked view `PairColouring.rows`,
-and each cycle the growth, attach and exchange loops build is read once:
-its frame is handed on to the next step.  The growth and V steps go
-through their public entries, `extend_good_cycle` and `v_two_cycles`.
+The solvers read colours through the unchecked view `PairColouring.rows`.
+Each cycle the attach and exchange loops build is read once, and its frame
+is handed on to the next step.  The growth loop reads no whole cycle: a
+growth step derives the new frame from its re-routing, reading O(1)
+colours (its probes and the junction edges), doing O(1) Python-level work
+and one C-level build of the new list, and the loop updates its sorted
+remainder lists from the vertices the step took and dropped.  The growth
+and V steps go through their public entries, `extend_good_cycle` and
+`v_two_cycles`.
 `classify_bipartite` and the structure witnesses' `verify` methods compare
 rows of the validated `entries` instead.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 from .certificates import Piece
@@ -236,8 +242,8 @@ def near_mono_spanning_path(col: PairColouring, subset0, subset1):
 
 def _cycle_colours(col: PairColouring, cyc) -> list[int]:
     """Colours of the edges cyc[i] cyc[i + 1], the last one closing the
-    cycle.  The growth, attach and exchange loops call this once per cycle
-    they build and hand the frame on."""
+    cycle.  The attach and exchange loops call this once per cycle they
+    build and hand the frame on; growth reads only the good C4 with it."""
     rows = col.rows
     return [rows[u][v] for u, v in zip(cyc, cyc[1:] + cyc[:1])]
 
@@ -246,11 +252,11 @@ def _check_progress(col: PairColouring, before: int, new, colour, step: str, lea
     """The frame of cycle `new` led by `lead`, from one read of its
     colours; raises unless it has more than `before` edges of `colour`.
 
-    This check and `_checked_extension` are what stop the growth, attach
-    and exchange loops: every growth step strictly lengthens the cycle,
-    and every attach or exchange step strictly raises the number of its
-    edges of one colour.  Both counts are at most the host's 2n vertices,
-    so each loop runs at most 2n times.
+    This check and the growth check of `_splice` are what stop the
+    growth, attach and exchange loops: every growth step strictly
+    lengthens the cycle, which has even length, so growth from the good C4
+    takes at most n - 2 steps; every attach or exchange step strictly
+    raises the number of its edges of one colour, at most 2n.
     """
     cols = _cycle_colours(col, new)
     if cols.count(colour) <= before:
@@ -333,58 +339,167 @@ def _other_lead(seq, ell):
     return seq[ell - 1 :] + seq[: ell - 1], len(seq) - ell + 2
 
 
-def _reversed_frame(seq, ell):
-    """The frame led by the same colour, traversing the cycle backwards."""
-    return seq[ell - 1 :: -1] + seq[: ell - 1 : -1], ell
-
-
 class ExtensionError(RuntimeError):
     pass
 
 
-def _checked_extension(col, cand, old_len, allowed):
-    """The red-led frame of `cand`, from one read of its colours; raises
-    ExtensionError unless `cand` is a good cycle on more than `old_len`
-    distinct vertices of `allowed`."""
-    vertices = set(cand)
-    if len(vertices) != len(cand):
-        raise ExtensionError(f"repeated vertex in {cand}")
-    if not vertices <= allowed:
-        raise ExtensionError("extension left the allowed vertex set")
-    if len(cand) <= old_len:
+class _Grown(tuple):
+    """The red-led frame (seq, ell) that `extend_good_cycle` returns.  Its
+    one attribute, `change` = (taken, dropped, mask), says what the step
+    changed: the quad vertices on the new cycle, the old-cycle vertices
+    off it, and the new cycle's vertex bitmask (bit v set iff v is on
+    it)."""
+
+
+def _splice(col: PairColouring, work, blocks, qbits: int, mask: int) -> _Grown:
+    """The `_Grown` red-led frame of the cycle spliced from `blocks` of the
+    working frame `work` of an old cycle with vertex bitmask `mask` and a
+    quad with vertex bitmask `qbits`.
+
+    `work` = (seq, o, d, ell, lead) reads the old cycle's stored list
+    `seq` as the working frame i -> seq[(o + d * i) % k], whose edge from
+    index i to i + 1 has colour `lead` for i < ell - 1 and the other
+    colour after (the run invariant).  A block is a quad vertex (an int)
+    or a pair (a, z) of working indices in 0..k: the vertices a..z-1
+    forwards when a < z, z..a-1 backwards when a > z.  An edge inside a
+    block keeps its invariant colour, so only the junction edges are
+    read.  Raises ExtensionError unless the splice is a good cycle on more
+    than k distinct vertices of the old cycle and the quad.
+    """
+    seq, o, d, ell, lead = work
+    k = len(seq)
+    rows = col.rows
+    runs = []  # (colour, index of its first edge) of the new cycle's runs
+    starts = []  # the index of each part's first vertex in the new cycle
+    parts = []  # (stored index of its first vertex, step, length) of each part
+    taken = []
+    cover = tbits = size = 0  # cover: bitmask of the working indices the pairs take
+    c = None  # the colour of the last edge so far
+    for b in blocks:
+        if b.__class__ is int:
+            bit = 1 << b
+            if tbits & bit or not qbits & bit:
+                raise ExtensionError("extension repeats a quad vertex or leaves the quad")
+            tbits |= bit
+            taken.append(b)
+            parts.append((b, 0, 1))
+            u = v = b
+            m = 1
+        else:
+            a, z = b
+            if a < z:
+                lo, hi, s, step = a, z, (o + d * a) % k, d
+            elif a > z:
+                lo, hi, s, step = z, a, (o + d * (a - 1)) % k, -d
+            else:
+                continue
+            bits = (1 << hi) - (1 << lo)
+            if cover & bits or lo < 0 or hi > k:
+                raise ExtensionError("extension repeats or leaves the old cycle's vertices")
+            cover |= bits
+            m = hi - lo
+            u, v = seq[s], seq[(s + step * (m - 1)) % k]
+            parts.append((s, step, m))
+        starts.append(size)
+        if size:  # the junction edge into u, read
+            junction = rows[last][u]
+            if junction != c:
+                c = junction
+                runs.append((c, size - 1))
+        else:
+            first = u
+        if m > 1:  # the block's own edges: working edges lo..ell-2 lead
+            nl = (hi if hi < ell else ell) - 1 - lo
+            nl = nl if nl > 0 else 0
+            c1, n1, c2 = (lead, nl, 1 - lead) if a < z else (1 - lead, m - 1 - nl, lead)
+            if n1 and c1 != c:
+                c = c1
+                runs.append((c, size))
+            if n1 < m - 1 and c2 != c:
+                c = c2
+                runs.append((c, size + n1))
+        size += m
+        last = v
+    if rows[last][first] != c:  # the closing edge
+        runs.append((rows[last][first], size - 1))
+    if size <= k:
         raise ExtensionError("extension did not grow the cycle")
-    try:
-        frame = _frame(col, cand, RED)
-    except ValueError:  # not bicoloured
-        frame = None
-    if frame is None or not _is_good(col, *frame):
-        raise ExtensionError(f"extension is not a good cycle: {cand}")
-    return frame
+    dropped = []
+    gaps = cover ^ ((1 << k) - 1)
+    while gaps:  # at most three working indices, as the cycle grew
+        j = (gaps & -gaps).bit_length() - 1
+        dropped.append(seq[(o + d * j) % k])
+        gaps &= gaps - 1
+
+    # two runs, red and blue, when a third linear run continues the first;
+    # the red one runs from edge p to edge q - 1, round the cycle
+    if not (len(runs) == 2 or len(runs) == 3 and runs[2][0] == runs[0][0]) or (
+        runs[0][0] + runs[1][0] != 1
+    ):
+        raise ExtensionError("extension is not a bicoloured cycle")
+    third = runs[2][1] if len(runs) == 3 else 0
+    p, q = (third, runs[1][1]) if runs[0][0] == RED else (runs[1][1], third)
+    ell = (q - p) % size + 1
+
+    # the new list starts at its vertex p, so the part holding p is cut there
+    j = bisect_right(starts, p) - 1
+    s, step, m = parts[j]
+    later = parts[j + 1 :] + parts[:j]
+    cut = p - starts[j]
+    if cut:  # only a pair block holds p past its first vertex
+        later.append((s, step, cut))
+        s, m = (s + step * cut) % k, m - cut
+    out = []
+    for s, step, m in [(s, step, m)] + later:
+        if not step:
+            out.append(s)
+        elif step > 0:
+            out += seq[s : s + m]
+            if s + m > k:  # the part wraps round past the end
+                out += seq[: s + m - k]
+        else:
+            out += seq[s : s - m if s >= m else None : -1]
+            if s < m - 1:  # the part wraps round past the start
+                out += seq[: s - m + k : -1]
+    if not _is_good(col, out, ell):
+        raise ExtensionError(f"extension is not a good cycle: {out}")
+    for u in dropped:
+        mask ^= 1 << u
+    grown = _Grown((out, ell))
+    grown.change = (taken, dropped, mask | tbits)
+    return grown
 
 
 def _working_frame(col: PairColouring, seq, ell, q0, q1):
-    """(eff_red, seq, ell, x1, y1, x2, y2): the first of the good cycle's
-    four frames, with its quad labelling, in which the case tree's probe
-    edges are defined.
+    """(work, x1, y1, x2, y2): the first of the good cycle's four frames,
+    with its quad labelling, in which the case tree's probe edges are
+    defined.
 
-    From the forward red-led frame (seq, ell) the others are index
-    arithmetic: the reversed red-led frame, then the forward and reversed
-    blue-led ones.
+    `work` = (seq, o, d, ell', lead) reads the stored red-led frame
+    (seq, ell) from index o in direction d (see `_splice`): forwards and
+    backwards led by red, then forwards and backwards led by blue, whose
+    leading run has k - ell + 2 vertices.  No frame is copied.
     """
     rows = col.rows
-    blue_led = _other_lead(seq, ell)
-    frames = ((seq, ell), _reversed_frame(seq, ell), blue_led, _reversed_frame(*blue_led))
-    for eff_red, (fseq, fell) in zip((RED, RED, BLUE, BLUE), frames):
-        own, opp = (q0, q1) if col.side(fseq[0]) == 0 else (q1, q0)
-        for x1, y1 in ((own[0], own[1]), (own[1], own[0])):
-            for x2, y2 in ((opp[0], opp[1]), (opp[1], opp[0])):
+    k = len(seq)
+    blue = k - ell + 2
+    for o, d, fell, lead in (
+        (0, 1, ell, RED),
+        (ell - 1, -1, ell, RED),
+        (ell - 1, 1, blue, BLUE),
+        (0, -1, blue, BLUE),
+    ):
+        head = seq[o]
+        own, opp = (q0, q1) if col.side(head) == 0 else (q1, q0)
+        for x1, y1 in (own, own[::-1]):
+            for x2, y2 in (opp, opp[::-1]):
                 if (
-                    rows[x1][x2] == eff_red
-                    and rows[y1][x2] != eff_red
-                    and ((rows[x1][y2] == eff_red) != (rows[y1][y2] == eff_red))
-                    and rows[fseq[0]][x2] == eff_red
+                    rows[x1][x2] == lead
+                    and rows[y1][x2] != lead
+                    and ((rows[x1][y2] == lead) != (rows[y1][y2] == lead))
+                    and rows[head][x2] == lead
                 ):
-                    return eff_red, fseq, fell, x1, y1, x2, y2
+                    return (seq, o, d, fell, lead), x1, y1, x2, y2
     raise ExtensionError("no admissible working frame")
 
 
@@ -393,90 +508,106 @@ def extend_good_cycle(col: PairColouring, frame, quad):
     frame (seq, ell) of a good cycle and a disjoint balanced C4, using only
     their vertices.
 
-    The frame is not read again.  The cycle and quad are brought into a
-    working frame (choice of leading turning point, colour-role swap and
-    quad labelling) in which the probe edges of the case tree are defined;
-    each branch ends in an explicit re-routing that is verified before its
-    frame is returned.
+    The frame is trusted, not read again: its runs give the colour of
+    every old-cycle edge.  The cycle and quad are brought into a working
+    frame (choice of leading turning point, colour-role swap and quad
+    labelling) in which the probe edges of the case tree are defined;
+    each branch ends in an explicit re-routing, written as blocks of the
+    working frame and the quad vertices it takes (see `_splice`), that is
+    verified before its frame is returned.
+
+    Cost: O(1) colour reads and O(1) Python-level work per call, and one
+    C-level build of the new list.  The working frame maps its indices
+    onto the stored list instead of copying it, an edge inside a block
+    keeps its known colour, and the new list is built once, already
+    rotated to its red-led turning point, from a few slices of the old
+    one.  Disjointness is tested on the frame's vertex bitmask, which the
+    returned frame carries on (a hand-built frame's is built from its
+    vertices).
 
     The new cycle need not keep every old-cycle vertex: the re-routing
-    `seq[: k - 1] + [y2, x1, x2]`, for one, drops v(k), which goes back to
-    the remainder.  So a caller cannot get the new remainder by taking the
-    quad's four vertices off the old one; it has to read it off the cycle.
+    `(0, k - 1), y2, x1, x2`, for one, drops v(k), which goes back to the
+    remainder.  So the returned frame is a `_Grown` (seq, ell) whose
+    `change` also reports the quad vertices it took and the old-cycle
+    vertices it dropped, from which a caller updates its remainder.
     """
     _require_bnn2(col)
     seq, ell = frame
     if not _is_good(col, seq, ell):
         raise ValueError("input cycle is not good")
-    quad = list(quad)
-    on = set(seq)
-    if on & set(quad):
-        raise ValueError("cycle and quad are not disjoint")
-    q0 = sorted(u for u in quad if col.side(u) == 0)
-    q1 = sorted(u for u in quad if col.side(u) == 1)
-    if len(q0) != 2 or len(q1) != 2:
+    n = col.n
+    quad = sorted(quad)
+    if len(quad) != 4 or not quad[1] < n <= quad[2]:
         raise ValueError("quad is not a C4 vertex set")
+    q0, q1 = quad[:2], quad[2:]
+    qbits = 1 << quad[0] | 1 << quad[1] | 1 << quad[2] | 1 << quad[3]
+    mask = frame.change[2] if isinstance(frame, _Grown) else 0
+    if not mask:  # a hand-built frame: grown frames carry their mask
+        for u in seq:
+            mask |= 1 << u
+    if mask & qbits:
+        raise ValueError("cycle and quad are not disjoint")
     rows = col.rows
-    reds = sum(1 for a in q0 for b in q1 if rows[a][b] == RED)
-    if reds != 2:
+    r0, r1 = rows[q0[0]], rows[q0[1]]
+    if r0[q1[0]] + r0[q1[1]] + r1[q1[0]] + r1[q1[1]] != 2:  # two blue edges, two red
         raise ValueError("quad is not balanced")
-    allowed = on | set(quad)
     k = len(seq)
-    eff_red, seq, ell, x1, y1, x2, y2 = _working_frame(col, seq, ell, q0, q1)
+    work, x1, y1, x2, y2 = _working_frame(col, seq, ell, q0, q1)
+    _, o, d, ell, eff_red = work
 
     def R(u, v):
         return rows[u][v] == eff_red
 
     def v(i):
-        return seq[i - 1]
+        return seq[(o + d * (i - 1)) % k]
 
-    def done(cand):
-        return _checked_extension(col, cand, k, allowed)
+    def done(*blocks):
+        return _splice(col, work, blocks, qbits, mask)
 
     # probe the quad's red corner against the cycle ends
     if not R(x1, v(k)):
-        return done([v(1), x2, x1] + seq[:0:-1])
+        return done((0, 1), x2, x1, (k, 1))
     if R(x1, v(2)):
-        return done([v(1), x2, x1] + seq[1:])
+        return done((0, 1), x2, x1, (1, k))
 
     if R(y1, y2):  # the quad's second red edge sits at y1y2
         if R(v(1), y2):
             if not R(y1, v(k)):
-                return done([v(1), y2, y1] + seq[:0:-1])
+                return done((0, 1), y2, y1, (k, 1))
             if ell == k:
-                return done(seq + [x1, y2])
+                return done((0, k), x1, y2)
             if R(y2, v(k - 1)):
-                return done(seq[: k - 1] + [y2, y1, v(k), x1, x2])
-            return done(seq[: k - 1] + [y2, x1, x2])
+                return done((0, k - 1), y2, y1, (k - 1, k), x1, x2)
+            return done((0, k - 1), y2, x1, x2)
         if R(y1, v(ell)):
-            if not R(y2, seq[ell % k]):
-                return done(seq[:ell] + [y1, y2] + seq[ell:])
-            return done(seq[:ell] + [y1, y2] + seq[ell:] + [x1, x2])
+            if not R(y2, v(ell + 1)):
+                return done((0, ell), y1, y2, (ell, k))
+            return done((0, ell), y1, y2, (ell, k), x1, x2)
         if R(x2, v(ell - 1)):
-            return done(seq[: ell - 1] + [x2, y1] + seq[ell - 1 :])
-        return done([v(1), y2, x1] + seq[1 : ell - 1] + [x2, y1] + seq[ell - 1 :])
+            return done((0, ell - 1), x2, y1, (ell - 1, k))
+        return done((0, 1), y2, x1, (1, ell - 1), x2, y1, (ell - 1, k))
 
     # here the quad's second red edge sits at x1y2
     if not R(y1, v(ell)):
         if R(y2, v(ell - 1)):
-            return done(seq[: ell - 1] + [y2, y1] + seq[ell - 1 :])
-        return done(seq[: ell - 1] + [y2, y1] + seq[ell - 1 :] + [x1, x2])
+            return done((0, ell - 1), y2, y1, (ell - 1, k))
+        return done((0, ell - 1), y2, y1, (ell - 1, k), x1, x2)
     if ell == k:
-        return done(seq + [y1, x2])
-    if not R(y2, seq[ell]):
-        return done(seq[:ell] + [y1, y2] + seq[ell:] + [x1, x2])
+        return done((0, k), y1, x2)
+    if not R(y2, v(ell + 1)):
+        return done((0, ell), y1, y2, (ell, k), x1, x2)
     if R(y1, v(k)):
-        return done([v(1), x2, x1, y2] + seq[ell:] + [y1] + seq[1:ell][::-1])
+        return done((0, 1), x2, x1, y2, (ell, k), y1, (ell, 1))
     if R(y2, v(ell - 1)):
-        return done(seq[: ell - 1] + [y2] + seq[ell:] + [x1, x2])
+        return done((0, ell - 1), y2, (ell, k), x1, x2)
     if ell == 2:
         # the generic re-routings below need a red run of length >= 3
         if not R(x2, v(3)):
-            return done([y1, v(2), v(1), x2] + seq[2:])
-        return done(seq[2:] + [y1, y2, x1, x2])
+            return done(y1, (2, 0), x2, (2, k))
+        return done((2, k), y1, y2, x1, x2)
     if not R(x1, v(ell)):
-        return done([v(2), x1] + seq[ell - 1 :] + [y1, y2] + seq[2 : ell - 1][::-1])
-    return done(seq[:ell] + [x1, y2] + seq[ell:] + [y1, x2])
+        return done((1, 2), x1, (ell - 1, k), y1, y2, (ell - 1, 2))
+    return done((0, ell), x1, y2, (ell, k), y1, x2)
 
 
 @dataclass(frozen=True)
@@ -532,12 +663,13 @@ def spanning_bicoloured_or_mono_cycle(col: PairColouring):
         red, blue = v_two_cycles(col, verdict.vcol)
         return _wrap_spanning(col, list(red.vertices + blue.vertices))
 
-    # each cycle is read once, as it is built; its red-led frame goes on
+    # the good C4 is read once; each growth step derives the next frame
+    # from its re-routing and reports the vertices that leave and rejoin
+    # the sorted remainder lists
     frame = _frame(col, list(verdict.good_c4), RED)
+    rest0 = [u for u in range(n) if u not in frame[0]]
+    rest1 = [u for u in range(n, 2 * n) if u not in frame[0]]
     while True:
-        on = set(frame[0])
-        rest0 = [u for u in range(n) if u not in on]
-        rest1 = [u for u in range(n, 2 * n) if u not in on]
         if not rest0 and not rest1:
             return _wrap_spanning(col, frame[0], frame)
         try:
@@ -545,6 +677,12 @@ def spanning_bicoloured_or_mono_cycle(col: PairColouring):
             break
         except BalancedC4Present as exc:
             frame = extend_good_cycle(col, frame, exc.witness)
+        taken, dropped, _ = frame.change
+        for u in taken:
+            rest = rest0 if u < n else rest1
+            del rest[bisect_left(rest, u)]
+        for u in dropped:
+            insort(rest0 if u < n else rest1, u)
 
     # the attachment works in the frame led by the path's colour
     seq, ell = frame if pcol == RED else _other_lead(*frame)

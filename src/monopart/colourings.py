@@ -250,6 +250,9 @@ class TripleColouring:
 # a class-0 vertex's own class.  It equals no colour.
 NO_EDGE = 255
 
+# ASCII binary digits to colour bytes, for `PairColouring.from_int`
+_BIT_COLOURS = bytes.maketrans(b"01", bytes([RED, BLUE]))
+
 
 class PairColouring:
     """Colouring of a complete (kn) or complete bipartite (bnn) graph.
@@ -356,7 +359,9 @@ class PairColouring:
         m = _n_edges(kind, n)
         if not 0 <= value < (1 << m):
             raise ValueError("colouring index out of range")
-        return cls(kind, n, 2, bytes((value >> i) & 1 for i in range(m)))
+        # the m binary digits of value below a leading 1, least significant
+        # first, mapped from ASCII digits to colour bytes in one C-level pass
+        return cls(kind, n, 2, bin(value | 1 << m)[:2:-1].encode().translate(_BIT_COLOURS))
 
     @classmethod
     def constant(cls, kind: str, n: int, palette: int, colour: int) -> "PairColouring":

@@ -569,6 +569,8 @@ _PINNED_HOSTS = {
     "off-edge-64": lambda: [_off_edge(64)],
     "recoloured-split-64": lambda: [gen_recoloured_split(64, 32, 32, (0, 0))],
     "v-256": lambda: [gen_v_colouring(256, 85)],
+    "random-512": lambda: [gen_random("bnn", 512, 2, seed=512)],
+    "recoloured-split-128": lambda: [gen_recoloured_split(128, 64, 64, (0, 0))],
 }
 
 
@@ -585,6 +587,8 @@ _PINNED_DIGESTS = {
     ("off-edge-64", "path-cycle"): "551fb0b167e6a9159953cfa6947cdf81a5609d326563f30f4593bc31a281ac8c",
     ("recoloured-split-64", "path-cycle"): "d001c43cd9886a6250ec845377574df40851483b6f503c04de89932f947934d9",
     ("v-256", "path-cycle"): "8560a267aa249020d7c5e0b089373849178068518774e532f584cf17894a7e0c",
+    ("random-512", "path-cycle"): "69051f93745ecdced2f5f425ea63fa8b56345743698c5c1566d11758b8203973",
+    ("recoloured-split-128", "path-cycle"): "20d297b54c5ec4e77ccbc563cd14d274812fdce3819e638173d58a6598e95bb6",
 }
 
 
@@ -602,6 +606,130 @@ def test_bnn2_solve_lookups(monkeypatch, hosts, bound):
     calls = _count_lookups(monkeypatch)
     solve(col)
     assert calls[0] <= bound * col.n**2
+
+
+@pytest.mark.parametrize("hosts", ["random-256", "random-512"])
+def test_bnn2_solve_reads_linearly_many_colours(monkeypatch, hosts):
+    # a growth step reads O(1) colours (its probes and the junction edges
+    # of its re-routing), so a random host's solve reads about 45 n
+    # colours at n = 256 and 512, where reading every grown cycle took
+    # about n^2
+    (col,) = _PINNED_HOSTS[hosts]()
+    calls = _count_lookups(monkeypatch)
+    solve(col)
+    assert calls[0] <= 100 * col.n
+
+
+def _spy_on_growth(monkeypatch):
+    """Check every growth step while the returned counts grow: no
+    extension reads a whole cycle, each extension's derived frame equals a
+    full read of its cycle, and each remainder the growth loop hands to
+    `near_mono_spanning_path` is the sorted complement of the current
+    cycle."""
+    counts = {"extensions": 0, "remainders": 0}
+    cycle = [None]  # the current cycle of the growth loop; None: the good C4
+    growing = [False]
+    spanning, extend, near_mono, cycle_colours = (
+        spanning_bicoloured_or_mono_cycle,
+        extend_good_cycle,
+        near_mono_spanning_path,
+        bp._cycle_colours,
+    )
+
+    def starting(col):
+        cycle[0] = None
+        return spanning(col)
+
+    def reading(col, cyc):
+        assert not growing[0], "a growth step read a whole cycle"
+        return cycle_colours(col, cyc)
+
+    def extending(col, frame, quad):
+        growing[0] = True
+        try:
+            out = extend(col, frame, quad)
+        finally:
+            growing[0] = False
+        old, (seq, ell) = frame[0], out
+        assert (seq, ell) == bp._frame(col, seq, RED)
+        assert is_good_cycle(col, seq)
+        assert len(seq) > len(old) and len(set(seq)) == len(seq)
+        assert set(seq) <= set(old) | set(quad)
+        taken, dropped, _ = out.change
+        assert sorted(taken) == sorted(set(seq) & set(quad))
+        assert sorted(dropped) == sorted(set(old) - set(seq))
+        cycle[0] = seq
+        counts["extensions"] += 1
+        return out
+
+    def remainder(col, rest0, rest1):
+        if sys._getframe(1).f_code is spanning.__code__:
+            on = set(cycle[0] or classify_bipartite(col).good_c4)
+            assert rest0 == [u for u in range(col.n) if u not in on]
+            assert rest1 == [u for u in range(col.n, 2 * col.n) if u not in on]
+            counts["remainders"] += 1
+        return near_mono(col, rest0, rest1)
+
+    monkeypatch.setattr(bp, "spanning_bicoloured_or_mono_cycle", starting)
+    monkeypatch.setattr(bp, "extend_good_cycle", extending)
+    monkeypatch.setattr(bp, "near_mono_spanning_path", remainder)
+    monkeypatch.setattr(bp, "_cycle_colours", reading)
+    return counts
+
+
+def test_long_cycle_extensions_match_a_full_read(monkeypatch):
+    # the frame each growth step derives from its blocks is the frame a full
+    # read of the new cycle gives, and the remainder kept by insertions and
+    # deletions is the complement of the cycle, on long cycles of random
+    # and recoloured-split hosts and inside the blocks of a bnn3 solve
+    from monopart.threecolour import partition3_bipartite
+
+    counts = _spy_on_growth(monkeypatch)
+    for n in (64, 128, 256):
+        for seed in (1, 2, 3):
+            col = gen_random("bnn", n, 2, seed=seed)
+            before = counts["extensions"]
+            verified(col, list(partition_path_cycle(col)))
+            # a step adds at most the quad's four vertices
+            assert counts["extensions"] - before >= (2 * n - 4) // 4
+    before = dict(counts)
+    col = gen_recoloured_split(64, 32, 32, (0, 0))
+    verified(col, list(partition_path_cycle(col)))
+    assert counts["extensions"] > before["extensions"]
+    before = dict(counts)
+    # a blue/green host with one red edge: the carved red path is short, so
+    # the 2-colour engine grows long cycles inside the blocks it leaves
+    entries = bytearray(c + 1 for c in gen_random("bnn", 64, 2, seed=1).entries)
+    entries[0] = RED
+    col = PairColouring("bnn", 64, 3, bytes(entries))
+    assert check_certificate(col, partition3_bipartite(col)).ok
+    assert counts["extensions"] > before["extensions"]
+    assert counts["remainders"] > before["remainders"]
+
+
+_GROWTH_HOSTS = {
+    **{
+        f"random-{n}-{seed}": (lambda n=n, seed=seed: gen_random("bnn", n, 2, seed=seed))
+        for n in (64, 128, 256)
+        for seed in (0, 1)
+    },
+    **{
+        f"recoloured-split-{n}": (lambda n=n: gen_recoloured_split(n, n // 2, n // 2, (0, 0)))
+        for n in (64, 128)
+    },
+    "off-edge-64": lambda: _off_edge(64),
+}
+
+
+@pytest.mark.parametrize("host", sorted(_GROWTH_HOSTS))
+def test_extension_steps_stay_within_their_bound(monkeypatch, host):
+    # cycles have even length and each step adds at least two vertices, so
+    # growth from the good C4 to at most 2n vertices takes at most n - 2
+    # steps (random hosts take about 0.8 of that)
+    col = _GROWTH_HOSTS[host]()
+    counts = _spy_on_growth(monkeypatch)
+    verified(col, list(partition_path_cycle(col)))
+    assert counts["extensions"] <= col.n - 2
 
 
 def test_extension_may_drop_an_old_cycle_vertex(monkeypatch):
@@ -629,22 +757,28 @@ def test_extension_may_drop_an_old_cycle_vertex(monkeypatch):
 def test_each_built_cycle_is_read_once(monkeypatch):
     # the growth, attach and exchange loops hand each cycle's frame on, so
     # no cycle's colours are read a second time, in any rotation or
-    # direction
+    # direction; growth derives its frames and reads no whole cycle
     reads = {}
     cycle_colours = bp._cycle_colours
+    extensions = [0]
 
     def recording(col, cyc):
         edges = frozenset(frozenset(e) for e in zip(cyc, cyc[1:] + cyc[:1]))
         reads[edges] = reads.get(edges, 0) + 1
         return cycle_colours(col, cyc)
 
+    def extending(col, frame, quad):
+        extensions[0] += 1
+        return extend_good_cycle(col, frame, quad)
+
     monkeypatch.setattr(bp, "_cycle_colours", recording)
+    monkeypatch.setattr(bp, "extend_good_cycle", extending)
     col = gen_random("bnn", 128, 2, seed=128)
     path_p, cyc_p = partition_path_cycle(col)
     verified(col, [path_p, cyc_p])
     # an extension adds at most the quad's four vertices
-    assert len(reads) >= (2 * col.n - 4) // 4
-    assert max(reads.values()) == 1
+    assert extensions[0] >= (2 * col.n - 4) // 4
+    assert all(count == 1 for count in reads.values())
 
 
 def test_growth_and_v_steps_go_through_public_entries(monkeypatch):
@@ -783,16 +917,16 @@ def test_every_extension_exit_fires(monkeypatch):
     sites = {start + i for i, line in enumerate(lines) if "return done(" in line}
     code = extend_good_cycle.__code__
     fired = set()
-    checked = bp._checked_extension
+    splice = bp._splice
 
-    def spy(col, cand, old_len, allowed):
+    def spy(*args):
         frame = sys._getframe(1)
         while frame.f_code is not code:
             frame = frame.f_back
         fired.add(frame.f_lineno)
-        return checked(col, cand, old_len, allowed)
+        return splice(*args)
 
-    monkeypatch.setattr(bp, "_checked_extension", spy)
+    monkeypatch.setattr(bp, "_splice", spy)
     for i in range(1000):
         partition_path_cycle(gen_random("bnn", 5 + i % 8, 2, seed=i))
     assert fired == sites, sorted(sites - fired)

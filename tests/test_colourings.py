@@ -45,6 +45,26 @@ def test_pair_and_bipartite_index():
         bnn.edge_ordinal(3, 3)
 
 
+@pytest.mark.parametrize(
+    "kind, n", [("bnn", n) for n in (1, 2, 3, 4)] + [("kn", n) for n in range(1, 7)]
+)
+def test_from_int_matches_the_per_bit_definition(kind, n):
+    # bit i of the index is the colour of edge i, for every index of the host
+    m = PairColouring.constant(kind, n, 2, RED).n_edges
+    for value in range(1 << m):
+        col = PairColouring.from_int(kind, n, value)
+        assert col.entries == bytes((value >> i) & 1 for i in range(m))
+        assert (col.kind, col.n, col.palette) == (kind, n, 2)
+
+
+@pytest.mark.parametrize("kind, n", [("bnn", 1), ("bnn", 4), ("kn", 1), ("kn", 6)])
+def test_from_int_refuses_an_index_out_of_range(kind, n):
+    m = PairColouring.constant(kind, n, 2, RED).n_edges
+    for value in (-1, 1 << m, (1 << m) + 1, -(1 << m)):
+        with pytest.raises(ValueError, match="colouring index out of range"):
+            PairColouring.from_int(kind, n, value)
+
+
 def test_parse_examples():
     col = parse_colouring("h3 5\n0011001100")
     assert isinstance(col, TripleColouring)
