@@ -20,18 +20,19 @@ Each cycle the attach and exchange loops build is read once, and its frame
 is handed on to the next step.  The growth loop reads no whole cycle: a
 growth step derives the new frame from its re-routing, reading O(1)
 colours (its probes and the junction edges), doing O(1) Python-level work
-and one C-level build of the new list, and the loop updates its sorted
-remainder lists from the vertices the step took and dropped.  The growth
-and V steps go through their public entries, `extend_good_cycle` and
-`v_two_cycles`.
+and a few C-level list copies, and the loop counts its sorted remainder
+lists once per step and updates them from the vertices the step took and
+dropped.  The growth and V steps go through their public entries,
+`extend_good_cycle` and `v_two_cycles`.
 `classify_bipartite` and the structure witnesses' `verify` methods compare
 rows of the validated `entries` instead.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .certificates import Piece
 from .colourings import BLUE, RED, Colour, PairColouring, SplitStructure, other_colour
@@ -173,18 +174,18 @@ def find_balanced_c4(col: PairColouring, subset0, subset1):
     rows = col.rows
     if _near_mono(rows, s0, s1) is not None:
         return None
-    for i, a in enumerate(s0):
-        for a2 in s0[i + 1 :]:
-            for j, b in enumerate(s1):
-                for b2 in s1[j + 1 :]:
-                    reds = (
-                        (rows[a][b] == 0)
-                        + (rows[a2][b] == 0)
-                        + (rows[a][b2] == 0)
-                        + (rows[a2][b2] == 0)
-                    )
-                    if reds == 2:
-                        return (a, b, a2, b2)
+    return _first_hit(rows, s0, s1)
+
+
+def _first_hit(rows, s0, s1):
+    """The first C4 (a, b, a2, b2) of the sorted lists s0 x s1 with exactly
+    two red edges, in lexicographic order of the class pairs, read from
+    the raw view `rows`; None when there is none."""
+    for a, a2 in combinations(s0, 2):
+        ra, ra2 = rows[a], rows[a2]
+        for b, b2 in combinations(s1, 2):
+            if ra[b] + ra2[b] + ra[b2] + ra2[b2] == 2:  # two blue edges, two red
+                return (a, b, a2, b2)
     return None
 
 
@@ -225,9 +226,10 @@ def near_mono_spanning_path(col: PairColouring, subset0, subset1):
     s1 = sorted(subset1)
     if len(s0) != len(s1) or not s0:
         raise ValueError("need equal non-empty class subsets")
-    near = _near_mono(col.rows, s0, s1)
+    rows = col.rows
+    near = _near_mono(rows, s0, s1)
     if near is None:
-        raise BalancedC4Present(find_balanced_c4(col, s0, s1))
+        raise BalancedC4Present(_first_hit(rows, s0, s1))
     majority, lone = near
     if lone is not None:
         x, y = lone
@@ -344,11 +346,11 @@ class ExtensionError(RuntimeError):
 
 
 class _Grown(tuple):
-    """The red-led frame (seq, ell) that `extend_good_cycle` returns.  Its
-    one attribute, `change` = (taken, dropped, mask), says what the step
-    changed: the quad vertices on the new cycle, the old-cycle vertices
-    off it, and the new cycle's vertex bitmask (bit v set iff v is on
-    it)."""
+    """A red-led frame (seq, ell) grown by `extend_good_cycle`, or the good
+    C4 it starts from.  Its one attribute, `change` = (taken, dropped,
+    mask), says what the step changed: the quad vertices on the new cycle,
+    the old-cycle vertices off it, and the new cycle's vertex bitmask (bit
+    v set iff v is on it)."""
 
 
 def _splice(col: PairColouring, work, blocks, qbits: int, mask: int) -> _Grown:
@@ -356,24 +358,22 @@ def _splice(col: PairColouring, work, blocks, qbits: int, mask: int) -> _Grown:
     working frame `work` of an old cycle with vertex bitmask `mask` and a
     quad with vertex bitmask `qbits`.
 
-    `work` = (seq, o, d, ell, lead) reads the old cycle's stored list
-    `seq` as the working frame i -> seq[(o + d * i) % k], whose edge from
-    index i to i + 1 has colour `lead` for i < ell - 1 and the other
-    colour after (the run invariant).  A block is a quad vertex (an int)
-    or a pair (a, z) of working indices in 0..k: the vertices a..z-1
-    forwards when a < z, z..a-1 backwards when a > z.  An edge inside a
-    block keeps its invariant colour, so only the junction edges are
-    read.  Raises ExtensionError unless the splice is a good cycle on more
-    than k distinct vertices of the old cycle and the quad.
+    `work` = (w, ell, lead) is the old cycle listed in working order: its
+    edge from w[i] to w[i + 1] has colour `lead` for i < ell - 1 and the
+    other colour after (the run invariant).  A block is a quad vertex (an
+    int) or a pair (a, z) of indices in 0..k: the slice w[a:z] when
+    a < z, read backwards as w[z:a][::-1] when a > z.  An edge inside a
+    block keeps its invariant colour, so only the junction edges are read.
+    Raises ExtensionError unless the splice is a good cycle on more than k
+    distinct vertices of the old cycle and the quad.
     """
-    seq, o, d, ell, lead = work
-    k = len(seq)
+    w, ell, lead = work
+    k = len(w)
     rows = col.rows
     runs = []  # (colour, index of its first edge) of the new cycle's runs
-    starts = []  # the index of each part's first vertex in the new cycle
-    parts = []  # (stored index of its first vertex, step, length) of each part
+    out = []  # the new cycle in block order
     taken = []
-    cover = tbits = size = 0  # cover: bitmask of the working indices the pairs take
+    cover = tbits = 0  # cover: bitmask of the indices of w the pairs take
     c = None  # the colour of the last edge so far
     for b in blocks:
         if b.__class__ is int:
@@ -382,33 +382,25 @@ def _splice(col: PairColouring, work, blocks, qbits: int, mask: int) -> _Grown:
                 raise ExtensionError("extension repeats a quad vertex or leaves the quad")
             tbits |= bit
             taken.append(b)
-            parts.append((b, 0, 1))
-            u = v = b
-            m = 1
+            part = (b,)
         else:
             a, z = b
-            if a < z:
-                lo, hi, s, step = a, z, (o + d * a) % k, d
-            elif a > z:
-                lo, hi, s, step = z, a, (o + d * (a - 1)) % k, -d
-            else:
+            if a == z:
                 continue
+            lo, hi = (a, z) if a < z else (z, a)
             bits = (1 << hi) - (1 << lo)
             if cover & bits or lo < 0 or hi > k:
                 raise ExtensionError("extension repeats or leaves the old cycle's vertices")
             cover |= bits
-            m = hi - lo
-            u, v = seq[s], seq[(s + step * (m - 1)) % k]
-            parts.append((s, step, m))
-        starts.append(size)
-        if size:  # the junction edge into u, read
-            junction = rows[last][u]
+            part = w[a:z] if a < z else w[z:a][::-1]
+        size = len(out)
+        if size:  # the junction edge into the block, read
+            junction = rows[out[-1]][part[0]]
             if junction != c:
                 c = junction
                 runs.append((c, size - 1))
-        else:
-            first = u
-        if m > 1:  # the block's own edges: working edges lo..ell-2 lead
+        m = len(part)
+        if m > 1:  # the block's own edges: edges lo..ell-2 of w lead
             nl = (hi if hi < ell else ell) - 1 - lo
             nl = nl if nl > 0 else 0
             c1, n1, c2 = (lead, nl, 1 - lead) if a < z else (1 - lead, m - 1 - nl, lead)
@@ -418,17 +410,18 @@ def _splice(col: PairColouring, work, blocks, qbits: int, mask: int) -> _Grown:
             if n1 < m - 1 and c2 != c:
                 c = c2
                 runs.append((c, size + n1))
-        size += m
-        last = v
-    if rows[last][first] != c:  # the closing edge
-        runs.append((rows[last][first], size - 1))
+        out += part
+    size = len(out)
+    if rows[out[-1]][out[0]] != c:  # the closing edge
+        runs.append((rows[out[-1]][out[0]], size - 1))
     if size <= k:
         raise ExtensionError("extension did not grow the cycle")
     dropped = []
     gaps = cover ^ ((1 << k) - 1)
-    while gaps:  # at most three working indices, as the cycle grew
-        j = (gaps & -gaps).bit_length() - 1
-        dropped.append(seq[(o + d * j) % k])
+    while gaps:  # at most three indices, as the cycle grew
+        u = w[(gaps & -gaps).bit_length() - 1]
+        dropped.append(u)
+        mask ^= 1 << u
         gaps &= gaps - 1
 
     # two runs, red and blue, when a third linear run continues the first;
@@ -440,31 +433,9 @@ def _splice(col: PairColouring, work, blocks, qbits: int, mask: int) -> _Grown:
     third = runs[2][1] if len(runs) == 3 else 0
     p, q = (third, runs[1][1]) if runs[0][0] == RED else (runs[1][1], third)
     ell = (q - p) % size + 1
-
-    # the new list starts at its vertex p, so the part holding p is cut there
-    j = bisect_right(starts, p) - 1
-    s, step, m = parts[j]
-    later = parts[j + 1 :] + parts[:j]
-    cut = p - starts[j]
-    if cut:  # only a pair block holds p past its first vertex
-        later.append((s, step, cut))
-        s, m = (s + step * cut) % k, m - cut
-    out = []
-    for s, step, m in [(s, step, m)] + later:
-        if not step:
-            out.append(s)
-        elif step > 0:
-            out += seq[s : s + m]
-            if s + m > k:  # the part wraps round past the end
-                out += seq[: s + m - k]
-        else:
-            out += seq[s : s - m if s >= m else None : -1]
-            if s < m - 1:  # the part wraps round past the start
-                out += seq[: s - m + k : -1]
+    out = out[p:] + out[:p]
     if not _is_good(col, out, ell):
         raise ExtensionError(f"extension is not a good cycle: {out}")
-    for u in dropped:
-        mask ^= 1 << u
     grown = _Grown((out, ell))
     grown.change = (taken, dropped, mask | tbits)
     return grown
@@ -475,10 +446,10 @@ def _working_frame(col: PairColouring, seq, ell, q0, q1):
     with its quad labelling, in which the case tree's probe edges are
     defined.
 
-    `work` = (seq, o, d, ell', lead) reads the stored red-led frame
-    (seq, ell) from index o in direction d (see `_splice`): forwards and
-    backwards led by red, then forwards and backwards led by blue, whose
-    leading run has k - ell + 2 vertices.  No frame is copied.
+    `work` = (w, ell', lead) lists the stored red-led frame (seq, ell) in
+    working order (see `_splice`): forwards and backwards led by red, then
+    forwards and backwards led by blue, whose leading run has k - ell + 2
+    vertices.  Only the chosen frame is copied, as two joined slices.
     """
     rows = col.rows
     k = len(seq)
@@ -499,7 +470,8 @@ def _working_frame(col: PairColouring, seq, ell, q0, q1):
                     and ((rows[x1][y2] == lead) != (rows[y1][y2] == lead))
                     and rows[head][x2] == lead
                 ):
-                    return (seq, o, d, fell, lead), x1, y1, x2, y2
+                    w = seq[o:] + seq[:o] if d > 0 else seq[o::-1] + seq[:o:-1]
+                    return (w, fell, lead), x1, y1, x2, y2
     raise ExtensionError("no admissible working frame")
 
 
@@ -508,22 +480,22 @@ def extend_good_cycle(col: PairColouring, frame, quad):
     frame (seq, ell) of a good cycle and a disjoint balanced C4, using only
     their vertices.
 
-    The frame is trusted, not read again: its runs give the colour of
-    every old-cycle edge.  The cycle and quad are brought into a working
+    A `_Grown` frame is trusted, not read again: its runs give the colour
+    of every old-cycle edge; any other frame is read once and must be its
+    cycle's red-led frame.  The cycle and quad are brought into a working
     frame (choice of leading turning point, colour-role swap and quad
     labelling) in which the probe edges of the case tree are defined;
     each branch ends in an explicit re-routing, written as blocks of the
     working frame and the quad vertices it takes (see `_splice`), that is
     verified before its frame is returned.
 
-    Cost: O(1) colour reads and O(1) Python-level work per call, and one
-    C-level build of the new list.  The working frame maps its indices
-    onto the stored list instead of copying it, an edge inside a block
-    keeps its known colour, and the new list is built once, already
-    rotated to its red-led turning point, from a few slices of the old
-    one.  Disjointness is tested on the frame's vertex bitmask, which the
-    returned frame carries on (a hand-built frame's is built from its
-    vertices).
+    Cost: O(1) colour reads and O(1) Python-level work per call, and a
+    few C-level list copies: the working frame is the old list rotated or
+    reversed by one slice, each block is a slice of it, and the joined
+    blocks are rotated once to the new red-led turning point.  An edge
+    inside a block keeps its known colour.  Disjointness is tested on the
+    frame's vertex bitmask, which the returned frame carries on (a
+    hand-built frame's is built from its vertices as it is read).
 
     The new cycle need not keep every old-cycle vertex: the re-routing
     `(0, k - 1), y2, x1, x2`, for one, drops v(k), which goes back to the
@@ -541,8 +513,12 @@ def extend_good_cycle(col: PairColouring, frame, quad):
         raise ValueError("quad is not a C4 vertex set")
     q0, q1 = quad[:2], quad[2:]
     qbits = 1 << quad[0] | 1 << quad[1] | 1 << quad[2] | 1 << quad[3]
-    mask = frame.change[2] if isinstance(frame, _Grown) else 0
-    if not mask:  # a hand-built frame: grown frames carry their mask
+    if isinstance(frame, _Grown):
+        mask = frame.change[2]
+    else:  # a hand-built frame: read it once, and build its bitmask
+        if _frame(col, list(seq), RED) != (list(seq), ell):
+            raise ValueError("frame is not its cycle's red-led frame")
+        mask = 0
         for u in seq:
             mask |= 1 << u
     if mask & qbits:
@@ -553,13 +529,13 @@ def extend_good_cycle(col: PairColouring, frame, quad):
         raise ValueError("quad is not balanced")
     k = len(seq)
     work, x1, y1, x2, y2 = _working_frame(col, seq, ell, q0, q1)
-    _, o, d, ell, eff_red = work
+    w, ell, eff_red = work
 
     def R(u, v):
         return rows[u][v] == eff_red
 
     def v(i):
-        return seq[(o + d * (i - 1)) % k]
+        return w[(i - 1) % k]
 
     def done(*blocks):
         return _splice(col, work, blocks, qbits, mask)
@@ -663,10 +639,12 @@ def spanning_bicoloured_or_mono_cycle(col: PairColouring):
         red, blue = v_two_cycles(col, verdict.vcol)
         return _wrap_spanning(col, list(red.vertices + blue.vertices))
 
-    # the good C4 is read once; each growth step derives the next frame
-    # from its re-routing and reports the vertices that leave and rejoin
-    # the sorted remainder lists
-    frame = _frame(col, list(verdict.good_c4), RED)
+    # the good C4 is read once, into a frame carrying its vertex bitmask;
+    # each growth step derives the next frame from its re-routing and
+    # reports the vertices that leave and rejoin the sorted remainder lists
+    a, b, a2, b2 = verdict.good_c4
+    frame = _Grown(_frame(col, [a, b, a2, b2], RED))
+    frame.change = ((), (), 1 << a | 1 << b | 1 << a2 | 1 << b2)
     rest0 = [u for u in range(n) if u not in frame[0]]
     rest1 = [u for u in range(n, 2 * n) if u not in frame[0]]
     while True:

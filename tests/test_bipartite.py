@@ -297,7 +297,13 @@ def test_balanced_c4_matches_first_hit_scan(n):
     ]
     for idx, col in all_bnn_colourings(n):
         for s0, s1 in pairs:
-            assert find_balanced_c4(col, s0, s1) == _first_balanced_c4(col, s0, s1), (idx, s0, s1)
+            want = _first_balanced_c4(col, s0, s1)
+            assert find_balanced_c4(col, s0, s1) == want, (idx, s0, s1)
+            if want is not None:
+                # the spanning-path search raises the same witness
+                with pytest.raises(BalancedC4Present) as exc:
+                    near_mono_spanning_path(col, s0, s1)
+                assert exc.value.witness == want, (idx, s0, s1)
 
 
 def _off_edge(n):
@@ -404,6 +410,29 @@ def test_extension_stays_inside_and_grows(rng):
                 assert (seq, ell) == bp._frame(col, seq, RED)
                 assert len(seq) > len(g)
                 assert set(seq) <= set(g) | set(q)
+
+
+def test_extension_rejects_a_frame_with_a_wrong_ell():
+    # a hand-built frame is read once: the good C4's frame with its other
+    # even ell still passes as good, but its runs contradict the colours
+    cases = 0
+    for seed in itertools.count():
+        col = gen_random("bnn", 6, 2, seed=seed)
+        c4 = classify_bipartite(col).good_c4
+        if c4 is None:
+            continue
+        rest = [u for u in range(12) if u not in c4]
+        quad = find_balanced_c4(col, rest[:4], rest[4:])
+        if quad is None:
+            continue
+        seq, ell = bp._frame(col, list(c4), RED)
+        assert bp._is_good(col, seq, 6 - ell)
+        with pytest.raises(ValueError, match="not its cycle's red-led frame"):
+            extend_good_cycle(col, (seq, 6 - ell), quad)
+        assert is_good_cycle(col, extend_good_cycle(col, (seq, ell), quad)[0])
+        cases += 1
+        if cases == 200:
+            break
 
 
 def test_spanning_cycle_mono():
@@ -611,7 +640,7 @@ def test_bnn2_solve_lookups(monkeypatch, hosts, bound):
 @pytest.mark.parametrize("hosts", ["random-256", "random-512"])
 def test_bnn2_solve_reads_linearly_many_colours(monkeypatch, hosts):
     # a growth step reads O(1) colours (its probes and the junction edges
-    # of its re-routing), so a random host's solve reads about 45 n
+    # of its re-routing), so a random host's solve reads about 40 n
     # colours at n = 256 and 512, where reading every grown cycle took
     # about n^2
     (col,) = _PINNED_HOSTS[hosts]()
@@ -625,15 +654,16 @@ def _spy_on_growth(monkeypatch):
     extension reads a whole cycle, each extension's derived frame equals a
     full read of its cycle, and each remainder the growth loop hands to
     `near_mono_spanning_path` is the sorted complement of the current
-    cycle."""
-    counts = {"extensions": 0, "remainders": 0}
+    cycle, counted once whether or not it holds a balanced C4."""
+    counts = {"extensions": 0, "remainders": 0, "counted": 0}
     cycle = [None]  # the current cycle of the growth loop; None: the good C4
     growing = [False]
-    spanning, extend, near_mono, cycle_colours = (
+    spanning, extend, near_mono, cycle_colours, count = (
         spanning_bicoloured_or_mono_cycle,
         extend_good_cycle,
         near_mono_spanning_path,
         bp._cycle_colours,
+        bp._near_mono,
     )
 
     def starting(col):
@@ -668,12 +698,21 @@ def _spy_on_growth(monkeypatch):
             assert rest0 == [u for u in range(col.n) if u not in on]
             assert rest1 == [u for u in range(col.n, 2 * col.n) if u not in on]
             counts["remainders"] += 1
-        return near_mono(col, rest0, rest1)
+        counted = counts["counted"]
+        try:
+            return near_mono(col, rest0, rest1)
+        finally:
+            assert counts["counted"] == counted + 1
+
+    def counting(rows, s0, s1):
+        counts["counted"] += 1
+        return count(rows, s0, s1)
 
     monkeypatch.setattr(bp, "spanning_bicoloured_or_mono_cycle", starting)
     monkeypatch.setattr(bp, "extend_good_cycle", extending)
     monkeypatch.setattr(bp, "near_mono_spanning_path", remainder)
     monkeypatch.setattr(bp, "_cycle_colours", reading)
+    monkeypatch.setattr(bp, "_near_mono", counting)
     return counts
 
 
@@ -930,6 +969,66 @@ def test_every_extension_exit_fires(monkeypatch):
     for i in range(1000):
         partition_path_cycle(gen_random("bnn", 5 + i % 8, 2, seed=i))
     assert fired == sites, sorted(sites - fired)
+
+
+def test_every_working_frame_is_chosen(monkeypatch):
+    # on the hosts above, each of the four working frames (led by red or
+    # blue, read forwards or backwards) is chosen, and each lists the old
+    # cycle with its leading run first and the other colour's run after
+    chosen = {}
+    working_frame = bp._working_frame
+
+    def spy(col, seq, ell, q0, q1):
+        out = working_frame(col, seq, ell, q0, q1)
+        w, fell, lead = out[0]
+        k = len(seq)
+        assert bp._cycle_colours(col, w) == [lead] * (fell - 1) + [1 - lead] * (k - fell + 1)
+        o = seq.index(w[0])
+        forwards = w[1] == seq[(o + 1) % k]
+        assert w == [seq[(o + (i if forwards else -i)) % k] for i in range(k)]
+        chosen[lead, forwards] = chosen.get((lead, forwards), 0) + 1
+        return out
+
+    monkeypatch.setattr(bp, "_working_frame", spy)
+    for i in range(1000):
+        partition_path_cycle(gen_random("bnn", 5 + i % 8, 2, seed=i))
+    assert chosen == {(RED, True): 1969, (RED, False): 1437, (BLUE, True): 462, (BLUE, False): 403}
+
+
+def test_growth_step_does_constant_python_work(monkeypatch):
+    # a growth step runs O(1) bytecodes whatever the cycle length: opcode
+    # events counted on this process's own frames over each extension of a
+    # random n = 128 solve (about 1,300 a step, under 1,900 at most), from
+    # the good C4 up to cycles of 2n - 6 vertices
+    ops = [0]
+    steps = []  # (old cycle length, opcode events) of each extension
+
+    def tracer(frame, event, arg):
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            ops[0] += 1
+        return tracer
+
+    def extending(col, frame, quad):
+        ops[0] = 0
+        before = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            return extend_good_cycle(col, frame, quad)
+        finally:
+            sys.settrace(before)
+            steps.append((len(frame[0]), ops[0]))
+
+    monkeypatch.setattr(bp, "extend_good_cycle", extending)
+    col = gen_random("bnn", 128, 2, seed=128)
+    verified(col, list(partition_path_cycle(col)))
+    steps.sort()
+    assert steps[0][0] == 4 and steps[-1][0] >= 2 * col.n - 6
+    assert max(count for _, count in steps) <= 3000, steps
+    # and the longest cycles' steps cost about what the shortest ones do
+    q = len(steps) // 4
+    short, long_ = (sum(count for _, count in part) for part in (steps[:q], steps[-q:]))
+    assert long_ <= 1.25 * short, steps
 
 
 def _return_sites(fn, marker, after=None):
