@@ -158,6 +158,10 @@ def classify_bipartite(col: PairColouring) -> Classification:
     return Classification("vcol", vcol=vcol)
 
 
+# the class test of a subset pair reads only the ends of the sorted lists
+_NOT_IN_CLASS = "subset0 must lie in class 0 and subset1 in class 1"
+
+
 def find_balanced_c4(col: PairColouring, subset0, subset1):
     """First C4 inside the subset with exactly two edges of each colour.
 
@@ -169,8 +173,9 @@ def find_balanced_c4(col: PairColouring, subset0, subset1):
     _require_bnn2(col)
     if len(subset0) != len(subset1):
         raise ValueError("subset classes must have equal sizes")
-    s0 = sorted(subset0)
-    s1 = sorted(subset1)
+    s0, s1 = sorted(subset0), sorted(subset1)
+    if s0 and not (0 <= s0[0] and s0[-1] < col.n <= s1[0] and s1[-1] < 2 * col.n):
+        raise ValueError(_NOT_IN_CLASS)
     rows = col.rows
     if _near_mono(rows, s0, s1) is not None:
         return None
@@ -222,10 +227,11 @@ def near_mono_spanning_path(col: PairColouring, subset0, subset1):
     balanced C4, when the subgraph has one.
     """
     _require_bnn2(col)
-    s0 = sorted(subset0)
-    s1 = sorted(subset1)
+    s0, s1 = sorted(subset0), sorted(subset1)
     if len(s0) != len(s1) or not s0:
         raise ValueError("need equal non-empty class subsets")
+    if not (0 <= s0[0] and s0[-1] < col.n <= s1[0] and s1[-1] < 2 * col.n):
+        raise ValueError(_NOT_IN_CLASS)
     rows = col.rows
     near = _near_mono(rows, s0, s1)
     if near is None:
@@ -481,8 +487,9 @@ def extend_good_cycle(col: PairColouring, frame, quad):
     their vertices.
 
     A `_Grown` frame is trusted, not read again: its runs give the colour
-    of every old-cycle edge; any other frame is read once and must be its
-    cycle's red-led frame.  The cycle and quad are brought into a working
+    of every old-cycle edge; any other frame must list distinct vertices
+    of alternating classes, and is read once and must be its cycle's
+    red-led frame.  The cycle and quad are brought into a working
     frame (choice of leading turning point, colour-role swap and quad
     labelling) in which the probe edges of the case tree are defined;
     each branch ends in an explicit re-routing, written as blocks of the
@@ -505,22 +512,26 @@ def extend_good_cycle(col: PairColouring, frame, quad):
     """
     _require_bnn2(col)
     seq, ell = frame
+    n = col.n
+    if isinstance(frame, _Grown):
+        mask = frame.change[2]
+    else:  # a hand-built frame: check its vertices, read it once, build its bitmask
+        mask, k = 0, len(seq)
+        for u in seq:
+            mask |= 1 << u
+        if k < 4 or k % 2 or mask.bit_count() != k or mask >> 2 * n or any(
+            (u < n) == (w < n) for u, w in zip(seq, seq[1:])
+        ):
+            raise ValueError("frame is not a cycle of distinct vertices alternating the classes")
+        if _frame(col, list(seq), RED) != (list(seq), ell):
+            raise ValueError("frame is not its cycle's red-led frame")
     if not _is_good(col, seq, ell):
         raise ValueError("input cycle is not good")
-    n = col.n
     quad = sorted(quad)
     if len(quad) != 4 or not quad[1] < n <= quad[2]:
         raise ValueError("quad is not a C4 vertex set")
     q0, q1 = quad[:2], quad[2:]
     qbits = 1 << quad[0] | 1 << quad[1] | 1 << quad[2] | 1 << quad[3]
-    if isinstance(frame, _Grown):
-        mask = frame.change[2]
-    else:  # a hand-built frame: read it once, and build its bitmask
-        if _frame(col, list(seq), RED) != (list(seq), ell):
-            raise ValueError("frame is not its cycle's red-led frame")
-        mask = 0
-        for u in seq:
-            mask |= 1 << u
     if mask & qbits:
         raise ValueError("cycle and quad are not disjoint")
     rows = col.rows

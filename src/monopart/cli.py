@@ -58,10 +58,14 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _positive(text: str) -> int:
-    """A worker count's value: a positive integer."""
+def _jobs(text: str) -> int:
+    """A worker count's value: a positive integer no larger than the CPU
+    count, so that no value asks for more processes than can run at once."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    cpus = os.cpu_count() or 1
+    if int(text) > cpus:
+        raise argparse.ArgumentTypeError(f"more workers than the {cpus} CPUs: {text}")
     return int(text)
 
 
@@ -296,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("enumerate", help="run an exhaustive suite")
     e.add_argument("--suite", required=True, choices=sorted(SUITES))
     e.add_argument("--n", type=int, required=True)
-    e.add_argument("--jobs", type=_positive, default=1)
+    e.add_argument("--jobs", type=_jobs, default=1)
     e.set_defaults(fn=_cmd_enumerate)
 
     b = sub.add_parser("bench", help="time solves over a seeded corpus")

@@ -7,12 +7,19 @@ engine once (or to the split fallbacks when it reports a split).
 Resulting certificates have at most two paths and one cycle, or one path
 and three cycles, on complete hosts; on bipartite hosts at most three
 paths and two cycles, or two paths and four cycles.
+
+The carved-path search works on bitsets held as Python ints: each
+vertex's red neighbours (n^2/8 bytes in all), the remainder, its
+components and the path's vertices, so a search step is a few big-int
+operations and keeps no set of vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, islice
+
+import numpy as np
 
 from .bipartite import (
     SplitDetected,
@@ -58,56 +65,79 @@ class BalancedBipBlock:
 
 
 _IS_RED = bytes(c == RED for c in range(256))  # translate table: red -> 1
+_CHUNK = 1 << 24  # row bytes masked per pass, bounding the transient copies
 
 
-def _red_neighbours(col: PairColouring) -> list[set[int]]:
-    """Each vertex's red neighbours, read once from the raw view: each row
-    is masked to its red bytes in C, so Python touches only red edges."""
-    return [set(compress(range(len(row)), row.translate(_IS_RED))) for row in col.rows]
+def _red_neighbours(col: PairColouring) -> list[int]:
+    """Each vertex's red neighbours as a bitset: bit v of entry u is set iff
+    uv is red.  Rows of one width are masked to their red bytes and packed
+    into bits in C, many rows per pass, so the adjacency takes n^2/8 bytes
+    and Python touches each row once."""
+    rows, n = col.rows, col.n
+    # bnn class-0 rows have 2n bytes and class-1 rows n
+    groups = [(0, n)] if col.kind == "kn" else [(0, n), (n, 2 * n)]
+    out: list[int] = []
+    for lo, hi in groups:
+        width = len(rows[lo])
+        step = max(1, _CHUNK // width)
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            bits = np.frombuffer(b"".join(rows[a:b]).translate(_IS_RED), dtype=np.uint8)
+            packed = np.packbits(bits.reshape(b - a, width), axis=1, bitorder="little")
+            out.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return out
 
 
-def _red_components(vertices, red):
-    """Connected components of the carved-colour graph on `vertices`, with
-    `red` from _red_neighbours, canonically sorted; None as soon as one
-    component holds more than half of `vertices`.
+def _bits(mask: int):
+    """The set bits of `mask`, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _red_components(fresh: int, red):
+    """Connected components of the carved-colour graph on the vertex mask
+    `fresh`, with `red` from _red_neighbours, as masks in increasing order
+    of their lowest vertex; None as soon as one component holds more than
+    half of `fresh`.
 
     Neither caller can place such a component, so the scan stops there:
-    _half_split puts each component inside a half of |vertices|/2, and
+    _half_split puts each component inside a half of |fresh|/2, and
     _two_block_split puts a component (c0, c1) across two blocks, so that
-    |c0| + |c1| <= |A1| + |B1| = |vertices|/2.
+    |c0| + |c1| <= |A1| + |B1| = |fresh|/2.
     """
-    fresh = set(vertices)
-    half = len(fresh) // 2
+    half = fresh.bit_count() // 2
     comps = []
-    for v in sorted(vertices):
-        if v not in fresh:
-            continue
-        fresh.discard(v)
-        comp = [v]
-        queue = [v]
-        while queue:
-            for w in red[queue.pop()] & fresh:
-                fresh.discard(w)
-                comp.append(w)
-                queue.append(w)
-            if len(comp) > half:
+    while fresh:
+        comp = todo = fresh & -fresh
+        fresh ^= comp
+        while todo:
+            v = todo.bit_length() - 1
+            todo ^= 1 << v
+            nb = red[v] & fresh
+            fresh ^= nb
+            comp |= nb
+            todo |= nb
+            if comp.bit_count() > half:
                 return None
-        comps.append(sorted(comp))
+        comps.append(comp)
     return comps
 
 
-def _half_split(vertices, red):
-    """Equal halves of `vertices` with no carved-colour edge between them,
-    or None.  Components must not straddle the halves, so a component
-    larger than a half rules the split out before the scan ends."""
-    vertices = sorted(vertices)
-    if len(vertices) % 2:
+def _half_split(rest: int, red):
+    """Equal halves of the vertex mask `rest` with no carved-colour edge
+    between them, as sorted lists, or None.  Components must not straddle
+    the halves, so a component larger than a half rules the split out
+    before the scan ends."""
+    total = rest.bit_count()
+    if total % 2:
         return None
-    target = len(vertices) // 2
-    comps = _red_components(vertices, red)
+    target = total // 2
+    comps = _red_components(rest, red)
     if comps is None:
         return None
-    sizes = [len(c) for c in comps]
+    sizes = [c.bit_count() for c in comps]
     # suffix-achievable sums for greedy lexicographic reconstruction
     achievable = [set() for _ in range(len(sizes) + 1)]
     achievable[len(sizes)].add(0)
@@ -117,39 +147,20 @@ def _half_split(vertices, red):
             achievable[i].add(s + sizes[i])
     if target not in achievable[0]:
         return None
-    x: list[int] = []
-    y: list[int] = []
+    x = 0
     need = target
     for i, comp in enumerate(comps):
         if need - sizes[i] >= 0 and (need - sizes[i]) in achievable[i + 1]:
-            x.extend(comp)
+            x |= comp
             need -= sizes[i]
-        else:
-            y.extend(comp)
-    return sorted(x), sorted(y)
+    return list(_bits(x)), list(_bits(rest ^ x))
 
 
-def _bip_components(r0, r1, red):
-    """Carved-colour components across the class split; isolated vertices
-    are returned separately.  None when a component holds more than half
-    of r0 + r1 (see _red_components)."""
-    side0 = set(r0)
-    comps = []
-    whole = _red_components(list(r0) + list(r1), red)
-    if whole is None:
-        return None
-    for c in whole:
-        if len(c) > 1:
-            comps.append(([u for u in c if u in side0], [u for u in c if u not in side0]))
-    iso0 = sorted(set(r0) - {u for c0, _ in comps for u in c0})
-    iso1 = sorted(set(r1) - {u for _, c1 in comps for u in c1})
-    return comps, iso0, iso1
-
-
-def _two_block_split(r0, r1, red):
-    """Blocks (A1,A2), (B1,B2) with A1,B1 from class 0 and A2,B2 from class
-    1, equal block sides, no carved-colour edge inside either block, and
-    |A| <= |B|; None when impossible.
+def _two_block_split(r0: int, r1: int, red):
+    """Blocks (A1,A2), (B1,B2) with A1,B1 from the class-0 mask r0 and A2,B2
+    from the class-1 mask r1, as sorted lists, with equal block sides, no
+    carved-colour edge inside either block, and |A| <= |B|; None when
+    impossible.
 
     Every carved-colour component must put its class-0 vertices in one
     block and its class-1 vertices in the other.  A component (c0, c1)
@@ -157,23 +168,29 @@ def _two_block_split(r0, r1, red):
     alike the other way round), so one larger than |r0| rules the split
     out before the scan ends.
     """
-    r0, r1 = sorted(r0), sorted(r1)
-    if len(r0) != len(r1):
+    if r0.bit_count() != r1.bit_count():
         return None
-    parts = _bip_components(r0, r1, red)
-    if parts is None:
+    whole = _red_components(r0 | r1, red)
+    if whole is None:
         return None
-    comps, iso0, iso1 = parts
-    f0, f1 = len(iso0), len(iso1)
+    # components with an edge, split by class, and the isolated vertices
+    comps, iso = [], 0
+    for c in whole:
+        if c & (c - 1):
+            comps.append((c & r0, c & r1))
+        else:
+            iso |= c
+    f0, f1 = (iso & r0).bit_count(), (iso & r1).bit_count()
     # DP over components; state (diff, a1) = (|A1| - |A2| counting only
     # component vertices, |A1| from components), with parent pointers
     layers: list[dict] = [{(0, 0): None}]
     for c0, c1 in comps:
+        k0, k1 = c0.bit_count(), c1.bit_count()
         prev = layers[-1]
         nxt: dict = {}
         for (d, s) in prev:
-            ka = (d + len(c0), s + len(c0))
-            kb = (d - len(c1), s)
+            ka = (d + k0, s + k0)
+            kb = (d - k1, s)
             if ka not in nxt:
                 nxt[ka] = ((d, s), True)
             if kb not in nxt:
@@ -196,22 +213,14 @@ def _two_block_split(r0, r1, red):
         choose.append(took_a)
         cur = parent
     choose.reverse()
-    a1, a2, b1, b2 = [], [], [], []
+    # block A: each chosen component's class-0 part, each other one's
+    # class-1 part, and the lowest isolated vertices that balance it
+    a = 0
     for (c0, c1), took_a in zip(comps, choose):
-        if took_a:
-            a1.extend(c0)
-            b2.extend(c1)
-        else:
-            b1.extend(c0)
-            a2.extend(c1)
-    a0 = max(0, -d)
-    a1_extra = d + a0
-    a1.extend(iso0[:a0])
-    b1.extend(iso0[a0:])
-    a2.extend(iso1[:a1_extra])
-    b2.extend(iso1[a1_extra:])
-    a1, a2, b1, b2 = sorted(a1), sorted(a2), sorted(b1), sorted(b2)
-    assert len(a1) == len(a2) and len(b1) == len(b2)
+        a |= c0 if took_a else c1
+    for v in chain(islice(_bits(iso & r0), max(0, -d)), islice(_bits(iso & r1), max(0, d))):
+        a |= 1 << v
+    a1, a2, b1, b2 = (list(_bits(m)) for m in (a & r0, a & r1, r0 & ~a, r1 & ~a))
     if len(a1) > len(b1):
         a1, a2, b1, b2 = b1, b2, a1, a2
     return (a1, a2), (b1, b2)
@@ -223,22 +232,25 @@ def _two_block_split(r0, r1, red):
 
 def _search_path(candidates_start, red, feasible):
     """Depth-first search over carved-colour paths, shortest-first, in
-    canonical order: a path goes on from u to the vertices of `red[u]` in
-    increasing order.
+    canonical order: a path goes on from u to the unused vertices of the
+    bitset `red[u]` in increasing order.
 
-    `feasible(used, seq)` returns the block payload when the remainder
-    splits; the first hit wins.  States are memoized on (last vertex,
-    covered set).  The stack is explicit, so path length is not bounded by
-    the recursion limit.
+    `feasible(used, seq)` gets the path's vertex mask and returns the block
+    payload when the remainder splits; the first hit wins.  States are
+    memoized on (last vertex, covered mask).  The stack is explicit, so
+    path length is not bounded by the recursion limit.  A frame lists its
+    candidates once, as `red[u]` less the covered mask, because that mask
+    is the same whenever the frame resumes.
 
     On random hosts the first descent walks a path through almost every
     vertex, so the search makes about one feasibility check per vertex; a
-    check costs O(n) once its component scan stops at the first component
-    larger than half of the remainder, and the search O(n^2).  Structured
-    hosts can backtrack far more (two disjoint red cliques make it
-    exponential).
+    check is a few big-int operations of n/64 words per vertex its
+    component scan reaches, and the scan stops at the first component
+    larger than half of the remainder, after two or three vertices, so
+    the search is O(n^2/64) word operations.  Structured hosts can
+    backtrack far more (two disjoint red cliques make it exponential).
     """
-    used: set = set()
+    used = 0
     seq: list = []
     hit = feasible(used, seq)
     if hit is not None:
@@ -247,23 +259,20 @@ def _search_path(candidates_start, red, feasible):
     stack = [iter(candidates_start)]
     while stack:
         for w in stack[-1]:
-            if w in used:
+            if (w, used | 1 << w) in dead:
                 continue
-            used.add(w)
-            if (w, frozenset(used)) in dead:
-                used.discard(w)
-                continue
+            used |= 1 << w
             seq.append(w)
             payload = feasible(used, seq)
             if payload is not None:
                 return seq, payload
-            stack.append(iter(sorted(red[w])))
+            stack.append(_bits(red[w] & ~used))
             break
         else:
             stack.pop()
             if seq:
-                dead.add((seq[-1], frozenset(used)))
-                used.discard(seq.pop())
+                dead.add((seq[-1], used))
+                used ^= 1 << seq.pop()
     return None
 
 
@@ -275,14 +284,13 @@ def path_and_balanced_block(col: PairColouring):
     """
     if col.kind != "kn":
         raise ValueError("needs a complete host")
-    n = col.n
     red = _red_neighbours(col)
+    full = (1 << col.n) - 1
 
     def feasible(used, seq):
-        rest = [v for v in range(n) if v not in used]
-        return _half_split(rest, red)
+        return _half_split(full ^ used, red)
 
-    out = _search_path(range(n), red, feasible)
+    out = _search_path(range(col.n), red, feasible)
     if out is None:
         raise RuntimeError("carved-path search failed; host is not complete?")
     seq, (x, y) = out
@@ -297,13 +305,13 @@ def path_and_two_balanced_blocks(col: PairColouring):
         raise ValueError("needs a bipartite host")
     n = col.n
     red = _red_neighbours(col)
+    full0 = (1 << n) - 1
+    full1 = full0 << n
 
     def feasible(used, seq):
         if len(seq) % 2:
             return None
-        r0 = [v for v in range(n) if v not in used]
-        r1 = [v for v in range(n, 2 * n) if v not in used]
-        return _two_block_split(r0, r1, red)
+        return _two_block_split(full0 & ~used, full1 & ~used, red)
 
     out = _search_path(range(2 * n), red, feasible)
     if out is None:

@@ -435,6 +435,25 @@ def test_extension_rejects_a_frame_with_a_wrong_ell():
             break
 
 
+def test_extension_rejects_a_frame_with_two_class_1_vertices_adjacent():
+    # a hand-built frame needs four or more distinct in-range vertices of
+    # alternating classes; the first passes the turning-point test but
+    # steps from class 1 to class 1, where the colour view has no edge
+    col = gen_random("bnn", 4, 2, seed=1)
+    for frame in (([0, 4, 5, 1], 2), ([0, 4, 1, 4], 2), ([0, 4, 1, 8], 2), ([0, 4], 2)):
+        with pytest.raises(ValueError, match="alternating the classes"):
+            extend_good_cycle(col, frame, [2, 3, 6, 7])
+
+
+def test_subset_searches_refuse_subsets_outside_their_class():
+    col = gen_random("bnn", 4, 2, seed=3)
+    for s0, s1 in (([0, 1], [0, 1]), ([4, 5], [6, 7]), ([0, 4], [5, 6]), ([0, 1], [6, 8]), ([-1, 0], [4, 5])):
+        with pytest.raises(ValueError, match="must lie in class 0"):
+            near_mono_spanning_path(col, s0, s1)
+        with pytest.raises(ValueError, match="must lie in class 0"):
+            find_balanced_c4(col, s0, s1)
+
+
 def test_spanning_cycle_mono():
     col = PairColouring.constant("bnn", 3, 2, 0)
     res = spanning_bicoloured_or_mono_cycle(col)

@@ -8,6 +8,7 @@ import pytest
 
 import monopart.cli as cli
 import monopart.generators as gen
+import monopart.oracles as oracles
 from monopart.cli import main
 from monopart.multipartite import SAMPLE_WORK_CAP
 
@@ -221,6 +222,19 @@ def test_enumerate_refuses_a_non_positive_jobs_count(jobs, capsys):
     out = capsys.readouterr()
     assert exc.value.code == 1
     assert out.out == "" and len(out.err.splitlines()) == 1
+
+
+def test_enumerate_refuses_more_jobs_than_cpus(monkeypatch, capsys):
+    # refused while the command line is parsed, before any worker starts
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(oracles.multiprocessing, "Pool", no_pool)
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--suite", "near-mono-equiv", "--n", "2", "--jobs", "100000"])
+    out = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out.out == "" and len(out.err.splitlines()) == 1 and "CPUs" in out.err
 
 
 def test_gen_deterministic(tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -139,10 +140,23 @@ def test_partition3_rejects_wrong_palette():
         partition3_bipartite(PairColouring.constant("bnn", 4, 2, 0))
 
 
+def _mask(vertices):
+    """The bitset of a vertex collection, as the carved-path helpers take it."""
+    return sum(1 << v for v in set(vertices))
+
+
+def _masks(red):
+    return [_mask(nbrs) for nbrs in red]
+
+
+def _members(mask):
+    return {v for v in range(mask.bit_length()) if mask >> v & 1}
+
+
 def test_search_path_has_no_depth_limit():
     # the only hit is the whole 5,000-vertex chain, far past the recursion limit
     n = 5000
-    red = [{w for w in (u - 1, u + 1) if 0 <= w < n} for u in range(n)]
+    red = _masks([{w for w in (u - 1, u + 1) if 0 <= w < n} for u in range(n)])
 
     def feasible(used, seq):
         return "whole" if len(seq) == n else None
@@ -188,7 +202,7 @@ def test_red_neighbours_match_colour_lookups(kind, n):
     red = tc._red_neighbours(col)
     for u in range(col.n_vertices):
         others = range(col.n_vertices) if kind == "kn" else col.class_vertices(1 - col.side(u))
-        assert red[u] == {w for w in others if w != u and col.colour_bit(u, w) == RED}, u
+        assert _members(red[u]) == {w for w in others if w != u and col.colour_bit(u, w) == RED}, u
 
 
 def _brute_half_split_exists(vertices, red):
@@ -249,7 +263,7 @@ def test_half_split_early_exit_matches_brute_force():
         vertices = sorted(rng.sample(ids, rng.randint(0, 10)))
         even = len(vertices) % 2 == 0
         seen["exit"] += even and 2 * _largest_component(vertices, red) > len(vertices) > 0
-        got = tc._half_split(vertices, red)
+        got = tc._half_split(_mask(vertices), _masks(red))
         assert (got is not None) == _brute_half_split_exists(vertices, red), (vertices, red)
         if got is not None:
             seen["split"] += 1
@@ -272,7 +286,7 @@ def test_two_block_split_early_exit_matches_brute_force():
         r0 = sorted(rng.sample(range(n), size))
         r1 = sorted(rng.sample(range(n, 2 * n), size if rng.random() < 0.9 else rng.randint(0, n)))
         seen["exit"] += 2 * _largest_component(r0 + r1, red) > len(r0 + r1) > 0
-        got = tc._two_block_split(r0, r1, red)
+        got = tc._two_block_split(_mask(r0), _mask(r1), _masks(red))
         assert (got is not None) == _brute_two_block_split_exists(r0, r1, red), (r0, r1, red)
         if got is not None:
             seen["split"] += 1
@@ -361,3 +375,234 @@ def test_induced_block_refuses_a_red_edge(kind):
         tc._induced_block(col, [u], [w])
     with pytest.raises(ValueError, match="block contains a carved-colour edge"):
         tc._induced_block(col, left, right)
+
+
+# ---------------------------------------------------------------------------
+# the set-based carved-path search the bitset one replaced, kept as a
+# reference for its first hit
+
+
+def _ref_red_components(vertices, red):
+    fresh = set(vertices)
+    half = len(fresh) // 2
+    comps = []
+    for v in sorted(vertices):
+        if v not in fresh:
+            continue
+        fresh.discard(v)
+        comp = [v]
+        queue = [v]
+        while queue:
+            for w in red[queue.pop()] & fresh:
+                fresh.discard(w)
+                comp.append(w)
+                queue.append(w)
+            if len(comp) > half:
+                return None
+        comps.append(sorted(comp))
+    return comps
+
+
+def _ref_half_split(vertices, red):
+    vertices = sorted(vertices)
+    if len(vertices) % 2:
+        return None
+    target = len(vertices) // 2
+    comps = _ref_red_components(vertices, red)
+    if comps is None:
+        return None
+    sizes = [len(c) for c in comps]
+    achievable = [set() for _ in range(len(sizes) + 1)]
+    achievable[len(sizes)].add(0)
+    for i in range(len(sizes) - 1, -1, -1):
+        for s in achievable[i + 1]:
+            achievable[i].add(s)
+            achievable[i].add(s + sizes[i])
+    if target not in achievable[0]:
+        return None
+    x, y = [], []
+    need = target
+    for i, comp in enumerate(comps):
+        if need - sizes[i] >= 0 and (need - sizes[i]) in achievable[i + 1]:
+            x.extend(comp)
+            need -= sizes[i]
+        else:
+            y.extend(comp)
+    return sorted(x), sorted(y)
+
+
+def _ref_bip_components(r0, r1, red):
+    side0 = set(r0)
+    comps = []
+    whole = _ref_red_components(list(r0) + list(r1), red)
+    if whole is None:
+        return None
+    for c in whole:
+        if len(c) > 1:
+            comps.append(([u for u in c if u in side0], [u for u in c if u not in side0]))
+    iso0 = sorted(set(r0) - {u for c0, _ in comps for u in c0})
+    iso1 = sorted(set(r1) - {u for _, c1 in comps for u in c1})
+    return comps, iso0, iso1
+
+
+def _ref_two_block_split(r0, r1, red):
+    r0, r1 = sorted(r0), sorted(r1)
+    if len(r0) != len(r1):
+        return None
+    parts = _ref_bip_components(r0, r1, red)
+    if parts is None:
+        return None
+    comps, iso0, iso1 = parts
+    f0, f1 = len(iso0), len(iso1)
+    layers = [{(0, 0): None}]
+    for c0, c1 in comps:
+        nxt = {}
+        for (d, s) in layers[-1]:
+            ka = (d + len(c0), s + len(c0))
+            kb = (d - len(c1), s)
+            if ka not in nxt:
+                nxt[ka] = ((d, s), True)
+            if kb not in nxt:
+                nxt[kb] = ((d, s), False)
+        layers.append(nxt)
+    best = None
+    for (d, s) in layers[-1]:
+        if -f0 <= d <= f1:
+            cand = (s + max(0, -d), d, s)
+            if best is None or cand < best:
+                best = cand
+    if best is None:
+        return None
+    _, d, s = best
+    choose = []
+    cur = (d, s)
+    for i in range(len(comps), 0, -1):
+        parent, took_a = layers[i][cur]
+        choose.append(took_a)
+        cur = parent
+    choose.reverse()
+    a1, a2, b1, b2 = [], [], [], []
+    for (c0, c1), took_a in zip(comps, choose):
+        if took_a:
+            a1.extend(c0)
+            b2.extend(c1)
+        else:
+            b1.extend(c0)
+            a2.extend(c1)
+    a0 = max(0, -d)
+    a1.extend(iso0[:a0])
+    b1.extend(iso0[a0:])
+    a2.extend(iso1[: d + a0])
+    b2.extend(iso1[d + a0 :])
+    a1, a2, b1, b2 = sorted(a1), sorted(a2), sorted(b1), sorted(b2)
+    if len(a1) > len(b1):
+        a1, a2, b1, b2 = b1, b2, a1, a2
+    return (a1, a2), (b1, b2)
+
+
+def _ref_search_path(candidates_start, red, feasible):
+    used, seq = set(), []
+    hit = feasible(used, seq)
+    if hit is not None:
+        return [], hit
+    dead = set()
+    stack = [iter(candidates_start)]
+    while stack:
+        for w in stack[-1]:
+            if w in used:
+                continue
+            used.add(w)
+            if (w, frozenset(used)) in dead:
+                used.discard(w)
+                continue
+            seq.append(w)
+            payload = feasible(used, seq)
+            if payload is not None:
+                return seq, payload
+            stack.append(iter(sorted(red[w])))
+            break
+        else:
+            stack.pop()
+            if seq:
+                dead.add((seq[-1], frozenset(used)))
+                used.discard(seq.pop())
+    return None
+
+
+def _ref_carve(col):
+    """The reference search's (seq, blocks) and its feasibility-check count."""
+    n, nv = col.n, col.n_vertices
+    others = (lambda u: range(nv)) if col.kind == "kn" else (lambda u: col.class_vertices(1 - col.side(u)))
+    red = [{w for w in others(u) if w != u and col.colour_bit(u, w) == RED} for u in range(nv)]
+    calls = []
+
+    def feasible(used, seq):
+        calls.append(1)
+        rest = [v for v in range(nv) if v not in used]
+        if col.kind == "kn":
+            return _ref_half_split(rest, red)
+        if len(seq) % 2:
+            return None
+        return _ref_two_block_split([v for v in rest if v < n], [v for v in rest if v >= n], red)
+
+    return _ref_search_path(range(nv), red, feasible), len(calls)
+
+
+def _host_with_red(kind, n, is_red, rng):
+    """A 3-coloured host whose red edges are the pairs `is_red` accepts and
+    whose other edges are blue or green at random."""
+    return PairColouring.from_function(
+        kind, n, 3, lambda u, w: RED if is_red(u, w) else rng.choice([BLUE, GREEN])
+    )
+
+
+def _two_cliques(kind, k):
+    # red graph: two disjoint cliques of k and k + 1 vertices (kn, n = 2k + 1),
+    # or red blocks K_{k,k} and K_{k+1,k+1} (bnn, n = 2k + 1)
+    n = 2 * k + 1
+    if kind == "kn":
+        return n, lambda u, w: (u < k) == (w < k)
+    return n, lambda u, w: (u < k) == (w - n < k)
+
+
+def test_bitset_search_keeps_the_first_hit():
+    rng = random.Random(23)
+    hosts = []
+    for _ in range(150):
+        p = rng.choice([0.1, 0.25, 0.5, 0.8])
+        hosts.append(_host_with_red("kn", rng.randint(1, 12), lambda u, w: rng.random() < p, rng))
+        hosts.append(_host_with_red("bnn", rng.randint(1, 6), lambda u, w: rng.random() < p, rng))
+    backtracked = 0
+    for kind in ("kn", "bnn"):
+        for k in range(1, 5):
+            hosts.append(_host_with_red(kind, *_two_cliques(kind, k), rng))
+    for col in hosts:
+        (seq, blocks), calls = _ref_carve(col)
+        backtracked += calls > len(seq) + 1
+        if col.kind == "kn":
+            got_seq, block = path_and_balanced_block(col)
+            got = [(list(block.side1), list(block.side2))]
+            want = [blocks]
+        else:
+            got_seq, a, b = path_and_two_balanced_blocks(col)
+            got = [(list(a.side1), list(a.side2)), (list(b.side1), list(b.side2))]
+            want = list(blocks)
+        assert (got_seq, got) == (seq, want), col.entries
+    assert backtracked >= 10, backtracked
+
+
+@pytest.mark.parametrize("kind, n", [("kn", 512), ("kn", 2048), ("bnn", 256), ("bnn", 1024)])
+def test_red_adjacency_takes_under_a_byte_per_edge(kind, n):
+    # bitsets take n^2/8 bytes (about 0.25-0.4 bytes per edge); one set of
+    # ints per vertex took about 40
+    col = gen_random(kind, n, 3, seed=1)
+    col.rows  # noqa: B018 - the raw view is the host's, not the adjacency's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        red = tc._red_neighbours(col)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(red) == col.n_vertices
+    assert held <= col.n_edges, held / col.n_edges
