@@ -9,6 +9,7 @@ failure (or enumeration failures).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -197,7 +198,7 @@ def _solve_rxn(col: TransversalColouring, args) -> int:
 
 def _cmd_solve(args) -> int:
     try:
-        with open(args.colouring) as fh:
+        with open(args.colouring, "rb") as fh:
             col = parse_colouring(fh.read())
     except (OSError, ValueError) as exc:
         print(f"cannot read colouring: {exc}", file=sys.stderr)
@@ -222,7 +223,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        with open(args.colouring) as fh:
+        with open(args.colouring, "rb") as fh:
             col = parse_colouring(fh.read())
         with open(args.certificate) as fh:
             cert = PartitionCertificate.from_text(fh.read())
@@ -264,7 +265,10 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, so every `main` call shares the one tree."""
     ap = _Parser(prog="monopart")
     sub = ap.add_subparsers(dest="command", required=True)
 

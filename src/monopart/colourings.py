@@ -582,13 +582,25 @@ def serialize_colouring(col) -> str:
     return f"{head}\n{body}\n"
 
 
-def parse_colouring(text: str):
-    """Parse the two-line format; raises ValueError on malformed input."""
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+def parse_colouring(data: bytes | str):
+    """Parse the two-line format from a file's bytes, or from text, which is
+    encoded once as UTF-8; raises ValueError on malformed input.
+
+    Lines end at LF, CR LF or CR.  The header's tokens are split on
+    whitespace; the body is every later line stripped of ASCII whitespace,
+    joined."""
+    if isinstance(data, str):
+        data = data.encode()
+    if not data.isascii():
+        # bytes that are not UTF-8 fail as reading them as text did
+        data.decode()
+    lines = _lines(data)
+    start, end = next(lines, (0, 0))
+    header = data[start:end].decode()
+    if not header.strip():
         raise ValueError("expected a header line and a body line")
-    head = lines[0].split()
-    body = "".join(ln.strip() for ln in lines[1:])
+    head = header.split()
+    body = _body(data, lines)
     kind = _KIND_ALIASES.get(head[0], head[0])
     if kind not in ("h3", "kn", "bnn", "rxn"):
         raise ValueError(f"unknown host kind {head[0]!r}")
@@ -604,8 +616,8 @@ def parse_colouring(text: str):
             r = int(head[2])
         except (IndexError, ValueError):
             raise ValueError("rxn header needs uniformity r") from None
-        if body.startswith("split"):
-            sizes = tuple(int(t) for t in body.split()[1:])
+        if body[:5] == b"split":
+            sizes = tuple(int(t) for t in bytes(body).decode().split()[1:])
             return TransversalColouring(r, n, rule=HyperSplitSizes(r, n, sizes))
         _check_materializable(n, r)
     elif kind != "h3" and len(head) > 2:
@@ -624,13 +636,50 @@ def parse_colouring(text: str):
     return PairColouring(kind, n, palette, values.tobytes())
 
 
-def _parse_digits(body: str, palette: int, m: int) -> np.ndarray:
+# what bytes.strip removes
+_SPACE = b" \t\n\r\x0b\x0c"
+
+
+def _lines(data: bytes):
+    """(start, end) offsets of each line of `data`, found in one pass: a
+    line ends at LF, CR LF or CR (the LF of a CR LF ends an empty line)."""
+    size, start = len(data), 0
+    lf = cr = -1
+    while start < size:
+        if lf < start:
+            lf = data.find(b"\n", start)
+            lf = size if lf < 0 else lf
+        if cr < start:
+            cr = data.find(b"\r", start)
+            cr = size if cr < 0 else cr
+        end = min(lf, cr)
+        yield start, end
+        start = end + 1
+
+
+def _body(data: bytes, lines):
+    """The given lines of `data`, each stripped of ASCII whitespace, joined.
+    One line with nothing to strip, the format's own body, comes back as a
+    view of `data`, not a copy."""
+    view = memoryview(data)
+    pieces = []
+    for start, end in lines:
+        line = view[start:end]
+        if line and (line[0] in _SPACE or line[-1] in _SPACE):
+            line = bytes(line).strip()
+        if line:
+            pieces.append(line)
+    return pieces[0] if len(pieces) == 1 else b"".join(pieces)
+
+
+def _parse_digits(body, palette: int, m: int) -> np.ndarray:
     """Colour values of a materialised body: `m` ASCII digits below
-    `palette`.  A non-ASCII character becomes one out-of-range byte, so byte
-    offsets are character offsets."""
-    values = np.frombuffer(body.encode("ascii", "replace"), np.uint8) - np.uint8(ord("0"))
+    `palette`.  The body is UTF-8, so the first byte that is not such a
+    digit starts the character an error names."""
+    values = np.frombuffer(body, np.uint8) - np.uint8(ord("0"))
     if values.size and values.max() >= palette:
-        ch = body[int(np.argmax(values >= palette))]
+        at = int(np.argmax(values >= palette))
+        ch = bytes(body[at : at + 4]).decode("utf-8", "ignore")[0]
         raise ValueError(f"character {ch!r} outside palette {palette}")
     if values.size != m:
         raise ValueError(f"body length {values.size} != {m} edges")

@@ -57,25 +57,51 @@ def splitmix64(seed: int, i: int) -> int:
     return z ^ (z >> 31)
 
 
+# Edges per chunk of the stream: the step table and the two uint64 scratch
+# arrays of this length (512 KB each) stay in cache while each chunk's
+# words are mixed in place.
+_CHUNK = 1 << 16
+_U64_GAMMA = np.uint64(_GAMMA)
+_U64_MIX1 = np.uint64(_MIX1)
+_U64_MIX2 = np.uint64(_MIX2)
+
+
 def splitmix64_stream(seed: int, count: int, palette: int) -> bytes:
-    """Colours of edges 0..count-1, vectorized in chunks."""
-    out = bytearray(count)
-    chunk = 1 << 22
-    seed64 = np.uint64(seed & _MASK)
-    gamma = np.uint64(_GAMMA)
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        i = np.arange(start + 1, stop + 1, dtype=np.uint64)
-        z = seed64 + i * gamma
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
+    """Colours of edges 0..count-1, one byte each: the splitmix64 words
+    reduced mod `palette`, computed a cache-sized chunk at a time.  The
+    chunking does not change the stream."""
+    if not 1 <= palette <= 256:
+        raise ValueError(f"palette must be 1 to 256 colours, got {palette}")
+    if count < 0:
+        raise ValueError(f"negative edge count {count}")
+    out = np.empty(count, np.uint8)
+    size = min(count, _CHUNK)
+    # steps[k] = (k+1) * GAMMA, so a chunk starting at edge `start` has
+    # words seed + start * GAMMA + steps, mod 2**64
+    steps = np.arange(1, size + 1, dtype=np.uint64)
+    np.multiply(steps, _U64_GAMMA, out=steps)
+    words, scratch = np.empty(size, np.uint64), np.empty(size, np.uint64)
+    div = np.uint64(palette)
+    for start in range(0, count, _CHUNK):
+        k = min(_CHUNK, count - start)
+        z, t = words[:k], scratch[:k]
+        np.add(steps[:k], np.uint64((seed + start * _GAMMA) & _MASK), out=z)
+        for shift, mix in ((30, _U64_MIX1), (27, _U64_MIX2)):
+            np.right_shift(z, shift, out=t)
+            np.bitwise_xor(z, t, out=z)
+            np.multiply(z, mix, out=z)
+        np.right_shift(z, 31, out=t)
+        np.bitwise_xor(z, t, out=z)
         if palette == 2:
-            vals = (z & np.uint64(1)).astype(np.uint8)
+            np.bitwise_and(z, 1, out=t)
         else:
-            vals = (z % np.uint64(palette)).astype(np.uint8)
-        out[start:stop] = vals.tobytes()
-    return bytes(out)
+            # z - (z // p) * p: numpy's division by a scalar is several
+            # times faster than its remainder
+            np.floor_divide(z, div, out=t)
+            np.multiply(t, div, out=t)
+            np.subtract(z, t, out=t)
+        out[start : start + k] = t
+    return out.tobytes()
 
 
 def gen_random(kind: str, n: int, palette: int = 2, seed: int = 0, r: int | None = None):
@@ -85,6 +111,8 @@ def gen_random(kind: str, n: int, palette: int = 2, seed: int = 0, r: int | None
     else:
         _check_edge_cap(kind, n)
     m = _n_edges(kind, n, r)
+    if palette not in (2, 3):
+        raise ValueError(f"palette must be 2 or 3, got {palette}")
     if kind in ("h3", "rxn") and palette != 2:
         raise ValueError(f"{kind} hosts are 2-coloured")
     values = splitmix64_stream(seed, m, palette)

@@ -534,3 +534,84 @@ def test_rxn_out_leaves_the_r3_search_error_uncaught(tmp_path):
     with pytest.raises(ValueError, match="not a transversal edge"):
         main(["solve", str(col), "--samples", "5", "--out", str(cert)])
     assert not cert.exists()
+
+
+# -- one parser per process ---------------------------------------------------
+
+
+def test_calls_sharing_the_parser_match_fresh_parsers(tmp_path, capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    bnn, rxn = tmp_path / "c.bnn", tmp_path / "q.rxn"
+    main(["gen", "--kind", "bnn", "--n", "5", "--seed", "3", "--out", str(bnn)])
+    main(["gen", "--kind", "rxn", "--n", "4", "--r", "2", "--split", "1,2", "--out", str(rxn)])
+    calls = [
+        ["solve", str(bnn), "--two-paths"],
+        ["solve", str(bnn)],
+        ["solve", str(bnn), "--samples", "x"],
+        ["solve", str(rxn), "--samples", "5"],
+        ["solve", str(rxn)],
+        ["verify", str(bnn)],
+        ["solve", str(bnn)],
+    ]
+
+    def outcomes():
+        got = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            out = capsys.readouterr()
+            got.append((code, out.out, out.err))
+        return got
+
+    shared = outcomes()
+    assert shared[2][0] == shared[5][0] == ("exit", 1)
+    assert "side-consistency: 5/5" in shared[3][1]
+    assert "side-consistency: 1000/1000" in shared[4][1]
+    assert shared[0] != shared[1] == shared[6]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert outcomes() == shared
+
+
+# -- colouring files are read as bytes ----------------------------------------
+
+_GOOD_BNN = b"bnn 3\n001011011\n"
+
+
+def _utf8_error(at: int) -> str:
+    return f"'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+
+
+# each input's exit code and stderr message, as reading the file as text gave
+@pytest.mark.parametrize("name, data, code, message", [
+    ("crlf", _GOOD_BNN.replace(b"\n", b"\r\n"), 0, None),
+    ("lines", b"bnn 3\n0010\n110\n\n11\n", 0, None),
+    ("spaces", b"bnn 3  \n001011011 \t \n", 0, None),
+    ("header-byte", b"bnn\xff 3\n001011011\n", 1, _utf8_error(3)),
+    ("body-byte", b"bnn 3\n0010\xff1011\n", 1, _utf8_error(10)),
+    ("empty", b"", 1, "expected a header line and a body line"),
+    ("directory", None, 1, "[Errno 21] Is a directory: '{path}'"),
+    ("missing", None, 1, "[Errno 2] No such file or directory: '{path}'"),
+])
+def test_colouring_files_read_as_bytes(tmp_path, capsys, name, data, code, message):
+    good, cert = tmp_path / "good.bnn", tmp_path / "cert.json"
+    good.write_bytes(_GOOD_BNN)
+    assert main(["solve", str(good), "--out", str(cert)]) == 0
+    path = tmp_path / name
+    if name == "directory":
+        path.mkdir()
+    elif data is not None:
+        path.write_bytes(data)
+    for argv, prefix, ok in (
+        (["solve", str(path), "--out", str(tmp_path / "again.json")], "cannot read colouring", ""),
+        (["verify", str(path), str(cert)], "cannot read inputs", "ok\n"),
+    ):
+        got = run(argv, capsys)
+        if message is None:
+            assert got == (code, ok, "")
+        else:
+            assert got == (code, "", f"{prefix}: {message.format(path=path)}\n")
+    if message is None:
+        assert (tmp_path / "again.json").read_text() == cert.read_text()

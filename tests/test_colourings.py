@@ -252,6 +252,30 @@ def test_parse_canonical_text_raises_or_serialises_to_itself(text):
     assert serialize_colouring(col) == text
 
 
+def _outcome(data):
+    try:
+        return parse_colouring(data)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@given(st.one_of(
+    st.text(),
+    st.builds("{}\n{}".format, st.sampled_from(sorted(_HEADERS) + ["b2 2", "kn 3 2", "rxn 1 0"]),
+              st.text(alphabet=_BODY_CHARS + " \t\r\n\x0b\x85\u2028\u3000", max_size=10)),
+    st.sampled_from(sorted(_HEADERS)).flatmap(_canonical_text),
+))
+def test_parse_text_and_its_utf8_bytes_agree(text):
+    assert _outcome(text) == _outcome(text.encode())
+
+
+def test_parse_names_a_non_ascii_character_of_a_byte_body():
+    with pytest.raises(ValueError, match="'\u0661' outside palette 2"):
+        parse_colouring("bnn 2\n0\u0661X".encode())
+    with pytest.raises(ValueError, match="'\U0001d7d9' outside palette 3"):
+        parse_colouring("kn 3 3\n0\U0001d7d92\u00b2".encode())
+
+
 # -- header checks -------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -151,6 +152,53 @@ def test_edge_cap_is_checked_before_the_stream(monkeypatch):
         with pytest.raises(_StreamReached) as reached:
             gen_random(kind, largest)
         assert reached.value.args[0] <= EDGE_CAP
+
+
+def test_stream_matches_the_scalar_words_across_chunk_boundaries():
+    from monopart.generators import _CHUNK
+
+    seed = 2**64 - 7
+    counts = (_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
+    words = [splitmix64(seed, i) for i in range(max(counts))]
+    for palette in (2, 3):
+        want = bytes(w % palette for w in words)
+        for count in counts:
+            assert splitmix64_stream(seed, count, palette) == want[:count]
+
+
+# sha256 of one stream over several chunks, per palette
+@pytest.mark.parametrize("palette, digest", [
+    (2, "fb2d45abd3ab3781828a248279b375f4fcfb5783a192ce9ca309de1da2ff16c4"),
+    (3, "b3512dd81e1eac3803238d53166b43e7881e1b62f4b092bfe6010701a6393822"),
+])
+def test_stream_digest_pinned(palette, digest):
+    assert hashlib.sha256(splitmix64_stream(2024, 200_003, palette)).hexdigest() == digest
+
+
+def test_stream_palettes_and_counts():
+    assert splitmix64_stream(5, 0, 2) == b""
+    assert splitmix64_stream(5, 40, 1) == bytes(40)
+    assert list(splitmix64_stream(5, 40, 256)) == [splitmix64(5, i) & 255 for i in range(40)]
+    for palette in (0, -2, 257, 300):
+        with pytest.raises(ValueError, match="palette"):
+            splitmix64_stream(5, 10, palette)
+    with pytest.raises(ValueError, match="negative"):
+        splitmix64_stream(5, -1, 2)
+
+
+def test_bad_palette_is_refused_before_generating(monkeypatch):
+    import monopart.generators as generators
+
+    def fail(seed, count, palette):
+        raise AssertionError(f"asked to generate {count} colours")
+
+    monkeypatch.setattr(generators, "splitmix64_stream", fail)
+    for kind in ("kn", "bnn"):
+        for palette in (0, 1, 4, 5):
+            with pytest.raises(ValueError, match="palette must be 2 or 3"):
+                gen_random(kind, 6, palette=palette)
+    with pytest.raises(ValueError, match="2-coloured"):
+        gen_random("h3", 6, palette=3)
 
 
 # -- the block-pattern generators against per-edge definitions ---------------
