@@ -13,7 +13,8 @@ Non-split colourings admit a spanning cycle that is monochromatic or
 bicoloured, which is then exchanged into a partition into one
 monochromatic path and one monochromatic cycle of distinct colours.
 Split colourings are detected and served by explicit three-piece
-fallbacks.  All constructions are verified before being returned.
+fallbacks.  `solve` checks every construction's pieces with
+`certificates.certify` before returning them.
 
 The solvers read colours through the unchecked view `PairColouring.rows`.
 Each cycle the attach and exchange loops build is read once, and its frame
@@ -115,8 +116,8 @@ def _require_bnn2(col: PairColouring):
 
 
 def classify_bipartite(col: PairColouring) -> Classification:
-    """Mono / Split / VCol verdict with verified structure, or Other with a
-    good C4 witness.
+    """Mono / Split / VCol verdict with its structure, or Other with a good
+    C4 witness.
 
     Read by class-0 rows R_a: the C4 (a, b, a2, b2) is good iff R_a xor
     R_a2 differs at b and b2, so a good C4 exists iff some row is neither
@@ -124,7 +125,10 @@ def classify_bipartite(col: PairColouring) -> Classification:
     first good C4, (0, n, a2, b2) with a2 the first such row and b2 the
     first column where R_0 xor R_a2 differs from its value at column 0.
     Otherwise whether R_0 is constant and whether its complement occurs
-    tell mono, V on class 1, V on class 0 and split apart.
+    tell mono, V on class 1, V on class 0 and split apart.  The split and V
+    structures hold by construction, since every row is R_0 or its
+    complement; `split_three_paths` verifies a split structure before it
+    uses one, and `certify` checks the pieces built from either.
     """
     _require_bnn2(col)
     n, entries = col.n, col.entries
@@ -145,16 +149,13 @@ def classify_bipartite(col: PairColouring) -> Classification:
     red = tuple(n + b for b in range(n) if r0[b] == RED)
     blue = tuple(n + b for b in range(n) if r0[b] == BLUE)
     if red and blue and anti:
-        structure = SplitStructure(like, anti, red, blue)
-        assert structure.verify(col)
-        return Classification("split", split=structure)
+        return Classification("split", split=SplitStructure(like, anti, red, blue))
     if red and blue:
         vcol = VColStructure(0, red, blue)
     elif anti:
         vcol = VColStructure(1, *((like, anti) if red else (anti, like)))
     else:
         return Classification("mono", colour=Colour(r0[0]))
-    assert vcol.verify(col)
     return Classification("vcol", vcol=vcol)
 
 
@@ -638,7 +639,9 @@ def spanning_bicoloured_or_mono_cycle(col: PairColouring):
     good 4-cycle is grown while the complement holds a balanced C4; the
     near-monochromatic remainder's spanning path is then attached at a
     turning point, re-routing through a cycle with strictly more
-    off-colour edges whenever both attachment edges refuse.
+    off-colour edges whenever both attachment edges refuse.  Raises
+    RuntimeError if a step fails to progress or the attachment's frame is
+    not good, which no input should cause.
     """
     n = col.n
     verdict = classify_bipartite(col)  # raises unless col is a 2-coloured bnn host
@@ -677,7 +680,8 @@ def spanning_bicoloured_or_mono_cycle(col: PairColouring):
     seq, ell = frame if pcol == RED else _other_lead(*frame)
     rows = col.rows
     while True:
-        assert _is_good(col, seq, ell)
+        if not _is_good(col, seq, ell):
+            raise RuntimeError("attachment frame is not good")
         if col.side(path[0]) != col.side(seq[0]):
             path = path[::-1]
         x1, xh = path[0], path[-1]
@@ -738,7 +742,9 @@ def partition_path_cycle(col: PairColouring):
 def partition_path_cycle_coloured(col: PairColouring, cycle):
     """Partition into
     a red path and a blue cycle, given a spanning bicoloured cycle whose
-    turning points share a class."""
+    turning points share a class.  Raises RuntimeError if a red exchange
+    fails to progress or makes the cycle good, which no input should
+    cause."""
     _require_bnn2(col)
     cyc = list(cycle)
     if sorted(cyc) != list(range(2 * col.n)):
@@ -754,7 +760,8 @@ def partition_path_cycle_coloured(col: PairColouring, cycle):
         if rows[seq[ell - 1]][seq[-1]] == BLUE:
             return _pieces_result(seq[: ell - 1], RED, [seq[ell - 1]] + seq[ell:][::-1], BLUE)
         seq, ell = _red_exchange(col, seq, ell)
-        assert not _is_good(col, seq, ell)
+        if _is_good(col, seq, ell):
+            raise RuntimeError("red exchange made the cycle good")
 
 
 def two_paths(col: PairColouring):
@@ -783,9 +790,10 @@ def split_three_paths(col: PairColouring, structure: SplitStructure):
     a1, a2, b1, b2 = (sorted(p) for p in (structure.a1, structure.a2, structure.b1, structure.b2))
     t1 = min(len(a1), len(b1))
     t2 = min(len(a2), len(b2))
+    # the verified parts of each class sum to n, so rem0 and rem1 have
+    # equal sizes and the blue zig-zag takes both whole
     rem0 = a1[t1:] + a2[t2:]
     rem1 = b1[t1:] + b2[t2:]
-    assert len(rem0) == len(rem1)
     pieces = []
     if t1:
         pieces.append(Piece("path", RED, tuple(_interleave(a1[:t1], b1[:t1]))))

@@ -162,6 +162,28 @@ def _check_edge_cap(kind: str, n: int) -> None:
         raise ValueError(f"{kind} host with n={n} exceeds the edge cap {EDGE_CAP}")
 
 
+_BYTE_VALUES = bytes(range(256))
+
+
+def _in_palette(entries, palette: int, message: str) -> bytes:
+    """`entries` as bytes; ValueError(`message`) unless every byte is below
+    `palette`.  Deleting the palette's bytes in C leaves a byte iff some
+    entry is outside it; an int sequence with a value outside 0-255 is
+    refused by the conversion."""
+    entries = bytes(entries)
+    if entries.translate(None, _BYTE_VALUES[:palette]):
+        raise ValueError(message)
+    return entries
+
+
+def _bits(mask: int):
+    """The set bits of `mask`, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _pair_edges(kind: str, n: int):
     """The edges of a kn or bnn host, as global-id pairs, in the order of
     `PairColouring.entries`."""
@@ -285,12 +307,10 @@ class PairColouring:
         m = _n_edges(kind, n)
         if len(entries) != m:
             raise ValueError(f"expected {m} entries, got {len(entries)}")
-        if max(entries, default=0) >= palette:
-            raise ValueError("entry outside palette")
         self.kind = kind
         self.n = n
         self.palette = palette
-        self.entries = bytes(entries)
+        self.entries = _in_palette(entries, palette, "entry outside palette")
         self._rows = None
 
     @property
@@ -465,12 +485,11 @@ class TransversalColouring:
             m = _n_edges("rxn", n, r)
             if len(entries) != m:
                 raise ValueError(f"expected {m} entries")
-            if max(entries, default=0) > 1:
-                raise ValueError("entry outside 2-palette")
+            entries = _in_palette(entries, 2, "entry outside 2-palette")
         self.r = r
         self.n = n
         self.rule = rule
-        self.entries = bytes(entries) if entries is not None else None
+        self.entries = entries
 
     @property
     def n_vertices(self) -> int:

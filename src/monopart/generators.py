@@ -129,6 +129,8 @@ def gen_split_bipartite(n: int, a1: int, b1: int) -> tuple[PairColouring, SplitS
 
     The halves are the a1 lowest class-0 and b1 lowest class-1 vertices,
     so the entries are the r = 2 split rule's table in row-major order.
+    The structure is checked against the table independently; raises
+    AssertionError, also under ``python -O``, if they disagree.
     """
     if not (1 <= a1 <= n - 1 and 1 <= b1 <= n - 1):
         raise ValueError("split parts must leave both halves non-empty")
@@ -140,7 +142,8 @@ def gen_split_bipartite(n: int, a1: int, b1: int) -> tuple[PairColouring, SplitS
         b1=tuple(range(n, n + b1)),
         b2=tuple(range(n + b1, 2 * n)),
     )
-    assert structure.verify(col)
+    if not structure.verify(col):
+        raise AssertionError("split table disagrees with its structure")
     return col, structure
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .colourings import Colour, HyperSplitSizes, TransversalColouring
+from .colourings import Colour, HyperSplitSizes, TransversalColouring, _bits
 
 __all__ = [
     "ExceedsCap",
@@ -128,8 +128,10 @@ def min_cover_exact(col: TransversalColouring):
     Pieces shorter than r carry no edges and count as degenerate tight
     paths.  The search is a DFS over piece sequences in a fixed order, so
     results are deterministic; it returns the first cover that order meets
-    with the fewest pieces.  Three rules cut it down without changing that
-    cover:
+    with the fewest pieces.  Vertex sets are bitmasks: a piece grows by the
+    uncovered vertices off it, minus the classes of its last r - 1 vertices
+    once it has r - 1, taken in increasing order.  Three rules cut the
+    search down without changing that cover:
 
     - Each piece holds the lowest vertex not yet covered, checked before
       recursing.  The pieces of any cover, taken in order of their lowest
@@ -145,13 +147,19 @@ def min_cover_exact(col: TransversalColouring):
       edges through vertices left.  No cover extends a dropped piece, and
       an equal (covered, tail, colour) state is dropped the same way.  For
       r >= 3 the rule is not applied.
+
+    For r = 2 every edge is read once, into `adj[c][u]`: the vertices w of
+    the other class whose window (u, w) has colour c.  A piece of known
+    colour then grows by one mask intersection, and the prune's reach is a
+    breadth-first search over those masks.  For r = 1 and r >= 3 each
+    window a grown piece meets is read once, when first met.
     """
     r, n = col.r, col.n
     total = r * n
     if total > DEFAULT_COVER_CAP:
         raise ExceedsCap(f"{total} vertices exceed the search cap {DEFAULT_COVER_CAP}")
     full = (1 << total) - 1
-    classes = [u // n for u in range(total)]
+    class_mask = [((1 << n) - 1) << (u // n * n) for u in range(total)]
 
     # each distinct ordered window goes through the validated lookup once
     colours: dict[tuple[int, ...], int] = {}
@@ -162,18 +170,27 @@ def min_cover_exact(col: TransversalColouring):
             c = colours[window] = col.colour_bit(window)
         return c
 
-    def reaches_rest(mask: int, end: int, colour: int) -> bool:
-        """r = 2: every vertex outside `mask` is reached from `end` along
-        `colour` edges through vertices outside `mask`."""
-        todo = [end]
-        while todo:
-            u = todo.pop()
-            first = (1 - classes[u]) * n
-            for w in range(first, first + n):
-                if not (mask >> w) & 1 and window_colour((u, w)) == colour:
-                    mask |= 1 << w
-                    todo.append(w)
-        return mask == full
+    adj = ([0] * total, [0] * total)
+    if r == 2:
+        # an edge's colour does not depend on the order of its vertices
+        for u in range(n):
+            for w in range(n, total):
+                c = window_colour((u, w))
+                adj[c][u] |= 1 << w
+                adj[c][w] |= 1 << u
+
+    def reaches_rest(covered: int, end: int, colour: int) -> bool:
+        """r = 2: every vertex outside `covered` is reached from `end`
+        along `colour` edges through vertices outside `covered`."""
+        row = adj[colour]
+        frontier = 1 << end
+        while frontier:
+            reach = 0
+            for u in _bits(frontier):
+                reach |= row[u]
+            frontier = reach & ~covered
+            covered |= frontier
+        return covered == full
 
     failed: dict[int, int] = {}
 
@@ -182,15 +199,15 @@ def min_cover_exact(col: TransversalColouring):
             return []
         if budget <= failed.get(mask, 0):
             return None
-        uncovered = [u for u in range(total) if not (mask >> u) & 1]
-        lowest = 1 << uncovered[0]
+        left = full ^ mask
+        lowest = left & -left
         last_piece = budget == 1 and r == 2
 
         # piece DFS over states (covered, tail window, colour): sequences
         # sharing a state are interchangeable for extension and recursion
         seen_states: set = set()
         stack = []
-        for start in reversed(uncovered):  # for r = 1 a vertex is a window
+        for start in reversed(list(_bits(left))):  # for r = 1 a vertex is a window
             stack.append(([start], 1 << start, window_colour((start,)) if r == 1 else None))
         while stack:
             seq, pmask, colour = stack.pop()
@@ -200,20 +217,22 @@ def min_cover_exact(col: TransversalColouring):
                     piece_colour = Colour(colour) if colour is not None else Colour.RED
                     return [(tuple(seq), piece_colour)] + sub
             tail = tuple(seq[-(r - 1) :]) if r > 1 else ()
-            tail_classes = {classes[u] for u in tail}
-            for w in uncovered:
-                if (pmask >> w) & 1:
-                    continue
+            grows = left & ~pmask
+            closes = len(seq) + 1 >= r  # the grown piece ends in a full window
+            if r == 2:
+                # the other class, or the part of it that keeps the colour
+                last = seq[-1]
+                grows &= (adj[0][last] | adj[1][last]) if colour is None else adj[colour][last]
+            elif closes:
+                for u in tail:
+                    grows &= ~class_mask[u]
+            for w in _bits(grows):
                 ncolour = colour
                 grown = tail + (w,)
-                if len(seq) + 1 >= r:
-                    if classes[w] in tail_classes:
-                        continue
-                    c = window_colour(grown)
-                    if ncolour is None:
-                        ncolour = c
-                    elif ncolour != c:
-                        continue
+                if closes and ncolour is None:
+                    ncolour = (adj[1][last] >> w & 1) if r == 2 else window_colour(grown)
+                elif closes and r != 2 and window_colour(grown) != ncolour:
+                    continue
                 nmask = pmask | (1 << w)
                 window = grown[-(r - 1) :] if r > 1 else ()
                 state = (nmask, window, ncolour)

@@ -341,7 +341,7 @@ def _check_classify_goodc4(n: int, idx: int) -> str | None:
 def _check_near_mono_equiv(n: int, idx: int) -> str | None:
     col = PairColouring.from_int("bnn", n, idx)
     quad = find_balanced_c4(col, range(n), range(n, 2 * n))
-    reds = sum(1 for e in col.entries if e == RED)
+    reds = col.entries.count(RED)
     near_mono = min(reds, n * n - reds) <= 1
     if (quad is None) != near_mono:
         return "balanced-C4 freeness disagrees with near-monochromatic count"

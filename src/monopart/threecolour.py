@@ -30,7 +30,7 @@ from .bipartite import (
     _interleave,
 )
 from .certificates import PartitionCertificate, Piece, certify
-from .colourings import BLUE, GREEN, RED, Colour, PairColouring
+from .colourings import BLUE, GREEN, RED, Colour, PairColouring, _bits
 
 __all__ = [
     "BalancedBipBlock",
@@ -86,14 +86,6 @@ def _red_neighbours(col: PairColouring) -> list[int]:
             packed = np.packbits(bits.reshape(b - a, width), axis=1, bitorder="little")
             out.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
     return out
-
-
-def _bits(mask: int):
-    """The set bits of `mask`, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _red_components(fresh: int, red):

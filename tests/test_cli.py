@@ -79,11 +79,12 @@ def test_bad_pair_header_is_one_line(tmp_path, capsys, text, message):
     assert (code, out, err) == (1, "", f"cannot read inputs: {message}\n")
 
 
-def python_m_monopart(argv, **kwargs):
-    """`python -m monopart argv` in a new process, with this checkout's sources."""
+def python_m_monopart(argv, *, flags=(), **kwargs):
+    """`python [flags] -m monopart argv` in a new process, with this
+    checkout's sources."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.run([sys.executable, "-m", "monopart", *argv], text=True, env=env,
+    return subprocess.run([sys.executable, *flags, "-m", "monopart", *argv], text=True, env=env,
                           timeout=60, **kwargs)
 
 
@@ -91,6 +92,26 @@ def test_python_m_monopart_runs_the_cli():
     proc = python_m_monopart(["--help"], capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: monopart")
+
+
+@pytest.mark.parametrize("gen_args", [["--kind", "h3", "--n", "9", "--seed", "4"],
+                                      ["--kind", "bnn", "--n", "5", "--split", "2,3"]])
+def test_optimised_interpreter_solves_and_verifies_alike(tmp_path, gen_args):
+    # the solvers hold no assert statement whose removal by -O changes an
+    # outcome: the certificate bytes and every exit code match
+    col = tmp_path / "host"
+    assert main(["gen", *gen_args, "--out", str(col)]) == 0
+    runs = []
+    for flags in ((), ("-O",)):
+        cert = tmp_path / f"cert{len(runs)}.json"
+        solved = python_m_monopart(["solve", str(col), "--out", str(cert)], flags=flags,
+                                   capture_output=True)
+        verified = python_m_monopart(["verify", str(col), str(cert)], flags=flags,
+                                     capture_output=True)
+        runs.append((solved.returncode, solved.stdout, cert.read_bytes(),
+                     verified.returncode, verified.stdout))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (2 if "--split" in gen_args else 0) and runs[0][3] == 0
 
 
 def test_closed_output_pipe_is_one_line(tmp_path):

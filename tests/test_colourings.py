@@ -398,3 +398,48 @@ def test_certificate_check_ignores_a_lying_view(monkeypatch, kind, palette):
     assert check_certificate(col, cert).ok
     res = check_certificate(col, wrong)
     assert not res.ok and res.reason == "monochromaticity"
+
+
+# (host, palette, size, refusal): kn and bnn at both palettes, and
+# materialised rxn
+_PALETTE_HOSTS = [
+    (lambda e: PairColouring("kn", 5, 2, e), 2, 10, "entry outside palette"),
+    (lambda e: PairColouring("kn", 5, 3, e), 3, 10, "entry outside palette"),
+    (lambda e: PairColouring("bnn", 3, 2, e), 2, 9, "entry outside palette"),
+    (lambda e: PairColouring("bnn", 3, 3, e), 3, 9, "entry outside palette"),
+    (lambda e: TransversalColouring(3, 2, entries=e), 2, 8, "entry outside 2-palette"),
+]
+
+
+@pytest.mark.parametrize("make, palette, size, refusal", _PALETTE_HOSTS)
+def test_palette_check_refuses_exactly_the_bytes_outside_it(make, palette, size, refusal):
+    # every byte value at the first, a middle and the last entry, from
+    # bytes, a bytearray and a list: refused iff at or above the palette
+    for value in range(256):
+        for at in (0, size // 2, size - 1):
+            values = [palette - 1] * size
+            values[at] = value
+            for entries in (bytes(values), bytearray(values), values):
+                if value < palette:
+                    assert make(entries).entries == bytes(values)
+                else:
+                    with pytest.raises(ValueError) as err:
+                        make(entries)
+                    assert str(err.value) == refusal
+
+
+@pytest.mark.parametrize("make, palette, size, refusal", _PALETTE_HOSTS)
+def test_palette_check_refuses_ints_past_a_byte(make, palette, size, refusal):
+    for value in (256, 1000, -1):
+        with pytest.raises(ValueError):
+            make([0] * (size - 1) + [value])
+
+
+def test_palette_check_finds_the_last_entry_of_a_large_host():
+    n = 4096
+    entries = bytearray(n * (n - 1) // 2)
+    entries[-1] = 3
+    with pytest.raises(ValueError, match="entry outside palette"):
+        PairColouring("kn", n, 3, entries)
+    entries[-1] = 2
+    assert PairColouring("kn", n, 3, entries).colour_bit(n - 2, n - 1) == GREEN

@@ -11,6 +11,7 @@ from monopart.certificates import PartitionCertificate, Piece, certify, check_ce
 from monopart.colourings import (
     BLUE,
     RED,
+    Colour,
     HyperSplitSizes,
     PairColouring,
     TransversalColouring,
@@ -441,3 +442,125 @@ def test_split_table_leaves_identity_and_text_unchanged():
     # a rule-backed host is read and written without building its table
     text = "rxn 1000000000000 2\nsplit 1 1\n"
     assert serialize_colouring(parse_colouring(text)) == text
+
+
+def _reference_min_cover(col):
+    """`min_cover_exact` as it was before its search moved to vertex
+    bitmasks: vertex lists, a per-state scan of every uncovered vertex and
+    a per-vertex reach search.  The mask search must meet the same first
+    cover, or raise the same error."""
+    r, n = col.r, col.n
+    total = r * n
+    full = (1 << total) - 1
+    classes = [u // n for u in range(total)]
+    colours = {}
+
+    def window_colour(window):
+        c = colours.get(window)
+        if c is None:
+            c = colours[window] = col.colour_bit(window)
+        return c
+
+    def reaches_rest(mask, end, colour):
+        todo = [end]
+        while todo:
+            u = todo.pop()
+            first = (1 - classes[u]) * n
+            for w in range(first, first + n):
+                if not (mask >> w) & 1 and window_colour((u, w)) == colour:
+                    mask |= 1 << w
+                    todo.append(w)
+        return mask == full
+
+    failed = {}
+
+    def search(mask, budget):
+        if mask == full:
+            return []
+        if budget <= failed.get(mask, 0):
+            return None
+        uncovered = [u for u in range(total) if not (mask >> u) & 1]
+        lowest = 1 << uncovered[0]
+        last_piece = budget == 1 and r == 2
+        seen_states = set()
+        stack = []
+        for start in reversed(uncovered):
+            stack.append(([start], 1 << start, window_colour((start,)) if r == 1 else None))
+        while stack:
+            seq, pmask, colour = stack.pop()
+            if pmask & lowest:
+                sub = search(mask | pmask, budget - 1)
+                if sub is not None:
+                    piece_colour = Colour(colour) if colour is not None else Colour.RED
+                    return [(tuple(seq), piece_colour)] + sub
+            tail = tuple(seq[-(r - 1) :]) if r > 1 else ()
+            tail_classes = {classes[u] for u in tail}
+            for w in uncovered:
+                if (pmask >> w) & 1:
+                    continue
+                ncolour = colour
+                grown = tail + (w,)
+                if len(seq) + 1 >= r:
+                    if classes[w] in tail_classes:
+                        continue
+                    c = window_colour(grown)
+                    if ncolour is None:
+                        ncolour = c
+                    elif ncolour != c:
+                        continue
+                nmask = pmask | (1 << w)
+                window = grown[-(r - 1) :] if r > 1 else ()
+                state = (nmask, window, ncolour)
+                if state in seen_states:
+                    continue
+                seen_states.add(state)
+                if last_piece and ncolour is not None and not reaches_rest(mask | nmask, w, ncolour):
+                    continue
+                stack.append((seq + [w], nmask, ncolour))
+        failed[mask] = budget
+        return None
+
+    for k in range(1, total + 1):
+        witness = search(0, k)
+        if witness is not None:
+            return k, witness
+
+
+def _cover_sweep():
+    """Seeded hosts with r = 1-4 and r * n <= 12: random materialised ones,
+    rule-backed splits and the same splits materialised."""
+    rng = random.Random(25)
+    hosts = []
+    for r in (1, 2, 3, 4):
+        for n in range(1, 12 // r + 1):
+            hosts += [gen_random("rxn", n, 2, seed=seed, r=r) for seed in range(4)]
+            for _ in range(3 if n >= 2 else 0):
+                sizes = HyperSplitSizes(r, n, tuple(rng.randint(1, n - 1) for _ in range(r)))
+                rule = TransversalColouring(r, n, rule=sizes)
+                hosts += [rule, rule.materialize()]
+    return hosts
+
+
+def test_min_cover_matches_the_list_search():
+    hosts = _cover_sweep()
+    errors = 0
+    for col in hosts:
+        expected = _outcome(_reference_min_cover, col)
+        assert _outcome(min_cover_exact, col) == expected, col
+        errors += isinstance(expected, str)
+    assert 0 < errors < len(hosts)  # the sweep reaches the r >= 3 window error
+
+
+def test_min_cover_reads_each_distinct_window_once(monkeypatch):
+    windows = []
+    lookup = TransversalColouring.colour_bit
+
+    def recording(self, edge):
+        windows.append(tuple(edge))
+        return lookup(self, edge)
+
+    monkeypatch.setattr(TransversalColouring, "colour_bit", recording)
+    for col in _cover_sweep():
+        windows.clear()
+        _outcome(min_cover_exact, col)
+        assert len(windows) == len(set(windows)), col
