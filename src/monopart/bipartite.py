@@ -302,7 +302,12 @@ def cycle_profile(col: PairColouring, cyc):
 
 def is_good_cycle(col: PairColouring, cyc) -> bool:
     """Whether `cyc` has two colour runs whose turning points lie in
-    distinct classes."""
+    distinct classes.  Raises ValueError on a vertex out of range or
+    repeated, before any colour is read."""
+    if len(set(cyc)) != len(cyc):
+        raise ValueError("cycle repeats a vertex")
+    if cyc and not (0 <= min(cyc) and max(cyc) < col.n_vertices):
+        raise ValueError("cycle vertex out of range")
     kind, turns = cycle_profile(col, cyc)
     # the turning points, in order, are the two-vertex frame (turns, 2)
     return kind == "bicoloured" and _is_good(col, turns, 2)

@@ -430,6 +430,13 @@ class HyperSplitSizes:
         colours are read, whatever its n."""
         return b"".join(b"\x01" * si + bytes(self.n - si) for si in self.s)
 
+    def side(self, v: int) -> range:
+        """The global ids of v's class with v's `half` entry, as one range
+        (v included): the distinguished half or the rest of the class."""
+        first = v - v % self.n
+        mid = first + self.s[v // self.n]
+        return range(first, mid) if v < mid else range(mid, first + self.n)
+
     def colour_bit(self, edge) -> int:
         """Colour of a transversal edge given as global ids, unchecked: red
         (0) iff an even number of its vertices lie in the distinguished

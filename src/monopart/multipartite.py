@@ -12,8 +12,9 @@ Vertices are global ids with class i occupying [i*n, (i+1)*n).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import random
 from dataclasses import dataclass
+from itertools import cycle
 
 from .colourings import Colour, HyperSplitSizes, TransversalColouring, _bits
 
@@ -28,10 +29,15 @@ __all__ = [
 ]
 
 DEFAULT_COVER_CAP = 14
-# Half-table reads one side-consistency report may spend on sampling: a
-# sample makes r*n + r of them (see random_mono_tight_path), so samples
-# past this many reads are dropped.  That is 1-2 s on a 2-core Xeon VM.
+# Work one side-consistency report may spend on sampling, counted as
+# half-table reads: a sample counts r*n + r, the length of its candidate
+# lists plus its colour (see random_mono_tight_path), and samples past
+# this many are dropped.  On a 2-core Xeon VM that is 0.1-0.2 s for n up
+# to 5,000; a step's list deletion moves up to n ids, so at
+# r = 2, n = 10**5 it is 0.9 s, and the one sample at r = 1, n = 2**20 - 1
+# takes 17 s.
 SAMPLE_WORK_CAP = 1 << 20
+_COLOURS = (Colour.RED, Colour.BLUE)  # a split colour bit as a Colour
 
 
 class ExceedsCap(RuntimeError):
@@ -44,8 +50,10 @@ def validate_transversal_tight_path(r: int, n: int, seq) -> bool:
 
     Window i+1 is window i without classes[i] and with classes[i+r], so
     every window does iff the first one does and the classes have period
-    r.  A sequence shorter than r has no window."""
-    seq = list(seq)
+    r.  A sequence shorter than r has no window.  Any iterable is taken;
+    a list is read without a copy."""
+    if not isinstance(seq, list):
+        seq = list(seq)
     if len(set(seq)) != len(seq):
         return False
     if seq and not (0 <= min(seq) and max(seq) < r * n):
@@ -61,8 +69,9 @@ def check_side_consistency(sizes: HyperSplitSizes, path) -> bool:
     such path satisfies the property, which this operation computes rather
     than assumes.  It reads the half table once per vertex, as h: window
     i+1's colour is window i's xor h[i] xor h[i+r], so the path is
-    monochromatic iff h has period r, and a transversal path of r or more
-    vertices holds class path[j] // n at positions j, j + r, ...
+    monochromatic iff h has period r.  A transversal path of r or more
+    vertices holds class path[j] // n at positions j, j + r, ..., where
+    that period makes h constant, so a monochromatic one is consistent.
     """
     path = list(path)
     r, n = sizes.r, sizes.n
@@ -73,7 +82,7 @@ def check_side_consistency(sizes: HyperSplitSizes, path) -> bool:
         raise ValueError("path is not monochromatic")
     if len(path) < r:  # no window, so a class may repeat
         return len({(u // n, b) for u, b in zip(path, h)}) == len({u // n for u in path})
-    return all(len(set(h[j::r])) <= 1 for j in range(r))
+    return True
 
 
 @dataclass(frozen=True)
@@ -214,7 +223,7 @@ def min_cover_exact(col: TransversalColouring):
             if pmask & lowest:
                 sub = search(mask | pmask, budget - 1)
                 if sub is not None:
-                    piece_colour = Colour(colour) if colour is not None else Colour.RED
+                    piece_colour = _COLOURS[colour] if colour is not None else Colour.RED
                     return [(tuple(seq), piece_colour)] + sub
             tail = tuple(seq[-(r - 1) :]) if r > 1 else ()
             grows = left & ~pmask
@@ -252,35 +261,44 @@ def min_cover_exact(col: TransversalColouring):
     raise AssertionError("unreachable: singleton pieces always cover")
 
 
-def random_mono_tight_path(sizes: HyperSplitSizes, rng):
+def random_mono_tight_path(sizes: HyperSplitSizes, rng: random.Random):
     """Random monochromatic tight path of the split rule.
 
     It starts with one vertex of each class in random order, so it has at
     least one edge (length >= r) and its colour is determined; it then grows
     towards a random target length until no vertex extends it.  Used by
-    property sweeps.  A sample makes r*n + r reads of the half table; a
-    step is one `rng.choice` and one list deletion.
+    property sweeps.  `rng` must be a `random.Random`: each step draws its
+    index with `getrandbits` and the rejection loop of `Random.choice`, so
+    the draws, and the paths, are those of `rng.choice(free)`.  A sample
+    reads the half table r times (its colour), builds r candidate lists of
+    about n ids each from ranges, and makes O(1) Python-level steps per
+    vertex it adds.
     """
     r, n = sizes.r, sizes.n
     order = list(range(r))
     rng.shuffle(order)
     path = [cls_ * n + rng.randrange(n) for cls_ in order]
     colour = sizes.colour_bit(path)
-    half = sizes.half
     target = rng.randint(r, r * n)
     # the last window has `colour`, so the new window keeps it iff the new
     # vertex lies on the same side of its class as path[-r], the vertex it
     # replaces; so every vertex of a class keeps its start vertex's side,
-    # and the candidates are the unused vertices of that side, ascending
-    options = {}
+    # and the candidates are the unused vertices of that side, ascending.
+    # Classes have period r, so step j extends with the class of path[j % r]
+    lists = []
     for v in path:
-        first, side = v // n * n, half[v]
-        options[v // n] = [u for u in range(first, first + n) if u != v and half[u] == side]
-    while len(path) < target:
-        free = options[path[-r] // n]
-        if not free:
+        side = sizes.side(v)
+        free = list(side)
+        del free[v - side.start]
+        lists.append(free)
+    getrandbits, append = rng.getrandbits, path.append
+    for free, _ in zip(cycle(lists), range(target - r)):
+        m = len(free)
+        if not m:
             break
-        v = rng.choice(free)
-        del free[bisect_left(free, v)]
-        path.append(v)
-    return path, Colour(colour)
+        k = m.bit_length()
+        i = getrandbits(k)
+        while i >= m:
+            i = getrandbits(k)
+        append(free.pop(i))
+    return path, _COLOURS[colour]

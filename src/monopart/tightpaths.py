@@ -241,7 +241,10 @@ def _spliced_turn(cbit, new: tuple[int, ...], blocks, ell: int, first: int) -> i
 def spanning_bicoloured_path(col: TripleColouring) -> BicolouredTightPath:
     """Spanning bicoloured tight path, grown from vertex 0 by repeatedly
     augmenting with the smallest uncovered vertex (n-1 augment calls).
-    The path starts with its vertex bitmask, which each call passes on."""
+    The path starts with its vertex bitmask, which each call passes on.
+    Raises ValueError unless `col` is a 3-uniform (h3) colouring."""
+    if not isinstance(col, TripleColouring):
+        raise ValueError("spanning bicoloured path needs an h3 colouring")
     path = BicolouredTightPath((0,), None, 1)
     for w in range(1, col.n):
         path = augment(col, path, w)
@@ -258,7 +261,10 @@ def split_into_two_mono(
     six vertices and is not monochromatic the cut position is clamped to
     [3, k-3] so that each non-empty part keeps at least one edge.  The
     parts are not read again here: `solve` checks them with `certify`.
+    Raises ValueError unless `path` is a `BicolouredTightPath`.
     """
+    if not isinstance(path, BicolouredTightPath):
+        raise ValueError("path is not a BicolouredTightPath")
     seq = list(path.vertices)
     k = len(seq)
     if k != col.n:

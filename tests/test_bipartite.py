@@ -1093,3 +1093,13 @@ def test_every_exchange_and_attachment_exit_fires(monkeypatch):
             verified(col, partition_path_cycle_coloured(col, list(cyc.vertices)))
     for code, lines in sites.items():
         assert lines and lines <= fired[code], (code.co_name, sorted(lines - fired[code]))
+
+
+def test_is_good_cycle_refuses_bad_vertices_before_reading_colours(monkeypatch):
+    col = gen_random("bnn", 4, 2, seed=1)
+    monkeypatch.setattr(PairColouring, "rows", property(lambda self: pytest.fail("rows read")))
+    for cyc, reason in (([0, 4, 1, 99], "out of range"), ([0, 4, 1, 8], "out of range"),
+                        ([-1, 4, 1, 5], "out of range"), ([0, 4, 1, 4], "repeats"),
+                        ((0, 4, 0, 5), "repeats")):
+        with pytest.raises(ValueError, match=reason):
+            is_good_cycle(col, cyc)

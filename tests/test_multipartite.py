@@ -1,3 +1,4 @@
+import bisect
 import functools
 import hashlib
 import itertools
@@ -404,6 +405,72 @@ def test_random_mono_tight_path_reads_each_table_entry_once(monkeypatch):
         # scan of the next class at each step makes O(n) per step
         assert table.reads <= sizes.r * sizes.n + len(path)
     assert longest > sizes.n
+
+
+def _reference_random_mono_tight_path(sizes, rng):
+    # the sampler before its draws went inline: one `rng.choice` per step,
+    # and candidate lists from a scan of the half table
+    r, n = sizes.r, sizes.n
+    order = list(range(r))
+    rng.shuffle(order)
+    path = [cls_ * n + rng.randrange(n) for cls_ in order]
+    colour = sizes.colour_bit(path)
+    half = sizes.half
+    target = rng.randint(r, r * n)
+    options = {}
+    for v in path:
+        first, side = v // n * n, half[v]
+        options[v // n] = [u for u in range(first, first + n) if u != v and half[u] == side]
+    while len(path) < target:
+        free = options[path[-r] // n]
+        if not free:
+            break
+        v = rng.choice(free)
+        del free[bisect.bisect_left(free, v)]
+        path.append(v)
+    return path, Colour(colour)
+
+
+def test_random_mono_tight_path_matches_the_choice_sampler():
+    # same paths, colours and generator state after every sample
+    for r in (1, 2, 3, 4):
+        for n in range(2, 31):
+            seed = r * 100 + n
+            splits = random.Random(seed)
+            sizes = HyperSplitSizes(r, n, tuple(splits.randint(1, n - 1) for _ in range(r)))
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(6):
+                path, colour = random_mono_tight_path(sizes, rng)
+                assert (path, colour) == _reference_random_mono_tight_path(sizes, ref), sizes
+                assert type(colour) is Colour
+                assert rng.getstate() == ref.getstate(), sizes
+
+
+def test_random_mono_tight_path_reads_the_half_table_per_class(monkeypatch):
+    # start vertices and colour only: building the candidate lists from the
+    # half table would read it r * n more times
+    sizes = HyperSplitSizes(3, 30, (10, 15, 20))
+    table = _CountingTable(sizes.half)
+    monkeypatch.setattr(HyperSplitSizes, "half", property(lambda self: table))
+    rng = random.Random(5)
+    longest = 0
+    for _ in range(20):
+        table.reads = 0
+        path, _colour = random_mono_tight_path(sizes, rng)
+        longest = max(longest, len(path))
+        assert table.reads <= 2 * sizes.r
+    assert longest > sizes.n
+
+
+def test_side_range_matches_the_half_table():
+    for r in (1, 2, 3):
+        for n in range(2, 9):
+            for s in itertools.product(range(1, n), repeat=r):
+                sizes = HyperSplitSizes(r, n, s)
+                half = sizes.half
+                for v in range(r * n):
+                    want = [u for u in range(v // n * n, (v // n + 1) * n) if half[u] == half[v]]
+                    assert list(sizes.side(v)) == want, (s, v)
 
 
 def test_side_consistency_reads_each_vertex_once(monkeypatch):

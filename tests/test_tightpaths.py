@@ -273,6 +273,20 @@ def test_split_rejects_non_spanning():
         split_into_two_mono(col, BicolouredTightPath((0, 1, 2), 2))
 
 
+def test_spanning_path_refuses_a_pair_host():
+    # a kn host has no triples: refused at entry, not by a colour read
+    for kind in ("kn", "bnn"):
+        with pytest.raises(ValueError, match="h3 colouring"):
+            spanning_bicoloured_path(gen_random(kind, 5, 2, seed=1))
+
+
+def test_split_refuses_a_plain_vertex_list():
+    col = gen_random("h3", 5, 2, seed=1)
+    for path in ([0, 1, 2], (0, 1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="BicolouredTightPath"):
+            split_into_two_mono(col, path)
+
+
 def test_every_augment_rerouting_fires():
     # each `blocks = (` line of augment is one of its five re-routings; a
     # line tracer confined to augment's frames records which ones run
