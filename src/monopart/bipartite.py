@@ -115,6 +115,19 @@ def _require_bnn2(col: PairColouring):
         raise ValueError("operation needs a 2-coloured bnn host")
 
 
+def _require_alternating(col: PairColouring, cyc):
+    """Raises ValueError unless `col` is a 2-coloured bnn host and `cyc`,
+    if it has three or more vertices, has even length and alternates
+    between the two classes; reads no colour."""
+    _require_bnn2(col)
+    if len(cyc) > 2:
+        n, even, odd = col.n, cyc[::2], cyc[1::2]
+        if max(even) >= n:
+            even, odd = odd, even
+        if len(cyc) % 2 or not (0 <= min(even) and max(even) < n <= min(odd) and max(odd) < 2 * n):
+            raise ValueError("cycle does not alternate between the classes")
+
+
 def classify_bipartite(col: PairColouring) -> Classification:
     """Mono / Split / VCol verdict with its structure, or Other with a good
     C4 witness.
@@ -286,8 +299,11 @@ def cycle_profile(col: PairColouring, cyc):
 
     A bicoloured cycle's turning points are the two ends of the leading
     run of its red-led frame; the other kinds have none.  Cycles on at
-    most two vertices count as mono and are not read.
+    most two vertices count as mono and are not read.  Raises ValueError,
+    before any colour is read, unless the host is a 2-coloured bnn host
+    and a longer cycle alternates between the classes.
     """
+    _require_alternating(col, cyc)
     if len(cyc) <= 2:
         return "mono", ()
     cols = _cycle_colours(col, cyc)
@@ -303,7 +319,8 @@ def cycle_profile(col: PairColouring, cyc):
 def is_good_cycle(col: PairColouring, cyc) -> bool:
     """Whether `cyc` has two colour runs whose turning points lie in
     distinct classes.  Raises ValueError on a vertex out of range or
-    repeated, before any colour is read."""
+    repeated, or (in `cycle_profile`) on a cycle that does not alternate
+    between the classes, before any colour is read."""
     if len(set(cyc)) != len(cyc):
         raise ValueError("cycle repeats a vertex")
     if cyc and not (0 <= min(cyc) and max(cyc) < col.n_vertices):
@@ -750,8 +767,8 @@ def partition_path_cycle_coloured(col: PairColouring, cycle):
     turning points share a class.  Raises RuntimeError if a red exchange
     fails to progress or makes the cycle good, which no input should
     cause."""
-    _require_bnn2(col)
     cyc = list(cycle)
+    _require_alternating(col, cyc)
     if sorted(cyc) != list(range(2 * col.n)):
         raise ValueError("cycle is not spanning")
     seq, ell = _frame(col, cyc, RED)

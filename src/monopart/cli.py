@@ -291,8 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="partition a colouring, write a certificate")
     s.add_argument("colouring")
     s.add_argument("--out")
-    s.add_argument("--two-paths", action="store_true")
-    s.add_argument("--force-red-path", action="store_true")
+    variant = s.add_mutually_exclusive_group()
+    variant.add_argument("--two-paths", action="store_true")
+    variant.add_argument("--force-red-path", action="store_true")
     s.add_argument("--samples", type=_count, default=1000, help="rxn property samples")
     s.set_defaults(fn=_cmd_solve)
 

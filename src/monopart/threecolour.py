@@ -11,13 +11,14 @@ paths and two cycles, or two paths and four cycles.
 The carved-path search works on bitsets held as Python ints: each
 vertex's red neighbours (n^2/8 bytes in all), the remainder, its
 components and the path's vertices, so a search step is a few big-int
-operations and keeps no set of vertices.
+operations and keeps no set of vertices.  The balanced split of the
+remainder is one subset sum over its components on such a bitset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -117,11 +118,34 @@ def _red_components(fresh: int, red):
     return comps
 
 
+def _reach(steps) -> list[int]:
+    """Suffix subset sums of `steps`, (take, leave) bit offsets, as
+    bitsets: bit t of entry i is set iff taking or leaving each of
+    steps[i:] can add up to t.  One shift pair and one or per step."""
+    reach = [1]
+    for take, leave in reversed(steps):
+        reach.append(reach[-1] << take | reach[-1] << leave)
+    reach.reverse()
+    return reach
+
+
+def _choose(steps, reach, target: int) -> list[bool]:
+    """Which of `steps` to take (True) or leave for a sum of `target`,
+    which reach[0] holds: the first such choice list in take-before-leave
+    order, walked greedily on the suffix sums."""
+    choice = []
+    for (take, leave), after in zip(steps, reach[1:]):
+        choice.append(target >= take and after >> (target - take) & 1 == 1)
+        target -= take if choice[-1] else leave
+    return choice
+
+
 def _half_split(rest: int, red):
     """Equal halves of the vertex mask `rest` with no carved-colour edge
     between them, as sorted lists, or None.  Components must not straddle
     the halves, so a component larger than a half rules the split out
-    before the scan ends."""
+    before the scan ends.  The first half is the first choice of
+    components, in take-first order, whose sizes sum to |rest|/2."""
     total = rest.bit_count()
     if total % 2:
         return None
@@ -129,22 +153,11 @@ def _half_split(rest: int, red):
     comps = _red_components(rest, red)
     if comps is None:
         return None
-    sizes = [c.bit_count() for c in comps]
-    # suffix-achievable sums for greedy lexicographic reconstruction
-    achievable = [set() for _ in range(len(sizes) + 1)]
-    achievable[len(sizes)].add(0)
-    for i in range(len(sizes) - 1, -1, -1):
-        for s in achievable[i + 1]:
-            achievable[i].add(s)
-            achievable[i].add(s + sizes[i])
-    if target not in achievable[0]:
+    steps = [(c.bit_count(), 0) for c in comps]
+    reach = _reach(steps)
+    if not reach[0] >> target & 1:
         return None
-    x = 0
-    need = target
-    for i, comp in enumerate(comps):
-        if need - sizes[i] >= 0 and (need - sizes[i]) in achievable[i + 1]:
-            x |= comp
-            need -= sizes[i]
+    x = sum(compress(comps, _choose(steps, reach, target)))
     return list(_bits(x)), list(_bits(rest ^ x))
 
 
@@ -173,44 +186,30 @@ def _two_block_split(r0: int, r1: int, red):
         else:
             iso |= c
     f0, f1 = (iso & r0).bit_count(), (iso & r1).bit_count()
-    # DP over components; state (diff, a1) = (|A1| - |A2| counting only
-    # component vertices, |A1| from components), with parent pointers
-    layers: list[dict] = [{(0, 0): None}]
-    for c0, c1 in comps:
-        k0, k1 = c0.bit_count(), c1.bit_count()
-        prev = layers[-1]
-        nxt: dict = {}
-        for (d, s) in prev:
-            ka = (d + k0, s + k0)
-            kb = (d - k1, s)
-            if ka not in nxt:
-                nxt[ka] = ((d, s), True)
-            if kb not in nxt:
-                nxt[kb] = ((d, s), False)
-        layers.append(nxt)
-    best = None
-    for (d, s) in layers[-1]:
-        if -f0 <= d <= f1:
-            a0 = max(0, -d)
-            cand = (s + a0, d, s)
-            if best is None or cand < best:
-                best = cand
-    if best is None:
+    # subset sum over components: taking one puts its class-0 part in A,
+    # leaving it puts its class-1 part there; bit s * w + u of the sums
+    # stands for |A1| = s and |A2| = u, counting component vertices (u < w)
+    w = r1.bit_count() + 1
+    steps = [(c0.bit_count() * w, c1.bit_count()) for c0, c1 in comps]
+    reach = _reach(steps)
+    # isolated vertices balance A when -f0 <= s - u <= f1; the smallest
+    # max(s, u) wins, then the smallest s - u.  Difference d's cells are
+    # every (w + 1)-th bit (`diag`, a geometric series) by rising max(s, u);
+    # past u = w - 1 they meet only cells with s > |r0| - f0, never reached
+    diag = ((1 << w * (w + 1)) - 1) // ((1 << w + 1) - 1)
+    hits = []
+    for d in range(-f0, f1 + 1):
+        on = reach[0] >> max(0, d) * (w + 1) - d & diag
+        if on:
+            hits.append(((on & -on).bit_length() // (w + 1) + abs(d), d))
+    if not hits:
         return None
-    _, d, s = best
-    choose: list[bool] = []
-    cur = (d, s)
-    for i in range(len(comps), 0, -1):
-        parent, took_a = layers[i][cur]
-        choose.append(took_a)
-        cur = parent
-    choose.reverse()
-    # block A: each chosen component's class-0 part, each other one's
+    side, d = min(hits)
+    s, u = side + min(0, d), side - max(0, d)
+    # block A: each taken component's class-0 part, each other one's
     # class-1 part, and the lowest isolated vertices that balance it
-    a = 0
-    for (c0, c1), took_a in zip(comps, choose):
-        a |= c0 if took_a else c1
-    for v in chain(islice(_bits(iso & r0), max(0, -d)), islice(_bits(iso & r1), max(0, d))):
+    a = sum(c0 if took else c1 for (c0, c1), took in zip(comps, _choose(steps, reach, s * w + u)))
+    for v in chain(islice(_bits(iso & r0), max(0, u - s)), islice(_bits(iso & r1), max(0, s - u))):
         a |= 1 << v
     a1, a2, b1, b2 = (list(_bits(m)) for m in (a & r0, a & r1, r0 & ~a, r1 & ~a))
     if len(a1) > len(b1):

@@ -1103,3 +1103,31 @@ def test_is_good_cycle_refuses_bad_vertices_before_reading_colours(monkeypatch):
                         ((0, 4, 0, 5), "repeats")):
         with pytest.raises(ValueError, match=reason):
             is_good_cycle(col, cyc)
+
+
+@pytest.mark.parametrize("cyc", [[0, 1, 4, 5], [4, 0, 5, 6], [4, 5, 0, 1], [0, 4, 5, 1], [0, 4, 1],
+                                 (4, 0, 5, 1, 6)])
+def test_cycles_that_do_not_alternate_classes_are_refused_before_reading_colours(monkeypatch, cyc):
+    # a class-1 row of the raw view is n bytes long: two class-1 vertices
+    # side by side used to index past it (IndexError)
+    col = gen_random("bnn", 4, 2, seed=1)
+    monkeypatch.setattr(PairColouring, "rows", property(lambda self: pytest.fail("rows read")))
+    for check in (is_good_cycle, bp.cycle_profile):
+        with pytest.raises(ValueError, match="does not alternate"):
+            check(col, cyc)
+
+
+def test_coloured_partition_refuses_a_spanning_cycle_that_does_not_alternate(monkeypatch):
+    col = gen_random("bnn", 4, 2, seed=1)
+    monkeypatch.setattr(PairColouring, "rows", property(lambda self: pytest.fail("rows read")))
+    for cyc in (range(8), [0, 4, 1, 5, 2, 3, 6, 7]):
+        with pytest.raises(ValueError, match="does not alternate"):
+            partition_path_cycle_coloured(col, cyc)
+
+
+@pytest.mark.parametrize("col", [gen_random("kn", 4, 2, seed=1), gen_random("bnn", 4, 3, seed=1)],
+                         ids=["kn", "bnn3"])
+def test_cycle_checks_need_a_two_coloured_bnn_host(col):
+    for check in (is_good_cycle, bp.cycle_profile, partition_path_cycle_coloured):
+        with pytest.raises(ValueError, match="2-coloured bnn host"):
+            check(col, [0, 2, 1, 3])

@@ -294,6 +294,18 @@ def test_bad_command_line_exits_1_with_one_line(argv, capsys):
     assert out.out == "" and len(out.err.splitlines()) == 1
 
 
+def test_variant_flags_are_mutually_exclusive(tmp_path, capsys):
+    # both flags used to run the red-path variant alone and exit 0
+    col, cert = tmp_path / "c.bnn", tmp_path / "cert.json"
+    assert main(["gen", "--kind", "bnn", "--n", "6", "--seed", "1", "--out", str(col)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(col), "--two-paths", "--force-red-path", "--out", str(cert)])
+    out = capsys.readouterr()
+    assert exc.value.code == 1 and out.out == "" and not cert.exists()
+    assert len(out.err.splitlines()) == 1 and "not allowed with argument" in out.err
+
+
 def test_usage_error_on_missing_file(capsys):
     code, _, err = run(["solve", "/nonexistent/file"], capsys)
     assert code == 1

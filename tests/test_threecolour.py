@@ -606,3 +606,78 @@ def test_red_adjacency_takes_under_a_byte_per_edge(kind, n):
         tracemalloc.stop()
     assert len(red) == col.n_vertices
     assert held <= col.n_edges, held / col.n_edges
+
+
+# ---------------------------------------------------------------------------
+# the bitset subset sum against the set and dict DPs it replaced
+
+
+def _small_blocks(rng, sizes, ids):
+    """Red sets on `ids` made of disjoint blocks: each block takes the next
+    a_i vertices of each id range in `ids` (a_i drawn from `sizes`) and is
+    complete between its parts, or a clique when `ids` has one range."""
+    red = {v: set() for r in ids for v in r}
+    starts = [r.start for r in ids]
+    while any(s < r.stop for s, r in zip(starts, ids)):
+        parts = []
+        for i, r in enumerate(ids):
+            a = rng.choice(sizes)
+            parts.append(range(starts[i], min(starts[i] + a, r.stop)))
+            starts[i] = parts[-1].stop
+        members = [v for p in parts for v in p]
+        for u in members:
+            same = next(p for p in parts if u in p)
+            red[u] |= {w for w in members if w != u and (len(ids) == 1 or w not in same)}
+    return [red[v] for v in sorted(red)]
+
+
+def _size_ties(sizes):
+    """Whether two components have equal `sizes`: then two choice lists
+    reach the same subset sum, and the old DPs kept the first of them."""
+    return len(set(sizes)) < len(sizes)
+
+
+def test_half_split_matches_the_set_dp():
+    rng = random.Random(29)
+    ties = 0
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        red = _small_blocks(rng, [1, 1, 2, 3, 4], [range(n)])
+        vertices = sorted(rng.sample(range(n), rng.randint(0, n)))
+        want = _ref_half_split(vertices, red)
+        assert tc._half_split(_mask(vertices), _masks(red)) == want, (vertices, red)
+        ties += want is not None and _size_ties([len(c) for c in _ref_red_components(vertices, red)])
+    assert ties >= 50, ties
+
+
+def test_two_block_split_matches_the_dict_dp():
+    rng = random.Random(31)
+    ties = 0
+    for _ in range(300):
+        n = rng.randint(1, 24)
+        red = _small_blocks(rng, [0, 1, 1, 2, 3], [range(n), range(n, 2 * n)])
+        size = rng.randint(0, n)
+        r0 = sorted(rng.sample(range(n), size))
+        r1 = sorted(rng.sample(range(n, 2 * n), size if rng.random() < 0.9 else rng.randint(0, n)))
+        want = _ref_two_block_split(r0, r1, red)
+        assert tc._two_block_split(_mask(r0), _mask(r1), _masks(red)) == want, (r0, r1, red)
+        ties += want is not None and _size_ties(
+            [(len(c0), len(c1)) for c0, c1 in _ref_bip_components(r0, r1, red)[0]])
+    assert ties >= 50, ties
+
+
+def test_two_block_split_of_many_small_blocks_in_bounded_memory():
+    # red K_{a,b} blocks with a, b in 1..3 cover n = 200 per class: about
+    # 100 components, whose per-layer dicts of (d, s) states held 92 MB
+    n, rng = 200, random.Random(7)
+    red = _small_blocks(rng, [1, 2, 3], [range(n), range(n, 2 * n)])
+    masks, full0 = _masks(red), (1 << n) - 1
+    tracemalloc.start()
+    try:
+        got = tc._two_block_split(full0, full0 << n, masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (a1, a2), (b1, b2) = got
+    assert len(a1) + len(b1) == n and not any(red[u] & set(a2) for u in a1)
+    assert peak < 8 << 20, peak / 2**20
