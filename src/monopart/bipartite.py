@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .certificates import Piece
-from .colourings import BLUE, RED, Colour, PairColouring, SplitStructure, other_colour
+from .colourings import BLUE, RED, Colour, PairColouring, SplitStructure, _red_blocks, other_colour
 
 __all__ = [
     "VColStructure",
@@ -67,23 +67,14 @@ class VColStructure:
     blue_arm: tuple[int, ...]
 
     def verify(self, col: PairColouring) -> bool:
-        if col.kind != "bnn" or col.palette != 2:
+        # the split block pattern with one part empty: the red edges are
+        # class 0 x red arm on class 0, and red arm x class 1 on class 1
+        n, side, arms = col.n, self.bichro_class, sorted(self.red_arm + self.blue_arm)
+        if not self.red_arm or not self.blue_arm or side not in (0, 1):
             return False
-        if not self.red_arm or not self.blue_arm or self.bichro_class not in (0, 1):
-            return False
-        n = col.n
-        opp = list(col.class_vertices(1 - self.bichro_class))
-        if sorted(self.red_arm + self.blue_arm) != opp:
-            return False
-        # every vertex of the bichromatic class has the same row (class 0)
-        # or column (class 1) of entries: red towards the red arm, blue
-        # towards the blue arm
-        red_arm = set(self.red_arm)
-        want = bytes(RED if w in red_arm else BLUE for w in opp)
-        entries = col.entries
-        if self.bichro_class == 0:
-            return all(entries[a * n : (a + 1) * n] == want for a in range(n))
-        return all(entries[b::n] == want for b in range(n))
+        if side == 0:
+            return arms == list(range(n, 2 * n)) and _red_blocks(col, range(n), self.red_arm)
+        return arms == list(range(n)) and _red_blocks(col, self.red_arm, range(n, 2 * n))
 
 
 @dataclass(frozen=True)
@@ -116,15 +107,19 @@ def _require_bnn2(col: PairColouring):
 
 
 def _require_alternating(col: PairColouring, cyc):
-    """Raises ValueError unless `col` is a 2-coloured bnn host and `cyc`,
-    if it has three or more vertices, has even length and alternates
-    between the two classes; reads no colour."""
+    """Raises ValueError unless `col` is a 2-coloured bnn host and `cyc`
+    lists distinct vertices of the host and, if it has three or more, has
+    even length and alternates between the two classes; reads no colour."""
     _require_bnn2(col)
+    if len(set(cyc)) != len(cyc):
+        raise ValueError("cycle repeats a vertex")
+    if cyc and not (0 <= min(cyc) and max(cyc) < 2 * col.n):
+        raise ValueError("cycle vertex out of range")
     if len(cyc) > 2:
         n, even, odd = col.n, cyc[::2], cyc[1::2]
         if max(even) >= n:
             even, odd = odd, even
-        if len(cyc) % 2 or not (0 <= min(even) and max(even) < n <= min(odd) and max(odd) < 2 * n):
+        if len(cyc) % 2 or not max(even) < n <= min(odd):
             raise ValueError("cycle does not alternate between the classes")
 
 
@@ -140,8 +135,8 @@ def classify_bipartite(col: PairColouring) -> Classification:
     Otherwise whether R_0 is constant and whether its complement occurs
     tell mono, V on class 1, V on class 0 and split apart.  The split and V
     structures hold by construction, since every row is R_0 or its
-    complement; `split_three_paths` verifies a split structure before it
-    uses one, and `certify` checks the pieces built from either.
+    complement; `split_three_paths` and `v_two_cycles` verify a structure
+    before they use one, and `certify` checks the pieces built from either.
     """
     _require_bnn2(col)
     n, entries = col.n, col.entries
@@ -300,8 +295,9 @@ def cycle_profile(col: PairColouring, cyc):
     A bicoloured cycle's turning points are the two ends of the leading
     run of its red-led frame; the other kinds have none.  Cycles on at
     most two vertices count as mono and are not read.  Raises ValueError,
-    before any colour is read, unless the host is a 2-coloured bnn host
-    and a longer cycle alternates between the classes.
+    before any colour is read, unless the host is a 2-coloured bnn host,
+    the vertices are distinct and in range, and a longer cycle alternates
+    between the classes.
     """
     _require_alternating(col, cyc)
     if len(cyc) <= 2:
@@ -318,13 +314,8 @@ def cycle_profile(col: PairColouring, cyc):
 
 def is_good_cycle(col: PairColouring, cyc) -> bool:
     """Whether `cyc` has two colour runs whose turning points lie in
-    distinct classes.  Raises ValueError on a vertex out of range or
-    repeated, or (in `cycle_profile`) on a cycle that does not alternate
-    between the classes, before any colour is read."""
-    if len(set(cyc)) != len(cyc):
-        raise ValueError("cycle repeats a vertex")
-    if cyc and not (0 <= min(cyc) and max(cyc) < col.n_vertices):
-        raise ValueError("cycle vertex out of range")
+    distinct classes.  Raises ValueError, before any colour is read, on
+    the input that `cycle_profile` refuses."""
     kind, turns = cycle_profile(col, cyc)
     # the turning points, in order, are the two-vertex frame (turns, 2)
     return kind == "bicoloured" and _is_good(col, turns, 2)
@@ -551,7 +542,7 @@ def extend_good_cycle(col: PairColouring, frame, quad):
     if not _is_good(col, seq, ell):
         raise ValueError("input cycle is not good")
     quad = sorted(quad)
-    if len(quad) != 4 or not quad[1] < n <= quad[2]:
+    if len(set(quad)) != 4 or not (0 <= quad[0] and quad[1] < n <= quad[2] and quad[3] < 2 * n):
         raise ValueError("quad is not a C4 vertex set")
     q0, q1 = quad[:2], quad[2:]
     qbits = 1 << quad[0] | 1 << quad[1] | 1 << quad[2] | 1 << quad[3]
@@ -769,7 +760,7 @@ def partition_path_cycle_coloured(col: PairColouring, cycle):
     cause."""
     cyc = list(cycle)
     _require_alternating(col, cyc)
-    if sorted(cyc) != list(range(2 * col.n)):
+    if len(cyc) != 2 * col.n:
         raise ValueError("cycle is not spanning")
     seq, ell = _frame(col, cyc, RED)
     if _is_good(col, seq, ell):
@@ -807,7 +798,7 @@ def split_three_paths(col: PairColouring, structure: SplitStructure):
     """At most three monochromatic paths partitioning a split colouring:
     red zig-zags through both red blocks, blue zig-zag through the
     leftovers (which always land in one blue block)."""
-    if not structure.verify(col):
+    if not isinstance(structure, SplitStructure) or not structure.verify(col):
         raise ValueError("split structure fails verification against the colouring")
     a1, a2, b1, b2 = (sorted(p) for p in (structure.a1, structure.a2, structure.b1, structure.b2))
     t1 = min(len(a1), len(b1))
@@ -831,8 +822,8 @@ def v_two_cycles(col: PairColouring, structure: VColStructure | None):
     a V-coloured host (degenerate cycles allowed), given the structure
     `classify_bipartite(col).vcol`: the red and blue zig-zags of the
     bichromatic class in order, first against the red arm, then the blue.
-    Raises ValueError when the structure is None (not a V-colouring)."""
-    if structure is None:
+    Raises ValueError unless the structure verifies against `col`."""
+    if not isinstance(structure, VColStructure) or not structure.verify(col):
         raise ValueError("colouring is not a V-colouring")
     own = list(col.class_vertices(structure.bichro_class))
     p = len(structure.red_arm)

@@ -192,8 +192,6 @@ def _check_piece(col, piece: Piece, idx: int) -> CheckResult:
         if bip and k >= 3 and k % 2 != 0:
             return _bad("cycle-does-not-close", idx)
     for u, v in edges:
-        if u == v:
-            return _bad("self-loop", idx, (u,))
         if bip and col.side(u) == col.side(v):
             return _bad("edge-within-class", idx, (u, v))
     colour_free = piece.kind == "cycle" and k <= 2

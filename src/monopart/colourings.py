@@ -565,23 +565,30 @@ class SplitStructure:
             raise ValueError("all four split parts must be non-empty")
 
     def verify(self, col: PairColouring) -> bool:
-        if col.kind != "bnn" or col.palette != 2:
-            return False
         n = col.n
-        if sorted(self.a1 + self.a2) != list(range(n)):
-            return False
-        if sorted(self.b1 + self.b2) != list(range(n, 2 * n)):
-            return False
-        # the row of an a1 vertex is red (0) towards b1 and blue towards b2;
-        # an a2 vertex's row is its complement
-        in_b1 = set(self.b1)
-        row1 = bytes(0 if b in in_b1 else 1 for b in range(n, 2 * n))
-        row2 = bytes(1 - c for c in row1)
-        in_a1 = set(self.a1)
-        entries = col.entries
-        return all(
-            entries[a * n : (a + 1) * n] == (row1 if a in in_a1 else row2) for a in range(n)
+        return (
+            sorted(self.a1 + self.a2) == list(range(n))
+            and sorted(self.b1 + self.b2) == list(range(n, 2 * n))
+            and _red_blocks(col, self.a1, self.b1)
         )
+
+
+_FLIP = bytes.maketrans(bytes([RED, BLUE]), bytes([BLUE, RED]))
+
+
+def _red_blocks(col, a1, b1) -> bool:
+    """Whether `col` is a 2-coloured bnn host whose red edges are exactly
+    (a1 x b1) u (a2 x b2), with a2 and b2 the rest of each class, either
+    possibly empty: an a1 vertex's row is red towards b1 and blue elsewhere,
+    and every other class-0 row is its complement.  Read row by row."""
+    if col.kind != "bnn" or col.palette != 2:
+        return False
+    n, entries, in_a1 = col.n, col.entries, set(a1)
+    row1 = bytearray([BLUE]) * n
+    for b in b1:
+        row1[b - n] = RED
+    row1, row2 = bytes(row1), bytes(row1.translate(_FLIP))
+    return all(entries[a * n : (a + 1) * n] == (row1 if a in in_a1 else row2) for a in range(n))
 
 
 # ---------------------------------------------------------------------------

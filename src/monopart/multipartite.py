@@ -161,8 +161,11 @@ def min_cover_exact(col: TransversalColouring):
     the other class whose window (u, w) has colour c.  A piece of known
     colour then grows by one mask intersection, and the prune's reach is a
     breadth-first search over those masks.  For r = 1 and r >= 3 each
-    window a grown piece meets is read once, when first met.
+    window a grown piece meets is read once, when first met.  Raises
+    ValueError unless `col` is an rxn host.
     """
+    if not isinstance(col, TransversalColouring):
+        raise ValueError("minimum cover needs an rxn host")
     r, n = col.r, col.n
     total = r * n
     if total > DEFAULT_COVER_CAP:

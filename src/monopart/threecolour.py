@@ -165,7 +165,7 @@ def _two_block_split(r0: int, r1: int, red):
     """Blocks (A1,A2), (B1,B2) with A1,B1 from the class-0 mask r0 and A2,B2
     from the class-1 mask r1, as sorted lists, with equal block sides, no
     carved-colour edge inside either block, and |A| <= |B|; None when
-    impossible.
+    impossible.  |A1| = max(s, u) is least; flipping every take/leave choice gives max <= |B1|.
 
     Every carved-colour component must put its class-0 vertices in one
     block and its class-1 vertices in the other.  A component (c0, c1)
@@ -212,8 +212,6 @@ def _two_block_split(r0: int, r1: int, red):
     for v in chain(islice(_bits(iso & r0), max(0, u - s)), islice(_bits(iso & r1), max(0, s - u))):
         a |= 1 << v
     a1, a2, b1, b2 = (list(_bits(m)) for m in (a & r0, a & r1, r0 & ~a, r1 & ~a))
-    if len(a1) > len(b1):
-        a1, a2, b1, b2 = b1, b2, a1, a2
     return (a1, a2), (b1, b2)
 
 
@@ -421,8 +419,6 @@ def _wipe_path_into(col: PairColouring, part0, part1, anchor, colour, ending: bo
 def _remainder_cycles(col: PairColouring, left, right) -> list[Piece]:
     """Cover a merged-colour remainder block by at most two cycles; the
     construction leaves it V-coloured or monochromatic."""
-    if not left:
-        return []
     local = _induced_block(col, left, right)
     verdict = classify_bipartite(local)
     if verdict.kind == "mono":

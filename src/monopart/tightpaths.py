@@ -79,13 +79,20 @@ class BicolouredTightPath:
         return k <= 1 or self.turn == 1 or self.turn == k - 1
 
 
+def _require_h3(col) -> None:
+    if not isinstance(col, TripleColouring):
+        raise ValueError("operation needs an h3 colouring")
+
+
 def classify_tight_path(col: TripleColouring, seq) -> TightPathClass:
     """Classify a vertex sequence per the tight-path colour-run rule.
 
     Returns bicoloured with the smallest valid turning index when the edge
     colours form exactly two runs, mono for at most one run, and invalid
-    for more than two runs or a malformed sequence.
+    for more than two runs or a malformed sequence.  Raises ValueError
+    unless `col` is an h3 colouring.
     """
+    _require_h3(col)
     seq = list(seq)
     k = len(seq)
     n = col.n
@@ -118,30 +125,38 @@ def augment(col: TripleColouring, path: BicolouredTightPath, w: int) -> Bicolour
     """Extend a bicoloured tight path by the uncovered vertex w.
 
     Total on complete hosts: the result is always a valid bicoloured tight
-    path on V(path) + {w}.  The input turn is trusted (the
-    `BicolouredTightPath` invariant), so the new turn is derived rather
-    than found by reclassifying the path.  Short or monochromatic paths
-    take w at the end, and the one new triple decides the turn.
-    Otherwise the path is read in a working frame, forwards or backwards
-    (backwards swaps the roles of the two colour runs), so that the triple
-    (turn, turn+1, w) has the first-run colour, and one of five explicit
-    re-routings applies.  Each re-routing splices w between at most four
-    blocks of the old path, kept or reversed; a triple inside a block keeps
-    its known run colour, so only the triples across a junction are looked
-    up, and a profile of more than two runs raises ValueError.
+    path on V(path) + {w}.  A hand-built path (mask 0) is classified once,
+    and refused unless it is valid with, from three vertices up, the turn
+    `classify_tight_path` gives (k - 1 or 1 when monochromatic); past that
+    the turn is trusted (the `BicolouredTightPath` invariant), so the new
+    turn is derived rather than found by reclassifying the path.  Short
+    or monochromatic paths take w at the end, and the one new triple
+    decides the turn.  Otherwise the path is read in a working frame,
+    forwards or backwards (backwards swaps the roles of the two colour
+    runs), so that the triple (turn, turn+1, w) has the first-run colour,
+    and one of five explicit re-routings applies.  Each re-routing splices
+    w between at most four blocks of the old path, kept or reversed; a
+    triple inside a block keeps its known run colour, so only the triples
+    across a junction are looked up, and a profile of more than two runs
+    raises ValueError.
 
-    Cost: O(1) colour lookups and O(1) Python-level work per call.  The
-    membership test reads the path's vertex bitmask, the working frame maps
-    its indices onto the stored tuple instead of reversing it, and the new
-    tuple is concatenated from at most four direct (reversed) slices of
-    the old one, so the only work linear in the path's length is C-level
-    copying.
+    Cost, past the read of a hand-built path: O(1) colour lookups and O(1)
+    Python-level work per call.  The membership test reads the path's
+    vertex bitmask, the working frame maps its indices onto the stored
+    tuple instead of reversing it, and the new tuple is concatenated from
+    at most four direct (reversed) slices of the old one, so the only work
+    linear in the path's length is C-level copying.
     """
+    _require_h3(col)
     if not 0 <= w < col.n:
         raise ValueError(f"vertex {w} out of range")
     seq, mask = path.vertices, path.mask
     if not mask:  # a hand-built path: `augment` results carry their mask
         seq = tuple(seq)
+        cls, k = classify_tight_path(col, seq), len(seq)
+        turns = (cls.turn,) if cls.kind == "bicoloured" else (1, k - 1)
+        if cls.kind == "invalid" or k > 2 and path.turn not in turns:
+            raise ValueError("path is not a bicoloured tight path with its canonical turn")
         for v in seq:
             mask |= 1 << v
     if mask >> w & 1:
@@ -243,8 +258,7 @@ def spanning_bicoloured_path(col: TripleColouring) -> BicolouredTightPath:
     augmenting with the smallest uncovered vertex (n-1 augment calls).
     The path starts with its vertex bitmask, which each call passes on.
     Raises ValueError unless `col` is a 3-uniform (h3) colouring."""
-    if not isinstance(col, TripleColouring):
-        raise ValueError("spanning bicoloured path needs an h3 colouring")
+    _require_h3(col)
     path = BicolouredTightPath((0,), None, 1)
     for w in range(1, col.n):
         path = augment(col, path, w)

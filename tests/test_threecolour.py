@@ -7,6 +7,7 @@ import pytest
 
 import monopart.bipartite as bp
 import monopart.threecolour as tc
+from monopart.certificates import check_certificate
 from monopart.colourings import BLUE, GREEN, RED, PairColouring
 from monopart.generators import gen_random, gen_three_colour_split
 from monopart.threecolour import (
@@ -681,3 +682,22 @@ def test_two_block_split_of_many_small_blocks_in_bounded_memory():
     (a1, a2), (b1, b2) = got
     assert len(a1) + len(b1) == n and not any(red[u] & set(a2) for u in a1)
     assert peak < 8 << 20, peak / 2**20
+
+
+def test_remainder_block_takes_the_v_branch(monkeypatch):
+    # two balanced blocks whose inner edges follow a blue/green split with
+    # unequal parts, and mostly red cross edges: both blocks are split, and
+    # after the wipe paths one remainder block is V-coloured
+    col = PairColouring("bnn", 7, 3, bytes.fromhex(
+        "01020202000200000000000102020000000001020200000000020101020101010000000201010100000002010101000200"))
+    calls = []
+    real = tc.v_two_cycles
+
+    def spy(local, structure):
+        calls.append(structure)
+        return real(local, structure)
+
+    monkeypatch.setattr(tc, "v_two_cycles", spy)
+    cert = partition3_bipartite(col)
+    assert len(calls) == 1 and calls[0] is not None
+    assert check_certificate(col, cert).ok and cert.nonempty_shape() == (1, 3)
