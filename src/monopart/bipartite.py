@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 from .certificates import Piece
 from .colourings import BLUE, RED, Colour, PairColouring, SplitStructure, _red_blocks, other_colour
@@ -167,8 +167,13 @@ def classify_bipartite(col: PairColouring) -> Classification:
     return Classification("vcol", vcol=vcol)
 
 
-# the class test of a subset pair reads only the ends of the sorted lists
-_NOT_IN_CLASS = "subset0 must lie in class 0 and subset1 in class 1"
+def _check_subsets(n: int, s0, s1) -> None:
+    """ValueError unless the sorted lists s0 and s1 hold distinct vertices
+    of class 0 and class 1: the class test reads only the lists' ends."""
+    if s0 and not (0 <= s0[0] and s0[-1] < n <= s1[0] and s1[-1] < 2 * n):
+        raise ValueError("subset0 must lie in class 0 and subset1 in class 1")
+    if len(set(s0)) != len(s0) or len(set(s1)) != len(s1):
+        raise ValueError("a subset repeats a vertex")
 
 
 def find_balanced_c4(col: PairColouring, subset0, subset1):
@@ -183,8 +188,7 @@ def find_balanced_c4(col: PairColouring, subset0, subset1):
     if len(subset0) != len(subset1):
         raise ValueError("subset classes must have equal sizes")
     s0, s1 = sorted(subset0), sorted(subset1)
-    if s0 and not (0 <= s0[0] and s0[-1] < col.n <= s1[0] and s1[-1] < 2 * col.n):
-        raise ValueError(_NOT_IN_CLASS)
+    _check_subsets(col.n, s0, s1)
     rows = col.rows
     if _near_mono(rows, s0, s1) is not None:
         return None
@@ -239,8 +243,7 @@ def near_mono_spanning_path(col: PairColouring, subset0, subset1):
     s0, s1 = sorted(subset0), sorted(subset1)
     if len(s0) != len(s1) or not s0:
         raise ValueError("need equal non-empty class subsets")
-    if not (0 <= s0[0] and s0[-1] < col.n <= s1[0] and s1[-1] < 2 * col.n):
-        raise ValueError(_NOT_IN_CLASS)
+    _check_subsets(col.n, s0, s1)
     rows = col.rows
     near = _near_mono(rows, s0, s1)
     if near is None:
@@ -531,9 +534,10 @@ def extend_good_cycle(col: PairColouring, frame, quad):
         mask = frame.change[2]
     else:  # a hand-built frame: check its vertices, read it once, build its bitmask
         mask, k = 0, len(seq)
-        for u in seq:
-            mask |= 1 << u
-        if k < 4 or k % 2 or mask.bit_count() != k or mask >> 2 * n or any(
+        if k and 0 <= min(seq) and max(seq) < 2 * n:  # bounds the bitmask's size
+            for u in seq:
+                mask |= 1 << u
+        if k < 4 or k % 2 or mask.bit_count() != k or any(
             (u < n) == (w < n) for u, w in zip(seq, seq[1:])
         ):
             raise ValueError("frame is not a cycle of distinct vertices alternating the classes")
@@ -625,11 +629,7 @@ class SpanningCycle:
 
 
 def _interleave(left, right) -> list[int]:
-    out: list[int] = []
-    for a, b in zip(left, right):
-        out.append(a)
-        out.append(b)
-    return out
+    return list(chain.from_iterable(zip(left, right)))
 
 
 def _wrap_spanning(col: PairColouring, cyc, frame=None) -> SpanningCycle:

@@ -39,7 +39,7 @@ class halves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, field
 from enum import IntEnum
 from functools import cached_property
 
@@ -196,22 +196,23 @@ def _pair_edges(kind: str, n: int):
 # colourings
 
 
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class TripleColouring:
     """2-colouring of all triples of [n], bit-packed in colex order."""
 
-    __slots__ = ("n", "bits")
+    n: int
+    bits: bytes
 
     kind = "h3"
     palette = 2
 
-    def __init__(self, n: int, bits: bytes):
-        if n < 3:
+    def __post_init__(self):
+        if self.n < 3:
             raise ValueError("triple colouring needs n >= 3 for any edge to exist")
-        m = _n_edges("h3", n)
-        if len(bits) != (m + 7) // 8:
-            raise ValueError(f"expected {(m + 7) // 8} bytes for n={n}, got {len(bits)}")
-        self.n = n
-        self.bits = bytes(bits)
+        m = _n_edges("h3", self.n)
+        if len(self.bits) != (m + 7) // 8:
+            raise ValueError(f"expected {(m + 7) // 8} bytes for n={self.n}, got {len(self.bits)}")
+        self.bits = bytes(self.bits)
 
     @property
     def n_edges(self) -> int:
@@ -254,16 +255,6 @@ class TripleColouring:
         return np.unpackbits(np.frombuffer(self.bits, np.uint8), count=self.n_edges,
                              bitorder="little")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TripleColouring)
-            and self.n == other.n
-            and self.bits == other.bits
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.bits))
-
     def __repr__(self):
         return f"TripleColouring(n={self.n})"
 
@@ -276,6 +267,7 @@ NO_EDGE = 255
 _BIT_COLOURS = bytes.maketrans(b"01", bytes([RED, BLUE]))
 
 
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class PairColouring:
     """Colouring of a complete (kn) or complete bipartite (bnn) graph.
 
@@ -295,9 +287,14 @@ class PairColouring:
     code with it.
     """
 
-    __slots__ = ("kind", "n", "palette", "entries", "_rows")
+    kind: str
+    n: int
+    palette: int
+    entries: bytes
+    _rows: list[bytes] | None = field(default=None, init=False, compare=False)
 
-    def __init__(self, kind: str, n: int, palette: int, entries: bytes):
+    def __post_init__(self):
+        kind, n, palette, entries = self.kind, self.n, self.palette, self.entries
         if kind not in ("kn", "bnn"):
             raise ValueError(f"unknown pair host {kind!r}")
         if palette not in (2, 3):
@@ -307,11 +304,7 @@ class PairColouring:
         m = _n_edges(kind, n)
         if len(entries) != m:
             raise ValueError(f"expected {m} entries, got {len(entries)}")
-        self.kind = kind
-        self.n = n
-        self.palette = palette
         self.entries = _in_palette(entries, palette, "entry outside palette")
-        self._rows = None
 
     @property
     def n_edges(self) -> int:
@@ -387,16 +380,6 @@ class PairColouring:
     def constant(cls, kind: str, n: int, palette: int, colour: int) -> "PairColouring":
         return cls(kind, n, palette, bytes([colour]) * _n_edges(kind, n))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PairColouring)
-            and (self.kind, self.n, self.palette) == (other.kind, other.n, other.palette)
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.n, self.palette, self.entries))
-
     def __repr__(self):
         return f"PairColouring({self.kind}, n={self.n}, palette={self.palette})"
 
@@ -467,20 +450,26 @@ def _check_materializable(n: int, r: int | None) -> None:
         raise ValueError(f"n**r exceeds materialization cap {MATERIALIZE_CAP}")
 
 
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class TransversalColouring:
     """2-colouring of the transversal edges of the r-partite host.
 
     Backed either by an explicit table of n**r entries (mixed-radix order)
-    or by a split rule that answers queries with no storage.
+    or by a split rule that answers queries with no storage.  A rule-backed
+    host differs from its materialised form under `==`.
     """
 
-    __slots__ = ("r", "n", "rule", "entries")
+    r: int
+    n: int
+    _: KW_ONLY
+    rule: HyperSplitSizes | None = None
+    entries: bytes | None = None
 
     kind = "rxn"
     palette = 2
 
-    def __init__(self, r: int, n: int, *, rule: HyperSplitSizes | None = None,
-                 entries: bytes | None = None):
+    def __post_init__(self):
+        r, n, rule, entries = self.r, self.n, self.rule, self.entries
         if (rule is None) == (entries is None):
             raise ValueError("exactly one of rule/entries must be given")
         if rule is not None and (rule.r, rule.n) != (r, n):
@@ -492,11 +481,7 @@ class TransversalColouring:
             m = _n_edges("rxn", n, r)
             if len(entries) != m:
                 raise ValueError(f"expected {m} entries")
-            entries = _in_palette(entries, 2, "entry outside 2-palette")
-        self.r = r
-        self.n = n
-        self.rule = rule
-        self.entries = entries
+            self.entries = _in_palette(entries, 2, "entry outside 2-palette")
 
     @property
     def n_vertices(self) -> int:
@@ -532,15 +517,6 @@ class TransversalColouring:
             return self
         _check_materializable(self.n, self.r)
         return TransversalColouring(self.r, self.n, entries=self.rule.table())
-
-    def __eq__(self, other):
-        """Value equality; a rule-backed host differs from its materialised form."""
-        return isinstance(other, TransversalColouring) and (
-            (self.r, self.n, self.rule, self.entries) == (other.r, other.n, other.rule, other.entries)
-        )
-
-    def __hash__(self):
-        return hash((self.r, self.n, self.rule, self.entries))
 
     def __repr__(self):
         backing = "rule" if self.rule is not None else "materialized"

@@ -153,6 +153,80 @@ def test_rule_matches_materialized():
                 assert rule.colour_bit(edge) == mat.colour_bit(edge)
 
 
+# the fields that `==` and `hash` read, per host class
+_FIELDS = {
+    TripleColouring: lambda c: (c.n, c.bits),
+    PairColouring: lambda c: (c.kind, c.n, c.palette, c.entries),
+    TransversalColouring: lambda c: (c.r, c.n, c.rule, c.entries),
+}
+
+
+def _value_hosts():
+    """(host, repr) pairs: per class a base host, a copy of it built from
+    other argument types, and hosts that differ from it in one field where
+    the class allows that (kn and bnn never have equal edge counts at one
+    n, so `kind` changes with `n`)."""
+    split = HyperSplitSizes(2, 3, (1, 1))
+    return [
+        (TripleColouring(4, b"\x05"), "TripleColouring(n=4)"),
+        (TripleColouring(4, bytearray(b"\x05")), "TripleColouring(n=4)"),
+        (TripleColouring(3, b"\x05"), "TripleColouring(n=3)"),
+        (TripleColouring(4, b"\x06"), "TripleColouring(n=4)"),
+        (PairColouring("kn", 3, 2, b"\x00\x01\x00"), "PairColouring(kn, n=3, palette=2)"),
+        (PairColouring("kn", 3, 2, [0, 1, 0]), "PairColouring(kn, n=3, palette=2)"),
+        (PairColouring("kn", 3, 3, b"\x00\x01\x00"), "PairColouring(kn, n=3, palette=3)"),
+        (PairColouring("kn", 3, 2, b"\x01\x01\x00"), "PairColouring(kn, n=3, palette=2)"),
+        (PairColouring("bnn", 2, 2, b"\x00\x01\x00\x00"), "PairColouring(bnn, n=2, palette=2)"),
+        (PairColouring("bnn", 1, 2, b"\x00"), "PairColouring(bnn, n=1, palette=2)"),
+        (PairColouring("kn", 2, 2, b"\x00"), "PairColouring(kn, n=2, palette=2)"),
+        (TransversalColouring(2, 3, rule=split), "TransversalColouring(r=2, n=3, rule)"),
+        (TransversalColouring(2, 3, rule=HyperSplitSizes(2, 3, (1, 1))),
+         "TransversalColouring(r=2, n=3, rule)"),
+        (TransversalColouring(2, 3, rule=HyperSplitSizes(2, 3, (1, 2))),
+         "TransversalColouring(r=2, n=3, rule)"),
+        (TransversalColouring(2, 3, entries=split.table()), "TransversalColouring(r=2, n=3, materialized)"),
+        (TransversalColouring(2, 3, entries=list(split.table())),
+         "TransversalColouring(r=2, n=3, materialized)"),
+        (TransversalColouring(2, 3, entries=bytes(9)), "TransversalColouring(r=2, n=3, materialized)"),
+        (TransversalColouring(2, 4, rule=HyperSplitSizes(2, 4, (1, 1))),
+         "TransversalColouring(r=2, n=4, rule)"),
+        (TransversalColouring(3, 2, entries=bytes(8)), "TransversalColouring(r=3, n=2, materialized)"),
+        (TransversalColouring(1, 8, entries=bytes(8)), "TransversalColouring(r=1, n=8, materialized)"),
+    ]
+
+
+def test_host_equality_and_hash_follow_exactly_the_fields():
+    hosts = _value_hosts()
+    for (a, _), (b, _) in itertools.product(hosts, repeat=2):
+        same = type(a) is type(b) and _FIELDS[type(a)](a) == _FIELDS[type(b)](b)
+        assert (a == b, a != b) == (same, not same), (a, b)
+    for host, text in hosts:
+        assert repr(host) == text
+        # dict and set keys rely on the hash of the field tuple
+        assert hash(host) == hash(_FIELDS[type(host)](host))
+    index = {host: i for i, (host, _) in enumerate(hosts)}
+    assert len(index) == len({(type(h), _FIELDS[type(h)](h)) for h, _ in hosts}) == len(hosts) - 4
+    assert index[TripleColouring(4, b"\x05")] == 1
+    assert index[TransversalColouring(2, 3, rule=HyperSplitSizes(2, 3, (1, 1)))] == 12
+
+
+def test_building_the_raw_view_changes_neither_equality_nor_hash():
+    for kind, n in (("kn", 5), ("bnn", 3)):
+        col, fresh = gen_random(kind, n, 3, seed=2), gen_random(kind, n, 3, seed=2)
+        before = hash(col)
+        assert col.rows is col.rows
+        assert col == fresh and fresh == col and hash(col) == before == hash(fresh)
+        assert {fresh: 1}[col] == 1
+
+
+def test_transversal_colouring_takes_rule_and_entries_by_keyword_only():
+    sizes = HyperSplitSizes(2, 3, (1, 1))
+    with pytest.raises(TypeError):
+        TransversalColouring(2, 3, sizes)
+    with pytest.raises(TypeError):
+        TransversalColouring(2, 3, None, sizes.table())
+
+
 def test_two_colour_context_rejects_green():
     with pytest.raises(ValueError):
         PairColouring("bnn", 2, 2, bytes([0, 1, 2, 0]))

@@ -13,6 +13,7 @@ Named cases below pin the refusals one by one.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -255,6 +256,29 @@ def test_cycle_profile_refuses_a_repeated_vertex():
     for cyc in ([0, 4, 0, 4], [0, 0]):
         with pytest.raises(ValueError, match="repeats"):
             bp.cycle_profile(BNN, cyc)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bp.find_balanced_c4(BNN, [0, 0], [5, 6]),
+    lambda: bp.near_mono_spanning_path(BNN, [0, 0], [4, 5]),
+    lambda: bp.near_mono_spanning_path(BNN, [0, 1], [5, 5]),
+], ids=["balanced-c4", "near-mono-class-0", "near-mono-class-1"])
+def test_subset_entry_points_refuse_a_repeated_vertex(call):
+    # they used to answer (0, 5, 0, 6) and the "path" [0, 4, 0, 5]
+    with pytest.raises(ValueError, match="repeats a vertex"):
+        call()
+
+
+def test_extension_bounds_a_hand_built_frame_before_building_its_bitmask():
+    # the frame's bitmask used to be built first: 1 << 10**8 alone is 12.5 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="alternating the classes"):
+            bp.extend_good_cycle(BNN, ([0, 4, 1, 10**8], 2), (2, 3, 6, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _good_frame_and_quads(col):
