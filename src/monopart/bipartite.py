@@ -23,7 +23,9 @@ growth step derives the new frame from its re-routing, reading O(1)
 colours (its probes and the junction edges), doing O(1) Python-level work
 and a few C-level list copies, and the loop counts its sorted remainder
 lists once per step and updates them from the vertices the step took and
-dropped.  The growth and V steps go through their public entries,
+dropped.  It keeps them as `_Rest` lists, sorted and distinct by
+construction, which `near_mono_spanning_path` neither sorts nor checks
+again.  The growth and V steps go through their public entries,
 `extend_good_cycle` and `v_two_cycles`.
 `classify_bipartite` and the structure witnesses' `verify` methods compare
 rows of the validated `entries` instead.
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 
 from .certificates import Piece
 from .colourings import BLUE, RED, Colour, PairColouring, SplitStructure, _red_blocks, other_colour
@@ -230,6 +232,11 @@ def _near_mono(rows, s0, s1):
     return (RED, blue) if reds >= blues else (BLUE, red)
 
 
+class _Rest(list):
+    """The growth loop's remainder of one class: a list it keeps sorted and
+    distinct, so `near_mono_spanning_path` takes it as it is."""
+
+
 def near_mono_spanning_path(col: PairColouring, subset0, subset1):
     """Spanning path of a balanced-C4-free induced subgraph.
 
@@ -238,12 +245,18 @@ def near_mono_spanning_path(col: PairColouring, subset0, subset1):
     majority colour.  For a single pair the lone edge itself is returned
     with its own colour.  Raises BalancedC4Present, carrying the first
     balanced C4, when the subgraph has one.
+
+    The subsets are sorted and checked (distinct vertices of class 0 and
+    class 1) unless both are exactly `_Rest`, the growth loop's remainder
+    lists, which it keeps sorted and distinct: they are taken as they are.
     """
     _require_bnn2(col)
-    s0, s1 = sorted(subset0), sorted(subset1)
+    trusted = subset0.__class__ is _Rest and subset1.__class__ is _Rest
+    s0, s1 = (subset0, subset1) if trusted else (sorted(subset0), sorted(subset1))
     if len(s0) != len(s1) or not s0:
         raise ValueError("need equal non-empty class subsets")
-    _check_subsets(col.n, s0, s1)
+    if not trusted:
+        _check_subsets(col.n, s0, s1)
     rows = col.rows
     near = _near_mono(rows, s0, s1)
     if near is None:
@@ -629,7 +642,12 @@ class SpanningCycle:
 
 
 def _interleave(left, right) -> list[int]:
-    return list(chain.from_iterable(zip(left, right)))
+    """left[0], right[0], left[1], right[1], ... of two equal-length
+    sequences; ValueError when right is shorter or longer."""
+    out = [0] * (2 * len(left))
+    out[::2] = left
+    out[1::2] = right
+    return out
 
 
 def _wrap_spanning(col: PairColouring, cyc, frame=None) -> SpanningCycle:
@@ -668,12 +686,13 @@ def spanning_bicoloured_or_mono_cycle(col: PairColouring):
 
     # the good C4 is read once, into a frame carrying its vertex bitmask;
     # each growth step derives the next frame from its re-routing and
-    # reports the vertices that leave and rejoin the sorted remainder lists
+    # reports the vertices that leave and rejoin the sorted remainder lists,
+    # which bisect_left and insort keep sorted and distinct
     a, b, a2, b2 = verdict.good_c4
     frame = _Grown(_frame(col, [a, b, a2, b2], RED))
     frame.change = ((), (), 1 << a | 1 << b | 1 << a2 | 1 << b2)
-    rest0 = [u for u in range(n) if u not in frame[0]]
-    rest1 = [u for u in range(n, 2 * n) if u not in frame[0]]
+    rest0 = _Rest(u for u in range(n) if u not in frame[0])
+    rest1 = _Rest(u for u in range(n, 2 * n) if u not in frame[0])
     while True:
         if not rest0 and not rest1:
             return _wrap_spanning(col, frame[0], frame)

@@ -122,7 +122,14 @@ def _bad(reason: str, piece: int | None = None, detail=()) -> CheckResult:
 
 def check_certificate(col, cert: PartitionCertificate) -> CheckResult:
     """Verify a certificate against a colouring; violations are returned,
-    never raised."""
+    never raised.
+
+    A violation's `reason` is one of: host-mismatch, vertex-not-int (bools
+    included), vertex-out-of-range, disjointness, coverage,
+    colour-outside-palette, unsupported-piece-kind-for-host,
+    not-transversal-window, cycle-does-not-close, edge-within-class and
+    monochromaticity.
+    """
     host = _host_ref(col)
     if cert.host != host:
         return _bad("host-mismatch", detail=(cert.host, host))
@@ -132,6 +139,8 @@ def check_certificate(col, cert: PartitionCertificate) -> CheckResult:
     seen: set[int] = set()
     for idx, piece in enumerate(cert.pieces):
         for v in piece.vertices:
+            if type(v) is not int:
+                return _bad("vertex-not-int", idx, (v,))
             if not 0 <= v < n_vertices:
                 return _bad("vertex-out-of-range", idx, (v,))
             if v in seen:

@@ -64,6 +64,8 @@ def oracle_spanning_bipath_exists(col: TripleColouring):
     """Scan vertex permutations (pruning above two colour runs, one
     representative per reversal class) for a spanning bicoloured tight
     path.  Returns (exists, witness)."""
+    if not isinstance(col, TripleColouring):
+        raise ValueError("the permutation oracle serves h3 hosts")
     n = col.n
     if n > PERMUTATION_LIMIT:
         raise ValueError(f"n={n} beyond the permutation oracle limit {PERMUTATION_LIMIT}")
@@ -189,11 +191,11 @@ def _piece_candidates(col, allowed: list[int], kind: str):
 def oracle_partition_exists(col, shape: ShapeSpec):
     """Exhaustive search for a partition matching the shape; returns
     (exists, witness pieces or None)."""
+    if not isinstance(col, PairColouring):
+        raise ValueError("partition oracle serves pair hosts")
     vertices = list(range(col.n_vertices))
     if len(vertices) > PARTITION_VERTEX_LIMIT:
         raise ValueError("host too large for the partition oracle")
-    if isinstance(col, TripleColouring):
-        raise ValueError("partition oracle serves pair hosts")
     full = (1 << len(vertices)) - 1
 
     n_pieces = len(shape.pieces)
@@ -240,6 +242,8 @@ def oracle_partition_exists(col, shape: ShapeSpec):
 def oracle_min_pieces(col):
     """Exact minimum number of monochromatic paths/cycles (degenerate forms
     allowed) partitioning the host's vertices."""
+    if not isinstance(col, PairColouring):
+        raise ValueError("partition oracle serves pair hosts")
     vertices = list(range(col.n_vertices))
     total = len(vertices)
     if total > PARTITION_VERTEX_LIMIT:

@@ -765,6 +765,59 @@ def test_long_cycle_extensions_match_a_full_read(monkeypatch):
     assert counts["remainders"] > before["remainders"]
 
 
+def test_growth_loop_hands_on_its_remainder_unchecked(monkeypatch):
+    # the growth loop keeps its remainder lists sorted and distinct, so a
+    # step neither sorts nor checks them again; a direct call with plain
+    # lists is still sorted and checked, and refused on a bad subset
+    from monopart.threecolour import partition3_bipartite
+
+    checks, sorts, steps = [], [], [0]
+    check, near = bp._check_subsets, near_mono_spanning_path
+
+    def checking(n, s0, s1):
+        checks.append((s0, s1))
+        return check(n, s0, s1)
+
+    def sorting(xs):
+        if sys._getframe(1).f_code is near.__code__:
+            sorts.append(xs)
+        return sorted(xs)
+
+    def step(col, rest0, rest1):
+        steps[0] += 1
+        return near(col, rest0, rest1)
+
+    monkeypatch.setattr(bp, "_check_subsets", checking)
+    monkeypatch.setattr(bp, "sorted", sorting, raising=False)
+    monkeypatch.setattr(bp, "near_mono_spanning_path", step)
+    for n in (64, 256):
+        col = gen_random("bnn", n, 2, seed=1)
+        before = steps[0]
+        verified(col, list(partition_path_cycle(col)))
+        assert steps[0] - before >= (2 * n - 4) // 4
+    # a blue/green host with one red edge: its blocks grow long cycles
+    entries = bytearray(c + 1 for c in gen_random("bnn", 64, 2, seed=1).entries)
+    entries[0] = RED
+    col = PairColouring("bnn", 64, 3, bytes(entries))
+    before = steps[0]
+    assert check_certificate(col, partition3_bipartite(col)).ok
+    assert steps[0] - before > 1
+    assert checks == [] and sorts == []
+
+    col = gen_random("bnn", 4, 2, seed=1)
+    for s0, s1, match in (([0, 0], [4, 5], "repeats a vertex"), ([0, 1], [5, 5], "repeats a vertex"),
+                          ([0, 4], [5, 6], "class 0"), ([4, 5], [0, 1], "class 0")):
+        for call in (near, find_balanced_c4):
+            with pytest.raises(ValueError, match=match):
+                call(col, s0, s1)
+    assert len(checks) == 8 and len(sorts) == 8
+    # a subclass of the remainder's list type is checked too
+    Rest = type("Rest", (bp._Rest,), {})
+    with pytest.raises(ValueError, match="repeats a vertex"):
+        near(col, Rest([0, 0]), Rest([4, 5]))
+    assert len(checks) == 9
+
+
 _GROWTH_HOSTS = {
     **{
         f"random-{n}-{seed}": (lambda n=n, seed=seed: gen_random("bnn", n, 2, seed=seed))

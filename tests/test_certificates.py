@@ -217,3 +217,15 @@ def test_checker_rejects_all_structural_corruptions():
     # colour flip
     flipped = PartitionCertificate(base.host, (Piece("path", RED, tuple(range(6))),))
     assert not check_certificate(col, flipped).ok
+
+
+@pytest.mark.parametrize("vertex", [0.0, True, "0", None], ids=["float", "bool", "str", "none"])
+def test_checker_returns_a_vertex_that_is_not_an_int(vertex):
+    # a hand-built piece's float vertex used to raise TypeError deep in the
+    # edge read; every host kind now returns the violation
+    hosts = [gen_random("kn", 4, 2, seed=1), gen_random("bnn", 2, 2, seed=1),
+             TripleColouring.constant(4, 0), gen_random("rxn", 2, 2, seed=1, r=2)]
+    for col in hosts:
+        for vertices in ((vertex, 1, 2, 3), (1, 2, 3, vertex)):
+            res = ok(col, [Piece("path", RED, vertices)])
+            assert (res.ok, res.reason, res.piece_index, res.detail) == (False, "vertex-not-int", 0, (vertex,))

@@ -1,13 +1,14 @@
 """Public entry points given bad input.
 
 Every callable in the `__all__` of `bipartite`, `tightpaths`,
-`multipartite` and `threecolour` is called on every host kind with bad
-arguments: empty, single, repeated, out-of-range and negative vertices,
-same-class neighbours, structures taken from other hosts, and hand-built
-paths and frames with bad turns.  Each call returns or raises ValueError
+`multipartite`, `threecolour` and `oracles` is called on every host kind
+with bad arguments: empty, single, repeated, out-of-range and negative
+vertices, same-class neighbours, structures taken from other hosts, and
+hand-built paths and frames with bad turns.  Each call returns or raises ValueError
 (or a subclass); TypeError, IndexError, KeyError, AttributeError or any
 other exception fails the sweep.  The rxn hosts stay under the exact
-cover search's cap, so `min_cover_exact` never raises `ExceedsCap`.
+cover search's cap, so `min_cover_exact` never raises `ExceedsCap`, and
+`enumerate_all` runs in this process on hosts of at most 16 colourings.
 Named cases below pin the refusals one by one.
 """
 
@@ -19,6 +20,7 @@ import pytest
 
 import monopart.bipartite as bp
 import monopart.multipartite as mp
+import monopart.oracles as orc
 import monopart.threecolour as tc
 import monopart.tightpaths as tp
 from monopart.certificates import PartitionCertificate, Piece, check_certificate
@@ -33,7 +35,7 @@ from monopart.colourings import (
 )
 from monopart.generators import gen_random, gen_split_bipartite, gen_v_colouring
 
-MODULES = (bp, tp, mp, tc)
+MODULES = (bp, tp, mp, tc, orc)
 
 HOSTS = {
     "h3": gen_random("h3", 6, 2, seed=1),
@@ -50,6 +52,8 @@ HOSTS = {
 BNN2 = [col for col in HOSTS.values() if col.kind == "bnn" and col.palette == 2]
 SIZES = [col.rule for col in HOSTS.values() if getattr(col, "rule", None) is not None]
 TURNS = (None, -1, 0, 1, 2, 3, 7)
+SHAPES = [(), (("path", None),), (("path", RED), ("cycle", BLUE)), (("cycle", None), ("path", None)),
+          (("walk", None),)]
 
 
 def _sequences(col):
@@ -150,6 +154,17 @@ CASES = {
     "threecolour.path_and_two_balanced_blocks": lambda col: [(col,)],
     "threecolour.partition3_complete": lambda col: [(col,)],
     "threecolour.partition3_bipartite": lambda col: [(col,)],
+    "oracles.find_good_c4": lambda col: [(col,)],
+    "oracles.oracle_spanning_bipath_exists": lambda col: [(col,)],
+    "oracles.ShapeSpec": lambda col: [(pieces, distinct) for pieces in SHAPES for distinct in (False, True)],
+    "oracles.oracle_partition_exists": lambda col: [
+        (col, orc.ShapeSpec(pieces, distinct)) for pieces in SHAPES for distinct in (False, True)
+    ],
+    "oracles.oracle_min_pieces": lambda col: [(col,)],
+    "oracles.OracleReport": lambda col: [("none", "bnn", -1, 0, ((0, "failed"),))],
+    "oracles.enumerate_all": lambda col: [
+        (suite, n) for suite in [*orc.SUITES, "unknown"] for n in (-1, 0, 1, 2, 7)
+    ],
     # not exported, but entry points of the cycle guard
     "bipartite.is_good_cycle": lambda col: [(col, seq) for seq in _sequences(col)],
     "bipartite.cycle_profile": lambda col: [(col, seq) for seq in _sequences(col)],
@@ -352,3 +367,22 @@ def test_checker_names_a_window_that_is_not_transversal():
         cert = PartitionCertificate.for_colouring(col, [Piece("path", colour, vertices)])
         res = check_certificate(col, cert)
         assert (res.ok, res.reason, res.piece_index) == (False, "not-transversal-window", 0)
+
+
+@pytest.mark.parametrize("col", [HOSTS[k] for k in ("kn2", "bnn2", "rxn", "rxn-rule")] + [
+    gen_random("rxn", 2, 2, seed=1, r=2)], ids=["kn2", "bnn2", "rxn", "rxn-rule", "rxn-2-2"])
+def test_permutation_oracle_refuses_a_host_that_is_not_h3(col):
+    # kn raised TypeError from colour_bit, and the rxn 2 x 2 host answered
+    # (True, [0, 1])
+    with pytest.raises(ValueError, match="serves h3 hosts"):
+        orc.oracle_spanning_bipath_exists(col)
+
+
+@pytest.mark.parametrize("col", [H3] + [HOSTS[k] for k in ("rxn", "rxn-rule", "rxn3-rule")],
+                         ids=["h3", "rxn", "rxn-rule", "rxn3-rule"])
+def test_partition_oracles_refuse_a_host_that_is_not_a_pair_host(col):
+    # both raised TypeError on rxn hosts, and oracle_min_pieces on h3 too
+    with pytest.raises(ValueError, match="serves pair hosts"):
+        orc.oracle_min_pieces(col)
+    with pytest.raises(ValueError, match="serves pair hosts"):
+        orc.oracle_partition_exists(col, orc.ShapeSpec((("path", None), ("cycle", None)), True))
