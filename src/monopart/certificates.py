@@ -125,8 +125,8 @@ def check_certificate(col, cert: PartitionCertificate) -> CheckResult:
     never raised.
 
     A violation's `reason` is one of: host-mismatch, vertex-not-int (bools
-    included), vertex-out-of-range, disjointness, coverage,
-    colour-outside-palette, unsupported-piece-kind-for-host,
+    included), vertex-out-of-range, disjointness, coverage, colour-not-int
+    (bools included), colour-outside-palette, unsupported-piece-kind-for-host,
     not-transversal-window, cycle-does-not-close, edge-within-class and
     monochromaticity.
     """
@@ -146,11 +146,13 @@ def check_certificate(col, cert: PartitionCertificate) -> CheckResult:
             if v in seen:
                 return _bad("disjointness", idx, (v,))
             seen.add(v)
+        if type(piece.colour) not in (int, Colour):
+            return _bad("colour-not-int", idx, (piece.colour,))
+        if not 0 <= piece.colour < getattr(col, "palette", 2):
+            return _bad("colour-outside-palette", idx, (piece.colour,))
         res = _check_piece(col, piece, idx)
         if not res.ok:
             return res
-        if piece.colour >= getattr(col, "palette", 2):
-            return _bad("colour-outside-palette", idx, (piece.colour,))
     if len(seen) != n_vertices:
         missing = sorted(set(range(n_vertices)) - seen)
         return _bad("coverage", None, tuple(missing[:8]))

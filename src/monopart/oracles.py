@@ -4,7 +4,10 @@ Oracles are independent of the solvers they validate: spanning bicoloured
 tight paths are sought by pruned permutation search, partition shapes by
 exhaustive search over piece assignments, and good 4-cycles by the quartic
 scan `find_good_c4`, the brute-force reference for `classify_bipartite`'s
-witness.  The enumeration harness
+witness.  Every partition piece comes from one monochromatic-path search:
+a cycle is a path from its least vertex, of at least three vertices (an
+even number on bnn), whose second vertex is below its last and whose
+closing edge has its colour.  The enumeration harness
 iterates all colourings of a host (indices decode to bitstrings), shards
 index ranges across worker processes and merges reports deterministically;
 failures carry the reconstructible colouring index.
@@ -113,44 +116,45 @@ class ShapeSpec:
     pieces: tuple[tuple[str, Colour | None], ...]
     distinct_colours: bool = False
 
+    def __post_init__(self):
+        for kind, _ in self.pieces:
+            if kind not in ("path", "cycle"):
+                raise ValueError(f"unknown piece kind {kind!r}")
 
-def _mono_path_masks(col, allowed: list[int]):
-    """All (mask, colour) of monochromatic paths within `allowed`; colour
-    is None for edgeless pieces.  Pair hosts only."""
-    out = set()
+
+def _mono_paths(col, allowed: list[int], start: int):
+    """Every monochromatic path from `start` through `allowed`, depth first,
+    as (seq, mask, colour); colour is None for the one-vertex path.  `seq`
+    is shared between yields.  Pair hosts only."""
     cbit = col.colour_bit
     bip = col.kind == "bnn"
+    seq = [start]
 
-    def edge_ok(u, v):
-        return not bip or col.side(u) != col.side(v)
-
-    def dfs(seq, mask, colour):
-        out.add((mask, colour))
+    def dfs(mask, colour):
+        yield seq, mask, colour
         last = seq[-1]
         for w in allowed:
-            if (mask >> w) & 1 or not edge_ok(last, w):
+            if (mask >> w) & 1 or (bip and col.side(last) == col.side(w)):
                 continue
             c = cbit(last, w)
             if colour is not None and c != colour:
                 continue
             seq.append(w)
-            dfs(seq, mask | (1 << w), c if colour is None else colour)
+            yield from dfs(mask | (1 << w), c)
             seq.pop()
 
-    for v in allowed:
-        dfs([v], 1 << v, None)
-    return out
+    return dfs(1 << start, None)
 
 
 def _piece_candidates(col, allowed: list[int], kind: str):
     """(mask, colour) options for one piece within `allowed`; colour None
     marks a wildcard (degenerate piece compatible with any colour)."""
-    cbit = col.colour_bit
-    bip = col.kind == "bnn"
     if kind == "path":
-        yield from _mono_path_masks(col, allowed)
+        paths = (path for v in allowed for path in _mono_paths(col, allowed, v))
+        yield from {(mask, colour) for _, mask, colour in paths}
         return
     # cycles: degenerate forms first
+    bip = col.kind == "bnn"
     for v in allowed:
         yield (1 << v, None)
     for i, u in enumerate(allowed):
@@ -158,32 +162,12 @@ def _piece_candidates(col, allowed: list[int], kind: str):
             if bip and col.side(u) == col.side(w):
                 continue
             yield (1 << u) | (1 << w), None
-    # proper cycles by DFS from the minimum vertex with direction fixed
-    def dfs(seq, mask, colour):
-        last = seq[-1]
-        k = len(seq)
-        if k >= 3 and (not bip or k % 2 == 0):
-            c = cbit(last, seq[0]) if (not bip or col.side(last) != col.side(seq[0])) else None
-            if c is not None and (colour is None or c == colour):
-                yield mask, colour if colour is not None else c
-        for w in allowed:
-            if (mask >> w) & 1 or w <= seq[0]:
-                continue
-            if bip and col.side(last) == col.side(w):
-                continue
-            if k == 2 and w < seq[1]:
-                continue  # fix traversal direction
-            c = cbit(last, w)
-            if colour is not None and c != colour:
-                continue
-            seq.append(w)
-            yield from dfs(seq, mask | (1 << w), c if colour is None else colour)
-            seq.pop()
-
+    # then closed paths from their least vertex, in one direction each
     seen = set()
     for v in allowed:
-        for mask, colour in dfs([v], 1 << v, None):
-            if (mask, colour) not in seen:
+        for seq, mask, colour in _mono_paths(col, [w for w in allowed if w > v], v):
+            closes = len(seq) >= 3 and not (bip and len(seq) % 2) and seq[1] < seq[-1]
+            if closes and col.colour_bit(seq[-1], v) == colour and (mask, colour) not in seen:
                 seen.add((mask, colour))
                 yield mask, colour
 
@@ -241,7 +225,9 @@ def oracle_partition_exists(col, shape: ShapeSpec):
 
 def oracle_min_pieces(col):
     """Exact minimum number of monochromatic paths/cycles (degenerate forms
-    allowed) partitioning the host's vertices."""
+    allowed) partitioning the host's vertices.  Only paths are searched: a
+    monochromatic cycle's vertex set is a path's (open it at any edge), and
+    a degenerate cycle's is a path on one or two vertices."""
     if not isinstance(col, PairColouring):
         raise ValueError("partition oracle serves pair hosts")
     vertices = list(range(col.n_vertices))
@@ -263,12 +249,8 @@ def oracle_min_pieces(col):
                 return False
             anchor = next(v for v in vertices if not (mask >> v) & 1)
             allowed = [v for v in vertices if not (mask >> v) & 1]
-            options = set()
-            for kind in ("path", "cycle"):
-                for pmask, _colour in _piece_candidates(col, allowed, kind):
-                    if (pmask >> anchor) & 1:
-                        options.add(pmask)
-            for pmask in sorted(options):
+            options = {pmask for pmask, _ in _piece_candidates(col, allowed, "path")}
+            for pmask in sorted(p for p in options if (p >> anchor) & 1):
                 if dfs(mask | pmask, left - 1):
                     return True
             failed.add(key)

@@ -229,3 +229,26 @@ def test_checker_returns_a_vertex_that_is_not_an_int(vertex):
         for vertices in ((vertex, 1, 2, 3), (1, 2, 3, vertex)):
             res = ok(col, [Piece("path", RED, vertices)])
             assert (res.ok, res.reason, res.piece_index, res.detail) == (False, "vertex-not-int", 0, (vertex,))
+
+
+@pytest.mark.parametrize("colour", ["red", 0.0, True, None], ids=["str", "float", "bool", "none"])
+def test_checker_returns_a_colour_that_is_not_an_int(colour):
+    # a hand-built piece's string colour used to raise TypeError, and a
+    # float 0.0 passed as red; the verdict does not depend on the length
+    hosts = [gen_random("kn", 4, 2, seed=1), gen_random("bnn", 2, 2, seed=1),
+             TripleColouring.constant(4, 0), gen_random("rxn", 2, 2, seed=1, r=2)]
+    for col in hosts:
+        for vertices in ((0,), (0, 1, 2, 3)):
+            rest = [Piece("path", RED, (v,)) for v in range(col.n_vertices) if v not in vertices]
+            res = ok(col, [Piece("path", colour, vertices)] + rest)
+            assert (res.ok, res.reason, res.piece_index, res.detail) == (False, "colour-not-int", 0, (colour,))
+
+
+def test_checker_takes_an_int_or_a_colour_inside_the_palette():
+    col = PairColouring.constant("kn", 3, 2, 1)
+    assert ok(col, [Piece("path", 1, (0, 1, 2))]).ok
+    assert ok(col, [Piece("path", BLUE, (0, 1, 2))]).ok
+    # a negative colour on an edgeless piece used to pass
+    for colour in (-1, 2):
+        res = ok(col, [Piece("path", colour, (0,)), Piece("path", BLUE, (1, 2))])
+        assert (res.ok, res.reason, res.piece_index) == (False, "colour-outside-palette", 0)
